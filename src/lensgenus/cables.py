@@ -20,7 +20,7 @@ from fractions import Fraction
 from math import prod
 
 from .complement import torus_fiber_summand, torus_knot_theta
-from .errors import ConsistencyError
+from .errors import ConsistencyError, DomainError
 from .lens import LensSpace
 from .norm import NormSummand, SeifertPiece, clamped_graph_norm
 
@@ -35,7 +35,7 @@ class CableParams:
 
     def __post_init__(self) -> None:
         if self.m < 2 or self.n < 2:
-            raise ValueError("cable parameters require m, n >= 2")
+            raise DomainError("cable parameters require m, n >= 2")
 
 
 @dataclass(frozen=True)
@@ -47,11 +47,11 @@ class IteratedCableParams:
 
     def __post_init__(self) -> None:
         if not self.ms:
-            raise ValueError("need at least one cabling parameter")
+            raise DomainError("need at least one cabling parameter")
         if any(m < 2 for m in self.ms):
-            raise ValueError("all cabling parameters must be >= 2")
+            raise DomainError("all cabling parameters must be >= 2")
         if self.total_winding >= self.ambient.p:
-            raise ValueError(
+            raise DomainError(
                 f"total winding {self.total_winding} must stay below p = {self.ambient.p}"
             )
 
@@ -130,7 +130,7 @@ def cable_side_summands(c: CableParams) -> list[NormSummand]:
     """
     p, q, m, n = c.ambient.p, c.ambient.q, c.m, c.n
     if p - q * m < 1:
-        raise ValueError(f"piece undefined: cone order p - qm = {p - q * m} < 1")
+        raise DomainError(f"piece undefined: cone order p - qm = {p - q * m} < 1")
     mn = m * n
     cable_piece = NormSummand(
         piece=SeifertPiece(base_euler=0, cone_orders=(n,)),
@@ -209,7 +209,7 @@ def iterated_summands(ic: IteratedCableParams) -> list[NormSummand]:
     p, q = ic.ambient.p, ic.ambient.q
     ms = ic.ms
     if p - q * ms[0] < 1:
-        raise ValueError(f"piece undefined: cone order p - q m_1 = {p - q * ms[0]} < 1")
+        raise DomainError(f"piece undefined: cone order p - q m_1 = {p - q * ms[0]} < 1")
     big_w = ic.total_winding
     summands = [
         NormSummand(

@@ -3,21 +3,24 @@
 Every number in the output is an exact rational (``a/b`` in tables,
 ``{"num": a, "den": b}`` in JSON); nothing is ever rendered as a float.
 Exit codes: 0 success, 1 invalid input, 2 valid input but the
-certification condition is not met, 3 internal consistency failure.
+certification condition is not met, 3 internal failure (a cross-check
+disagreed, or a bug such as a zero divisor).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
-from math import gcd
+from functools import partial
+from itertools import product
 from typing import Any, Callable, Iterable
 
 from . import cables, complement, order2, stabilization, twistfamily
-from .errors import ConsistencyError
+from .errors import ConsistencyError, DomainError
 from .exactarith import peripheral_kernel
 from .lens import H1Class, LensSpace, simple_knot_in_class
 
@@ -132,8 +135,8 @@ def cmd_theta(args: argparse.Namespace) -> tuple[dict, int]:
             f"no torus-knot route for class {c}: cone order p - qc = "
             f"{space.p - space.q * c} < 1"
         )
+    # p - qc >= 1 gives qc < p + q, so the torus-knot criterion holds.
     report = complement.torus_knot_theta(space, c)
-    is_exact = c * space.q < space.p + space.q
     env = envelope(
         "theta",
         inputs,
@@ -142,17 +145,17 @@ def cmd_theta(args: argparse.Namespace) -> tuple[dict, int]:
             "chi_minus": rat(report.chi_minus),
             "mu_pairing": report.mu_pairing,
             "fibered": report.fibered,
-            "label": "EXACT" if is_exact else "UPPER-BOUND",
+            "label": "EXACT",
         },
         {
             "exact": {
-                "holds": is_exact,
+                "holds": True,
                 "criterion": "simple knot in this class is the (1,k)-torus knot "
                 "(holds iff k*q < p + q)",
             }
         },
     )
-    return env, EXIT_OK if is_exact else EXIT_UNCERTIFIED
+    return env, EXIT_OK
 
 
 def cmd_cable(args: argparse.Namespace) -> tuple[dict, int]:
@@ -267,19 +270,13 @@ def cmd_order2(args: argparse.Namespace) -> tuple[dict, int]:
 
 def cmd_twist(args: argparse.Namespace) -> tuple[dict, int]:
     t = twistfamily.TwistParams(args.a, args.b, args.n)
-    fl = twistfamily.build_twist_diagram(t)
-    group = twistfamily.h1_of_filling(fl)
-    cls = twistfamily.unfilled_class(fl, "gamma")
-    spec, line = twistfamily.filling_spec_export(t)
-    expected_order = 2 * t.k
-    if group.order() != expected_order or cls % expected_order not in (
-        t.k % expected_order,
-        (-t.k) % expected_order,
-    ):
+    v = twistfamily.twist_verdict(t)
+    if not v.holds:
         raise ConsistencyError(
-            f"twist diagram homology check failed: H1 = {group}, class {cls}, "
-            f"expected Z/{expected_order} with class +-{t.k}"
+            f"twist diagram homology check failed: H1 = {v.h1}, class {v.gamma_class}, "
+            f"expected Z/{2 * t.k} with class +-{t.k}"
         )
+    _, line = twistfamily.filling_spec_export(t)
     if args.sidecar and not args.export:
         raise ValueError("--sidecar requires --export")
     if args.export:
@@ -289,12 +286,12 @@ def cmd_twist(args: argparse.Namespace) -> tuple[dict, int]:
         {"a": args.a, "b": args.b, "n": args.n},
         {
             "k": t.k,
-            "h1": str(group),
-            "h1_order": group.order(),
-            "gamma_class": cls,
+            "h1": str(v.h1),
+            "h1_order": v.h1.order(),
+            "gamma_class": v.gamma_class,
             "framings": [
                 "inf" if c.framing is None else _fmt(rat(c.framing))
-                for c in fl.components
+                for c in v.diagram.components
             ],
             "spec": line,
         },
@@ -345,17 +342,15 @@ def cmd_boundary_kernel(args: argparse.Namespace) -> tuple[dict, int]:
 # ---------------------------------------------------------------------------
 # sweeps
 
-# Workers take plain tuples and return JSON-ready dicts so grids can be
-# evaluated in worker processes and merged deterministically.
+# Each point evaluator builds its family through the constructors, which
+# raise DomainError outside the family's hypotheses; the sweep skips
+# exactly those points.  Evaluators return JSON-ready record fields so a
+# grid can be evaluated in worker processes and merged deterministically.
 
 
-def _sweep_cable_point(point: tuple[int, int, int, int]) -> dict[str, Any] | None:
-    p, q, m, n = point
-    if p <= q or gcd(p, q) != 1 or p - q * m < 1 or p - q * m * n < 1:
-        return None
+def _cable_point(p: int, q: int, m: int, n: int) -> dict[str, Any]:
     v = cables.cable_verdict(cables.CableParams(LensSpace(p, q), m, n))
     return {
-        "params": [p, q, m, n],
         "threshold_met": v.threshold_met,
         "norms_equal": v.norms_equal,
         "norm_torus_side": rat(v.norm_torus_side),
@@ -364,55 +359,84 @@ def _sweep_cable_point(point: tuple[int, int, int, int]) -> dict[str, Any] | Non
     }
 
 
-def _sweep_boundary_kernel_point(point: tuple[int, int, int]) -> dict[str, Any] | None:
-    p, q, w = point
-    if p <= q or gcd(p, q) != 1:
-        return None
+def _iterated_point(p: int, q: int, *ms: int) -> dict[str, Any]:
+    v = cables.iterated_verdict(cables.IteratedCableParams(LensSpace(p, q), ms))
+    return {"threshold_met": v.threshold_met, "norms_equal": v.norms_equal}
+
+
+def _boundary_kernel_point(p: int, q: int, w: int) -> dict[str, Any]:
     data = complement.WindingData(LensSpace(p, q), w)
     closed = complement.boundary_kernel(data)
     oracle = peripheral_kernel(complement.presentation_matrix(data), 0, 1)
-    return {
-        "params": [p, q, w],
-        "agree": oracle == (closed.mu_coeff, closed.lambda_coeff),
-    }
+    return {"agree": oracle == (closed.mu_coeff, closed.lambda_coeff)}
 
 
-def _sweep_stab_point(point: tuple[int, int, int]) -> dict[str, Any] | None:
-    p, q, k = point
-    if p <= q or gcd(p, q) != 1 or p < 2 * q * (k + 4):
-        return None
+def _stab_point(p: int, q: int, k: int) -> dict[str, Any]:
     v = stabilization.stab_verdict(stabilization.StabFamily(LensSpace(p, q), k))
-    return {"params": [p, q, k], "certified": v.certified_minimizer}
+    return {"certified": v.certified_minimizer}
 
 
-def _sweep_twist_point(point: tuple[int, int, int]) -> dict[str, Any] | None:
-    a, b, n = point
-    if n == 0:
-        return None
-    t = twistfamily.TwistParams(a, b, n)
-    fl = twistfamily.build_twist_diagram(t)
-    group = twistfamily.h1_of_filling(fl)
-    cls = twistfamily.unfilled_class(fl, "gamma")
-    ok = group.order() == 2 * t.k and cls % (2 * t.k) in (t.k, (-t.k) % (2 * t.k))
-    return {"params": [a, b, n], "h1_order": group.order(), "gamma_class": cls, "ok": ok}
+def _twist_point(a: int, b: int, n: int) -> dict[str, Any]:
+    v = twistfamily.twist_verdict(twistfamily.TwistParams(a, b, n))
+    return {"h1_order": v.h1.order(), "gamma_class": v.gamma_class, "ok": v.holds}
 
 
-def _sweep_iterated_point(point: tuple[int, ...]) -> dict[str, Any] | None:
-    p, q = point[0], point[1]
-    ms = point[2:]
-    if p <= q or gcd(p, q) != 1:
-        return None
-    w = 1
-    for m in ms:
-        w *= m
-    if w >= p or p - q * ms[0] < 1 or p - q * w < 1:
-        return None
-    v = cables.iterated_verdict(cables.IteratedCableParams(LensSpace(p, q), ms))
-    return {
-        "params": [p, q],
-        "threshold_met": v.threshold_met,
-        "norms_equal": v.norms_equal,
+# A summary turns the sorted records into ``results`` and the mismatches.
+
+
+def _cable_summary(records: list[dict]) -> tuple[dict, list[dict]]:
+    above = [r for r in records if r["threshold_met"]]
+    below = [r for r in records if not r["threshold_met"]]
+    mismatches = [r for r in above if not r["norms_equal"]]
+    results = {
+        "points": len(records),
+        "threshold_met": len(above),
+        "norms_equal_above_threshold": len(above) - len(mismatches),
+        "below_threshold": len(below),
+        "norms_equal_below_threshold": sum(r["norms_equal"] for r in below),
+        "mismatches_above_threshold": mismatches,
     }
+    return results, mismatches
+
+
+def _iterated_summary(records: list[dict]) -> tuple[dict, list[dict]]:
+    results, mismatches = _cable_summary(records)
+    del results["below_threshold"], results["norms_equal_below_threshold"]
+    return results, mismatches
+
+
+def _flag_summary(flag: str, passed: str, records: list[dict]) -> tuple[dict, list[dict]]:
+    """Count the records whose ``flag`` holds; the others are mismatches."""
+    mismatches = [r for r in records if not r[flag]]
+    results = {
+        "points": len(records),
+        passed: len(records) - len(mismatches),
+        "mismatches": mismatches,
+    }
+    return results, mismatches
+
+
+#: target -> (sweep flags in grid-coordinate order, point evaluator, summary)
+_SWEEPS: dict[str, tuple[tuple[str, ...], Callable[..., dict], Callable]] = {
+    "cable": (("p", "q", "m", "n"), _cable_point, _cable_summary),
+    "iterated": (("p", "q", "ms"), _iterated_point, _iterated_summary),
+    "boundary-kernel": (
+        ("p", "q", "w"), _boundary_kernel_point, partial(_flag_summary, "agree", "agreements")
+    ),
+    "stab": (("p", "q", "k"), _stab_point, partial(_flag_summary, "certified", "certified")),
+    "twist": (
+        ("a", "b", "n"), _twist_point, partial(_flag_summary, "ok", "homology_checks_passed")
+    ),
+}
+
+
+def _sweep_point(evaluate: Callable[..., dict], point: tuple[int, ...]) -> dict | None:
+    """The record of one grid point, or None when its family rejects it."""
+    try:
+        fields = evaluate(*point)
+    except DomainError:
+        return None
+    return {"params": list(point), **fields}
 
 
 def _parse_range(text: str | None, flag: str) -> range:
@@ -421,119 +445,48 @@ def _parse_range(text: str | None, flag: str) -> range:
     lo, sep, hi = text.partition(":")
     if not sep:
         raise ValueError(f"range must look like lo:hi, got {text!r}")
+    if int(lo) > int(hi):
+        raise ValueError(f"range --{flag} {text} is reversed (lo > hi)")
     return range(int(lo), int(hi) + 1)
 
 
-def _run_points(
-    worker: Callable[[tuple], dict | None],
-    points: list[tuple],
-    jobs: int,
-) -> list[dict]:
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            raw = list(pool.map(worker, points, chunksize=256))
-    else:
-        raw = [worker(pt) for pt in points]
-    kept = [r for r in raw if r is not None]
-    kept.sort(key=lambda r: r["params"])
-    return kept
+def _grid_axes(args: argparse.Namespace, flag: str) -> tuple[Any, list[Iterable[int]]]:
+    """The ``inputs`` entry of one sweep flag and the grid axes it spans.
+
+    A range spans one axis; ``--ms`` pins one single-valued axis per level.
+    """
+    text = getattr(args, flag)
+    if flag != "ms":
+        return text, [_parse_range(text, flag)]
+    if text is None:
+        raise ValueError("sweep iterated requires --ms m1,m2,...")
+    ms = [int(s) for s in text.split(",")]
+    return ms, [(m,) for m in ms]
 
 
 def cmd_sweep(args: argparse.Namespace) -> tuple[dict, int]:
-    jobs = args.jobs
-    target = args.target
-    code = EXIT_OK
-    mismatches: list[dict] = []
-
-    if target == "cable":
-        points = [
-            (p, q, m, n)
-            for p in _parse_range(args.p, "p")
-            for q in _parse_range(args.q, "q")
-            for m in _parse_range(args.m, "m")
-            for n in _parse_range(args.n, "n")
-        ]
-        records = _run_points(_sweep_cable_point, points, jobs)
-        above = [r for r in records if r["threshold_met"]]
-        mismatches = [r for r in above if not r["norms_equal"]]
-        results = {
-            "points": len(records),
-            "threshold_met": len(above),
-            "norms_equal_above_threshold": sum(r["norms_equal"] for r in above),
-            "below_threshold": len(records) - len(above),
-            "norms_equal_below_threshold": sum(
-                r["norms_equal"] for r in records if not r["threshold_met"]
-            ),
-            "mismatches_above_threshold": mismatches,
-        }
-        inputs = {"target": target, "p": args.p, "q": args.q, "m": args.m, "n": args.n}
-    elif target == "iterated":
-        if args.ms is None:
-            raise ValueError("sweep iterated requires --ms m1,m2,...")
-        ms = tuple(int(s) for s in args.ms.split(","))
-        points = [(p, q) + ms for p in _parse_range(args.p, "p") for q in _parse_range(args.q, "q")]
-        records = _run_points(_sweep_iterated_point, points, jobs)
-        above = [r for r in records if r["threshold_met"]]
-        mismatches = [r for r in above if not r["norms_equal"]]
-        results = {
-            "points": len(records),
-            "threshold_met": len(above),
-            "norms_equal_above_threshold": sum(r["norms_equal"] for r in above),
-            "mismatches_above_threshold": mismatches,
-        }
-        inputs = {"target": target, "p": args.p, "q": args.q, "ms": list(ms)}
-    elif target == "boundary-kernel":
-        points = [
-            (p, q, w)
-            for p in _parse_range(args.p, "p")
-            for q in _parse_range(args.q, "q")
-            for w in _parse_range(args.w, "w")
-        ]
-        records = _run_points(_sweep_boundary_kernel_point, points, jobs)
-        mismatches = [r for r in records if not r["agree"]]
-        results = {
-            "points": len(records),
-            "agreements": sum(r["agree"] for r in records),
-            "mismatches": mismatches,
-        }
-        inputs = {"target": target, "p": args.p, "q": args.q, "w": args.w}
-    elif target == "stab":
-        points = [
-            (p, q, k)
-            for p in _parse_range(args.p, "p")
-            for q in _parse_range(args.q, "q")
-            for k in _parse_range(args.k, "k")
-        ]
-        records = _run_points(_sweep_stab_point, points, jobs)
-        mismatches = [r for r in records if not r["certified"]]
-        results = {
-            "points": len(records),
-            "certified": sum(r["certified"] for r in records),
-            "mismatches": mismatches,
-        }
-        inputs = {"target": target, "p": args.p, "q": args.q, "k": args.k}
-    elif target == "twist":
-        points = [
-            (a, b, n)
-            for a in _parse_range(args.a, "a")
-            for b in _parse_range(args.b, "b")
-            for n in _parse_range(args.n, "n")
-        ]
-        records = _run_points(_sweep_twist_point, points, jobs)
-        mismatches = [r for r in records if not r["ok"]]
-        results = {
-            "points": len(records),
-            "homology_checks_passed": sum(r["ok"] for r in records),
-            "mismatches": mismatches,
-        }
-        inputs = {"target": target, "a": args.a, "b": args.b, "n": args.n}
-    else:  # pragma: no cover - argparse restricts choices
-        raise ValueError(f"unknown sweep target {target!r}")
-
-    if mismatches:
-        code = EXIT_INCONSISTENT
-    env = envelope("sweep", inputs, results)
-    return env, code
+    if args.jobs < 1:
+        raise ValueError(f"--jobs must be >= 1, got {args.jobs}")
+    flags, evaluate, summarize = _SWEEPS[args.target]
+    inputs: dict[str, Any] = {"target": args.target}
+    axes: list[Iterable[int]] = []
+    for flag in flags:
+        inputs[flag], spans = _grid_axes(args, flag)
+        axes += spans
+    worker = partial(_sweep_point, evaluate)
+    workers = min(args.jobs, os.cpu_count() or 1)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            raw = list(pool.map(worker, product(*axes), chunksize=256))
+    else:
+        raw = [worker(pt) for pt in product(*axes)]
+    records = sorted((r for r in raw if r is not None), key=lambda r: r["params"])
+    if not records:
+        # Nothing admissible: evaluate the first point uncaught so the
+        # sweep fails with its reason.
+        evaluate(*next(product(*axes)))
+    results, mismatches = summarize(records)
+    return envelope("sweep", inputs, results), EXIT_INCONSISTENT if mismatches else EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -634,10 +587,10 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         env, code = args.func(args)
-    except ConsistencyError as exc:
+    except (ConsistencyError, ZeroDivisionError) as exc:
         print(f"internal consistency failure: {exc}", file=sys.stderr)
         return EXIT_INCONSISTENT
-    except (ValueError, ZeroDivisionError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
     print_report(env, getattr(args, "json", False))

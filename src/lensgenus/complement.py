@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
+from .errors import DomainError
 from .exactarith import IntMatrix
 from .lens import LensSpace
 from .norm import (
@@ -33,7 +34,7 @@ class WindingData:
 
     def __post_init__(self) -> None:
         if self.w < 0:
-            raise ValueError("winding number must be >= 0")
+            raise DomainError("winding number must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -93,7 +94,7 @@ def torus_fiber_summand(space: LensSpace, k: int) -> NormSummand:
     if k < 1:
         raise ValueError("k must be >= 1")
     if space.p - space.q * k < 1:
-        raise ValueError(
+        raise DomainError(
             f"piece undefined: cone order p - qk = {space.p - space.q * k} < 1"
         )
     boundary = PeripheralClass(k * k * space.q, space.p)

@@ -8,3 +8,12 @@ class ConsistencyError(RuntimeError):
     linear-algebra oracle, assembled surface data vs its known total).  This
     always indicates a bug in the library, never bad user input.
     """
+
+
+class DomainError(ValueError):
+    """Parameters lie outside the family a constructor or piece admits.
+
+    Raised by the constructors and piece builders whose hypotheses define
+    which grid points a sweep evaluates, so a sweep skips exactly these
+    points.  Any other ``ValueError`` is a failed check, never a skip.
+    """

@@ -11,6 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
+from .errors import DomainError
+
 
 @dataclass(frozen=True)
 class LensSpace:
@@ -19,9 +21,9 @@ class LensSpace:
 
     def __post_init__(self) -> None:
         if not self.p > self.q >= 1:
-            raise ValueError(f"need p > q >= 1, got (p, q) = ({self.p}, {self.q})")
+            raise DomainError(f"need p > q >= 1, got (p, q) = ({self.p}, {self.q})")
         if gcd(self.p, self.q) != 1:
-            raise ValueError(f"p and q must be coprime, got ({self.p}, {self.q})")
+            raise DomainError(f"p and q must be coprime, got ({self.p}, {self.q})")
 
     def __str__(self) -> str:
         return f"L({self.p},{self.q})"

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .complement import torus_knot_theta
-from .errors import ConsistencyError
+from .errors import ConsistencyError, DomainError
 from .lens import LensSpace, torus_knot_class
 from .norm import PeripheralClass
 
@@ -105,10 +105,10 @@ class StabFamily:
 
     def __post_init__(self) -> None:
         if self.k < 1:
-            raise ValueError("stabilization count k must be >= 1")
+            raise DomainError("stabilization count k must be >= 1")
         p, q = self.ambient.p, self.ambient.q
         if p < 2 * q * (self.k + 4):
-            raise ValueError(
+            raise DomainError(
                 f"hypothesis p >= 2q(k+4) fails: {p} < {2 * q * (self.k + 4)}"
             )
 

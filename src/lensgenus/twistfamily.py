@@ -23,7 +23,14 @@ from fractions import Fraction
 from math import gcd
 from typing import Iterable, Sequence
 
-from .exactarith import AbelianGroup, IntMatrix, cokernel_invariants, smith_normal_form
+from .errors import DomainError
+from .exactarith import (
+    AbelianGroup,
+    IntMatrix,
+    cokernel_coordinates,
+    cokernel_invariants,
+    smith_normal_form,
+)
 
 #: Marker for a component left unfilled (a cusp of the exported manifold).
 UNFILLED = None
@@ -79,9 +86,9 @@ class TwistParams:
 
     def __post_init__(self) -> None:
         if self.a < 1 or self.b < 1:
-            raise ValueError("band counts a, b must be >= 1")
+            raise DomainError("band counts a, b must be >= 1")
         if self.n == 0:
-            raise ValueError("twist count n must be nonzero")
+            raise DomainError("twist count n must be nonzero")
 
     @property
     def k(self) -> int:
@@ -212,13 +219,32 @@ def unfilled_class(fl: FramedLink, label: str) -> int:
     if group.order() == 1:
         return 0
     snf = smith_normal_form(rel)
-    # The lone diagonal entry not equal to 1 carries the cyclic coordinate.
-    for j in range(rel.cols):
-        dj = snf.D.at(j, j) if j < snf.D.rows else 0
-        if dj != 1:
-            coord = sum(vec[i] * snf.V.at(i, j) for i in range(rel.cols))
-            return coord % dj if dj else coord
-    raise AssertionError("cyclic group with no non-unit diagonal entry")
+    # The diagonal runs 1, ..., 1 and then the lone entry that is not 1,
+    # which carries the cyclic coordinate.
+    return cokernel_coordinates(snf, vec)[snf.invariant_factors.count(1)]
+
+
+@dataclass(frozen=True)
+class TwistVerdict:
+    """Homology check of K(a,b,n): the filling has H1 = Z/2k, gamma in class k."""
+
+    diagram: FramedLink
+    h1: AbelianGroup
+    gamma_class: int
+    holds: bool
+
+
+def twist_verdict(t: TwistParams) -> TwistVerdict:
+    """Build the diagram of K(a,b,n) and check its filling homology.
+
+    Class k is its own negative mod 2k, so the check does not depend on
+    the orientation of gamma.
+    """
+    fl = build_twist_diagram(t)
+    group = h1_of_filling(fl)
+    cls = unfilled_class(fl, "gamma")
+    order = 2 * t.k
+    return TwistVerdict(fl, group, cls, group.order() == order and cls % order == t.k)
 
 
 def filling_spec_export(t: TwistParams) -> tuple[FillingSpec, str]:
@@ -258,16 +284,15 @@ def export_filling_specs(
         spec, text = filling_spec_export(t)
         lines.append(text)
         if sidecar_path is not None:
-            fl = build_twist_diagram(t)
-            order = h1_of_filling(fl).order()
+            v = twist_verdict(t)
             records.append(
                 {
                     "a": t.a,
                     "b": t.b,
                     "n": t.n,
                     "k": t.k,
-                    "h1_order": order,
-                    "gamma_class": unfilled_class(fl, "gamma"),
+                    "h1_order": v.h1.order(),
+                    "gamma_class": v.gamma_class,
                     "spec": text,
                 }
             )

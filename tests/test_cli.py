@@ -1,6 +1,21 @@
 import json
+from types import SimpleNamespace
 
+import pytest
+
+from lensgenus import cables, cli, twistfamily
+from lensgenus.cables import (
+    CableParams,
+    IteratedCableParams,
+    cable_side_summands,
+    iterated_summands,
+)
 from lensgenus.cli import canonical_json, main
+from lensgenus.complement import WindingData, torus_fiber_summand
+from lensgenus.errors import DomainError
+from lensgenus.lens import LensSpace
+from lensgenus.stabilization import StabFamily
+from lensgenus.twistfamily import TwistParams
 
 
 def run(capsys, *argv):
@@ -41,6 +56,15 @@ class TestExitCodes:
         code, out, _ = run(capsys, "theta", "--p", "23", "--q", "3", "--class", "7")
         assert code == 0
         assert "EXACT" in out
+
+    def test_zero_division_is_internal_failure(self, capsys, monkeypatch):
+        def divide_by_zero(args):
+            return 1 // 0
+
+        monkeypatch.setattr(cli, "cmd_cable", divide_by_zero)
+        code, _, err = run(capsys, "cable", "--p", "8", "--q", "1", "--m", "2", "--n", "2")
+        assert code == 3
+        assert "division" in err
 
 
 class TestJsonOutput:
@@ -178,6 +202,138 @@ class TestSweep:
         assert code == 0
         assert payload["results"]["mismatches_above_threshold"] == []
 
+    # Admissible (p, q): coprime p > q.  For (p, q) in 7:10 x 1:2 that is
+    # p = 7..10 with q = 1 and p = 7, 9 with q = 2; in 2:6 x 1:3 it is
+    # five pairs with q = 1 and two each with q = 2 and q = 3.
+    @pytest.mark.parametrize(
+        "argv, points",
+        [
+            # p - qmn >= 1: all 4 pairs with q = 1 for mn = 4 and 6, only
+            # p = 9 with q = 2 and mn = 4.  m = 1 is no cable.
+            (["cable", "--p", "7:10", "--q", "1:2", "--m", "1:3", "--n", "2:2"], 4 + 4 + 1),
+            # W = 4 < p and p - 4q >= 1: p = 5..12 with q = 1, p = 9, 11 with q = 2.
+            (["iterated", "--p", "5:12", "--q", "1:2", "--ms", "2,2"], 8 + 2),
+            # p >= 2q(k+4): p = 10..20 for k = 1, p = 12..20 for k = 2 (q = 1);
+            # q = 2 needs p >= 20 and odd.
+            (["stab", "--p", "10:20", "--q", "1:2", "--k", "1:2"], 11 + 9),
+            # Every winding number w >= 0 is admissible.
+            (["boundary-kernel", "--p", "2:6", "--q", "1:3", "--w", "0:2"], 9 * 3),
+            # n != 0.
+            (["twist", "--a", "1:2", "--b", "1:1", "--n=-1:1"], 2 * 1 * 2),
+        ],
+    )
+    def test_points_follow_family_hypotheses(self, capsys, argv, points):
+        code, payload, _ = run_json(capsys, "sweep", *argv)
+        assert code == 0
+        assert payload["results"]["points"] == points
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: LensSpace(4, 2),
+            lambda: CableParams(LensSpace(8, 1), 1, 2),
+            lambda: IteratedCableParams(LensSpace(8, 1), (2, 4)),
+            lambda: WindingData(LensSpace(8, 1), -1),
+            lambda: StabFamily(LensSpace(9, 1), 1),
+            lambda: TwistParams(1, 1, 0),
+            lambda: cable_side_summands(CableParams(LensSpace(5, 2), 3, 2)),
+            lambda: iterated_summands(IteratedCableParams(LensSpace(7, 3), (3, 2))),
+            lambda: torus_fiber_summand(LensSpace(7, 2), 4),
+        ],
+    )
+    def test_skip_rule_is_domain_error(self, build):
+        # The sweep skips a point exactly when one of these guards rejects it.
+        with pytest.raises(DomainError):
+            build()
+
+    def test_cable_skips_m_equal_one(self, capsys):
+        grid = ["--p", "8:40", "--q", "1:3", "--n", "2:3"]
+        code, with_one, _ = run_json(capsys, "sweep", "cable", "--m", "1:3", *grid)
+        assert code == 0
+        _, without, _ = run_json(capsys, "sweep", "cable", "--m", "2:3", *grid)
+        assert with_one["results"] == without["results"]
+
+    @pytest.mark.parametrize(
+        "argv, reason",
+        [
+            (["iterated", "--p", "32:40", "--q", "1:1", "--ms", "1,2"],
+             "all cabling parameters must be >= 2"),
+            (["stab", "--p", "2:9", "--q", "1:1", "--k", "1:1"], "p >= 2q(k+4) fails"),
+            (["boundary-kernel", "--p", "4:4", "--q", "2:2", "--w", "0:3"], "coprime"),
+        ],
+    )
+    def test_no_admissible_point_exits_1(self, capsys, argv, reason):
+        code, out, err = run(capsys, "sweep", *argv)
+        assert code == 1
+        assert out == ""
+        assert reason in err
+
+    def test_failed_cross_check_is_not_skipped(self, capsys, monkeypatch):
+        real = cli.peripheral_kernel
+
+        def rank_two_at_w2(mat, mu_col, lambda_col):
+            if mat.at(0, 0) == 2:  # the first row is [w, 0, 0, -1]
+                raise ValueError("peripheral kernel is not cyclic of rank 1 (rank 2)")
+            return real(mat, mu_col, lambda_col)
+
+        monkeypatch.setattr(cli, "peripheral_kernel", rank_two_at_w2)
+        code, _, err = run(
+            capsys, "sweep", "boundary-kernel", "--p", "2:8", "--q", "1:3", "--w", "0:2"
+        )
+        assert code == 1
+        assert "not cyclic" in err
+
+    def test_iterated_mismatch_keeps_full_params(self, capsys, monkeypatch):
+        monkeypatch.setattr(
+            cables,
+            "iterated_verdict",
+            lambda ic: SimpleNamespace(threshold_met=True, norms_equal=False),
+        )
+        code, payload, _ = run_json(
+            capsys, "sweep", "iterated", "--p", "32:33", "--q", "1:1", "--ms", "2,2,2"
+        )
+        assert code == 3
+        mismatches = payload["results"]["mismatches_above_threshold"]
+        assert [r["params"] for r in mismatches] == [[32, 1, 2, 2, 2], [33, 1, 2, 2, 2]]
+
+    def test_failed_twist_homology_exits_3(self, capsys, monkeypatch):
+        monkeypatch.setattr(twistfamily, "unfilled_class", lambda fl, label: 1)
+        code, payload, _ = run_json(
+            capsys, "sweep", "twist", "--a", "1:1", "--b", "1:1", "--n", "1:2"
+        )
+        assert code == 3
+        mismatches = payload["results"]["mismatches"]
+        assert [r["params"] for r in mismatches] == [[1, 1, 1], [1, 1, 2]]
+        code, _, err = run(capsys, "twist", "--a", "1", "--b", "1", "--n", "1")
+        assert code == 3
+        assert "homology check failed" in err
+
+    @pytest.mark.parametrize("jobs, cpus, pool_size", [(64, 3, 3), (2, 8, 2), (4, None, None)])
+    def test_pool_is_capped_at_cpu_count(self, capsys, monkeypatch, jobs, cpus, pool_size):
+        sizes = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items, chunksize=1):
+                return map(fn, items)
+
+        grid = ["sweep", "stab", "--p", "10:30", "--q", "1:2", "--k", "1:2"]
+        _, _, serial = run_json(capsys, *grid)
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+        code, _, pooled = run_json(capsys, *grid, "--jobs", str(jobs))
+        assert code == 0
+        assert pooled == serial
+        assert sizes == ([] if pool_size is None else [pool_size])
+
 
 class TestThetaEdgeCases:
     def test_class_beyond_torus_route(self, capsys):
@@ -197,6 +353,21 @@ class TestArgumentValidation:
         code, _, err = run(capsys, "sweep", "iterated", "--p", "32:40", "--q", "1:1")
         assert code == 1
         assert "--ms" in err
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--p", "50:10"], "reversed"),
+            (["--p", "8:20", "--jobs", "0"], "--jobs must be >= 1"),
+            (["--p", "8:20", "--jobs", "-2"], "--jobs must be >= 1"),
+        ],
+    )
+    def test_hostile_sweep_arguments(self, capsys, argv, message):
+        grid = ["--q", "1:2", "--m", "2:3", "--n", "2:2"]
+        code, out, err = run(capsys, "sweep", "cable", *grid, *argv)
+        assert code == 1
+        assert out == ""
+        assert message in err
 
     def test_sidecar_requires_export(self, capsys, tmp_path):
         code, _, err = run(

@@ -18,6 +18,7 @@ from lensgenus.twistfamily import (
     h1_of_complement,
     h1_of_filling,
     twist_framings,
+    twist_verdict,
     unfilled_class,
 )
 
@@ -165,6 +166,14 @@ class TestUnfilledClass:
             two = build_twist_diagram(TwistParams(b, a, n))
             assert h1_of_filling(one) == h1_of_filling(two)
             assert unfilled_class(one, "gamma") == unfilled_class(two, "gamma")
+
+    def test_verdict_on_grid(self):
+        for a, b, n in TWIST_GRID:
+            t = TwistParams(a, b, n)
+            v = twist_verdict(t)
+            assert v.holds, (a, b, n)
+            assert v.h1 == h1_of_filling(v.diagram) == AbelianGroup(0, (2 * t.k,))
+            assert v.gamma_class == unfilled_class(v.diagram, "gamma")
 
     def test_filled_component_rejected(self):
         fl = build_twist_diagram(TwistParams(1, 1, 1))
