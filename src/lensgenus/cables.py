@@ -149,11 +149,6 @@ def torus_side_norm(c: CableParams) -> Fraction:
     Closed form |pmn - q(mn)^2| (1 - 1/(mn) - 1/(p - qmn)), clamped at
     zero through the solid-torus extension.
     """
-    p, q = c.ambient.p, c.ambient.q
-    if p - q * c.m * c.n < 1:
-        raise ValueError(
-            f"piece undefined: cone order p - qmn = {p - q * c.m * c.n} < 1"
-        )
     total, _, _ = clamped_graph_norm([torus_fiber_summand(c.ambient, c.m * c.n)])
     return total
 

@@ -17,7 +17,7 @@ from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 from functools import partial
 from itertools import product
-from typing import Any, Callable, Iterable
+from typing import Any, Callable, Iterable, Iterator, NamedTuple, NoReturn
 
 from . import cables, complement, order2, stabilization, twistfamily
 from .errors import ConsistencyError, DomainError
@@ -35,8 +35,7 @@ EXIT_INCONSISTENT = 3
 
 
 def rat(x: Fraction | int) -> dict[str, int]:
-    f = Fraction(x)
-    return {"num": f.numerator, "den": f.denominator}
+    return {"num": x.numerator, "den": x.denominator}
 
 
 def canonical_json(obj: Any) -> str:
@@ -94,76 +93,64 @@ def print_report(env: dict[str, Any], as_json: bool) -> None:
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# evaluators
+#
+# One evaluator per command.  It takes the command's flag values in table
+# order, builds the family through its constructors (which raise
+# DomainError outside the family's hypotheses) and returns the envelope and
+# the exit code.  A cross-check it can see fail returns EXIT_INCONSISTENT
+# instead of raising, so a sweep can list the point as a mismatch.
 
 
-def cmd_simple_knot(args: argparse.Namespace) -> tuple[dict, int]:
-    space = LensSpace(args.p, args.q)
-    knot = simple_knot_in_class(space, H1Class(args.h1_class, space))
-    env = envelope(
-        "simple-knot",
-        {"p": args.p, "q": args.q, "class": args.h1_class},
-        {
-            "parameter_a": knot.a,
-            "is_unknot": knot.a == 0,
-        },
-    )
-    return env, EXIT_OK
+def _simple_knot(p: int, q: int, c: int) -> tuple[dict, int]:
+    space = LensSpace(p, q)
+    knot = simple_knot_in_class(space, H1Class(c, space))
+    results = {"parameter_a": knot.a, "is_unknot": knot.a == 0}
+    return envelope("simple-knot", {"p": p, "q": q, "class": c}, results), EXIT_OK
 
 
-def cmd_theta(args: argparse.Namespace) -> tuple[dict, int]:
-    space = LensSpace(args.p, args.q)
-    c = args.h1_class
+def _theta(p: int, q: int, c: int) -> tuple[dict, int]:
+    space = LensSpace(p, q)
     if not 0 <= c < space.p:
         raise ValueError(f"class {c} outside [0, {space.p - 1}]")
-    inputs = {"p": args.p, "q": args.q, "class": c}
     if c == 0:
-        env = envelope(
-            "theta",
-            inputs,
-            {"theta": rat(0), "chi_minus": rat(0), "label": "EXACT"},
-            {
-                "exact": {
-                    "holds": True,
-                    "criterion": "class 0 is the unknot, which bounds a disk",
-                }
-            },
-        )
-        return env, EXIT_OK
-    if space.p - space.q * c < 1:
+        results = {"theta": rat(0), "chi_minus": rat(0), "label": "EXACT"}
+        criterion = "class 0 is the unknot, which bounds a disk"
+    elif space.p - space.q * c < 1:
         raise ValueError(
             f"no torus-knot route for class {c}: cone order p - qc = "
             f"{space.p - space.q * c} < 1"
         )
-    # p - qc >= 1 gives qc < p + q, so the torus-knot criterion holds.
-    report = complement.torus_knot_theta(space, c)
-    env = envelope(
-        "theta",
-        inputs,
-        {
+    else:
+        # p - qc >= 1 gives qc < p + q, so the torus-knot criterion holds.
+        report = complement.torus_knot_theta(space, c)
+        results = {
             "theta": rat(report.theta),
             "chi_minus": rat(report.chi_minus),
             "mu_pairing": report.mu_pairing,
             "fibered": report.fibered,
             "label": "EXACT",
-        },
-        {
-            "exact": {
-                "holds": True,
-                "criterion": "simple knot in this class is the (1,k)-torus knot "
-                "(holds iff k*q < p + q)",
-            }
-        },
+        }
+        criterion = ("simple knot in this class is the (1,k)-torus knot "
+                     "(holds iff k*q < p + q)")
+    env = envelope(
+        "theta", {"p": p, "q": q, "class": c}, results,
+        {"exact": {"holds": True, "criterion": criterion}},
     )
     return env, EXIT_OK
 
 
-def cmd_cable(args: argparse.Namespace) -> tuple[dict, int]:
-    space = LensSpace(args.p, args.q)
-    v = cables.cable_verdict(cables.CableParams(space, args.m, args.n))
+def _norm_code(v: cables.CableVerdict | cables.IteratedVerdict) -> int:
+    if v.threshold_met and not v.norms_equal:
+        return EXIT_INCONSISTENT
+    return EXIT_OK if v.certified_minimizer else EXIT_UNCERTIFIED
+
+
+def _cable(p: int, q: int, m: int, n: int) -> tuple[dict, int]:
+    v = cables.cable_verdict(cables.CableParams(LensSpace(p, q), m, n))
     env = envelope(
         "cable",
-        {"p": args.p, "q": args.q, "m": args.m, "n": args.n},
+        {"p": p, "q": q, "m": m, "n": n},
         {
             "norm_torus_side": rat(v.norm_torus_side),
             "norm_cable_side": rat(v.norm_cable_side),
@@ -187,16 +174,14 @@ def cmd_cable(args: argparse.Namespace) -> tuple[dict, int]:
         },
         v.warnings,
     )
-    return env, EXIT_OK if v.certified_minimizer else EXIT_UNCERTIFIED
+    return env, _norm_code(v)
 
 
-def cmd_iterated(args: argparse.Namespace) -> tuple[dict, int]:
-    space = LensSpace(args.p, args.q)
-    ms = tuple(int(s) for s in args.ms.split(","))
-    v = cables.iterated_verdict(cables.IteratedCableParams(space, ms))
+def _iterated(p: int, q: int, *ms: int) -> tuple[dict, int]:
+    v = cables.iterated_verdict(cables.IteratedCableParams(LensSpace(p, q), ms))
     env = envelope(
         "iterated",
-        {"p": args.p, "q": args.q, "ms": list(ms)},
+        {"p": p, "q": q, "ms": list(ms)},
         {
             "norm_iterated": rat(v.norm_iterated),
             "norm_torus_side": rat(v.norm_torus_side),
@@ -214,21 +199,19 @@ def cmd_iterated(args: argparse.Namespace) -> tuple[dict, int]:
         },
         v.warnings,
     )
-    return env, EXIT_OK if v.certified_minimizer else EXIT_UNCERTIFIED
+    return env, _norm_code(v)
 
 
-def cmd_stab(args: argparse.Namespace) -> tuple[dict, int]:
-    space = LensSpace(args.p, args.q)
-    fam = stabilization.StabFamily(space, args.k)
-    norms = stabilization.stab_norms(fam)
+def _stab(p: int, q: int, k: int) -> tuple[dict, int]:
+    fam = stabilization.StabFamily(LensSpace(p, q), k)
     v = stabilization.stab_verdict(fam)
     env = envelope(
         "stab",
-        {"p": args.p, "q": args.q, "k": args.k},
+        {"p": p, "q": q, "k": k},
         {
             "coefficients": list(stabilization.stab_coefficients(fam)),
-            "chi_surface": norms.chi_Fk,
-            "chi_capped": norms.chi_capped,
+            "chi_surface": v.norms.chi_Fk,
+            "chi_capped": v.norms.chi_capped,
             "torus_knot_chi": rat(v.torus_chi),
             "homology_class": v.homology_class,
             "theta": rat(v.theta),
@@ -244,18 +227,18 @@ def cmd_stab(args: argparse.Namespace) -> tuple[dict, int]:
     return env, EXIT_OK
 
 
-def cmd_order2(args: argparse.Namespace) -> tuple[dict, int]:
-    if args.k < 1:
+def _order2(k: int) -> tuple[dict, int]:
+    if k < 1:
         raise ValueError("k must be >= 1")
-    space = LensSpace(2 * args.k, 1)
+    space = LensSpace(2 * k, 1)
     rep = order2.uniqueness_check(space)
     env = envelope(
         "order2",
-        {"k": args.k, "p": space.p, "q": 1},
+        {"k": k, "p": space.p, "q": 1},
         {
             "nonorientable_genus": rep.nonorientable_genus,
             "theta": rat(rep.theta),
-            "order2_class": args.k,
+            "order2_class": k,
         },
         {
             "unique_minimizer": {
@@ -268,180 +251,187 @@ def cmd_order2(args: argparse.Namespace) -> tuple[dict, int]:
     return env, EXIT_OK if rep.unique_minimizer_guaranteed else EXIT_UNCERTIFIED
 
 
-def cmd_twist(args: argparse.Namespace) -> tuple[dict, int]:
-    t = twistfamily.TwistParams(args.a, args.b, args.n)
-    v = twistfamily.twist_verdict(t)
-    if not v.holds:
-        raise ConsistencyError(
-            f"twist diagram homology check failed: H1 = {v.h1}, class {v.gamma_class}, "
-            f"expected Z/{2 * t.k} with class +-{t.k}"
-        )
-    _, line = twistfamily.filling_spec_export(t)
-    if args.sidecar and not args.export:
+def _twist(
+    a: int, b: int, n: int, export: str | None = None, sidecar: str | None = None
+) -> tuple[dict, int]:
+    if sidecar and not export:
         raise ValueError("--sidecar requires --export")
-    if args.export:
-        twistfamily.export_filling_specs([t], args.export, args.sidecar)
+    t = twistfamily.TwistParams(a, b, n)
+    v = twistfamily.twist_verdict(t)
+    _, line = twistfamily.filling_spec_export(t)
     env = envelope(
         "twist",
-        {"a": args.a, "b": args.b, "n": args.n},
+        {"a": a, "b": b, "n": n},
         {
             "k": t.k,
             "h1": str(v.h1),
             "h1_order": v.h1.order(),
             "gamma_class": v.gamma_class,
-            "framings": [
-                "inf" if c.framing is None else _fmt(rat(c.framing))
-                for c in v.diagram.components
-            ],
+            "framings": ["inf" if c.framing is None else str(c.framing)
+                         for c in v.diagram.components],
             "spec": line,
         },
         {
             "homology": {
-                "holds": True,
+                "holds": v.holds,
                 "criterion": "filling the five framed components gives the "
                 "lens space of order 2k with the unfilled knot in class k",
             }
         },
     )
+    if not v.holds:
+        return env, EXIT_INCONSISTENT
+    if export:
+        twistfamily.export_filling_specs([t], export, sidecar)
     return env, EXIT_OK
 
 
-def cmd_boundary_kernel(args: argparse.Namespace) -> tuple[dict, int]:
-    space = LensSpace(args.p, args.q)
-    data = complement.WindingData(space, args.w)
+def _boundary_kernel(p: int, q: int, w: int, oracle: bool = True) -> tuple[dict, int]:
+    # A sweep passes no options, so it always checks against the oracle.
+    data = complement.WindingData(LensSpace(p, q), w)
     closed = complement.boundary_kernel(data)
-    results: dict[str, Any] = {
-        "mu_coeff": closed.mu_coeff,
-        "lambda_coeff": closed.lambda_coeff,
-    }
+    results: dict[str, Any] = {"mu_coeff": closed.mu_coeff, "lambda_coeff": closed.lambda_coeff}
     certs: dict[str, dict[str, Any]] = {}
-    code = EXIT_OK
-    if args.oracle:
+    if oracle:
         mat = complement.presentation_matrix(data)
-        oracle = peripheral_kernel(mat, 0, 1)
-        agree = oracle == (closed.mu_coeff, closed.lambda_coeff)
-        results["oracle_mu_coeff"] = oracle[0]
-        results["oracle_lambda_coeff"] = oracle[1]
+        found = peripheral_kernel(mat, 0, 1)
+        results["oracle_mu_coeff"], results["oracle_lambda_coeff"] = found
         results["presentation_rows"] = mat.to_lists()
         certs["oracle_agreement"] = {
-            "holds": agree,
+            "holds": found == (closed.mu_coeff, closed.lambda_coeff),
             "criterion": "closed form equals the Smith-normal-form kernel of "
             "the presentation matrix",
         }
-        if not agree:
-            code = EXIT_INCONSISTENT
-    env = envelope(
-        "boundary-kernel",
-        {"p": args.p, "q": args.q, "w": args.w},
-        results,
-        certs,
-    )
+    env = envelope("boundary-kernel", {"p": p, "q": q, "w": w}, results, certs)
+    return env, EXIT_OK if all(c["holds"] for c in certs.values()) else EXIT_INCONSISTENT
+
+
+# ---------------------------------------------------------------------------
+# sweep summaries
+#
+# A summary consumes the records of the admissible points once, in grid
+# order; after that ``mismatches`` holds the records whose evaluator
+# returned EXIT_INCONSISTENT.  It returns the sweep's ``results``.
+
+
+def _cable_summary(records: Iterator[dict], mismatches: list[dict]) -> dict:
+    points = above = equal_below = 0
+    for r in records:
+        points += 1
+        if r["threshold_met"]:
+            above += 1
+        else:
+            equal_below += r["norms_equal"]
+    # A cable point is a mismatch exactly when its norms differ above threshold.
+    return {
+        "points": points,
+        "threshold_met": above,
+        "norms_equal_above_threshold": above - len(mismatches),
+        "below_threshold": points - above,
+        "norms_equal_below_threshold": equal_below,
+        "mismatches_above_threshold": mismatches,
+    }
+
+
+def _iterated_summary(records: Iterator[dict], mismatches: list[dict]) -> dict:
+    results = _cable_summary(records, mismatches)
+    del results["below_threshold"], results["norms_equal_below_threshold"]
+    return results
+
+
+def _passed_summary(passed: str, records: Iterator[dict], mismatches: list[dict]) -> dict:
+    points = sum(1 for _ in records)
+    return {"points": points, passed: points - len(mismatches), "mismatches": mismatches}
+
+
+# ---------------------------------------------------------------------------
+# the command table
+
+
+class Command(NamedTuple):
+    help: str
+    #: Flags in evaluator order; a list flag passes one argument per entry.
+    flags: tuple[str, ...]
+    evaluate: Callable[..., tuple[dict, int]]
+    #: Sweep summary, or None when the command has no ``sweep`` target.
+    summary: Callable[[Iterator[dict], list[dict]], dict] | None = None
+
+
+COMMANDS: dict[str, Command] = {
+    "simple-knot": Command("simple knot in a homology class", ("p", "q", "class"), _simple_knot),
+    "theta": Command("norm of a homology class via its torus knot", ("p", "q", "class"), _theta),
+    "cable": Command("cable-knot minimizer verdict", ("p", "q", "m", "n"), _cable, _cable_summary),
+    "iterated": Command(
+        "iterated-cable minimizer verdict", ("p", "q", "ms"), _iterated, _iterated_summary
+    ),
+    "stab": Command(
+        "stabilized-braid minimizer verdict", ("p", "q", "k"), _stab,
+        partial(_passed_summary, "certified"),
+    ),
+    "order2": Command("order-2 class uniqueness verdict in L(2k,1)", ("k",), _order2),
+    "twist": Command(
+        "annulus-twist family diagram and export", ("a", "b", "n"), _twist,
+        partial(_passed_summary, "homology_checks_passed"),
+    ),
+    "boundary-kernel": Command(
+        "peripheral class that bounds", ("p", "q", "w"), _boundary_kernel,
+        partial(_passed_summary, "agreements"),
+    ),
+}
+
+#: Flags that take a comma-separated list of integers, with their help.
+_LIST_FLAGS = {"ms": "comma-separated m1,m2,..."}
+
+#: Options of single commands that are not grid coordinates; each is passed
+#: to the evaluator by keyword.
+_OPTIONS: dict[str, dict[str, dict[str, Any]]] = {
+    "twist": {
+        "export": {"help": "write the spec line here"},
+        "sidecar": {"help": "write a JSON sidecar here"},
+    },
+    "boundary-kernel": {
+        "oracle": {"action": "store_true", "help": "verify against the SNF oracle"},
+    },
+}
+
+
+def _int_list(text: str) -> list[int]:
+    return [int(s) for s in text.split(",")]
+
+
+def _run_command(args: argparse.Namespace) -> tuple[dict, int]:
+    """Evaluate one single command; a failed cross-check is an internal failure."""
+    name = args.command
+    cmd = COMMANDS[name]
+    values: list[int] = []
+    for flag in cmd.flags:
+        value = getattr(args, flag)
+        values += value if flag in _LIST_FLAGS else [value]
+    options = {opt: getattr(args, opt) for opt in _OPTIONS.get(name, ())}
+    env, code = cmd.evaluate(*values, **options)
+    if code == EXIT_INCONSISTENT:
+        failed = [k for k, c in env["certifications"].items() if not c["holds"]]
+        raise ConsistencyError(
+            f"{name} at {env['inputs']}: {', '.join(failed) or 'cross'} check failed; "
+            f"results {env['results']}"
+        )
     return env, code
 
 
 # ---------------------------------------------------------------------------
 # sweeps
 
-# Each point evaluator builds its family through the constructors, which
-# raise DomainError outside the family's hypotheses; the sweep skips
-# exactly those points.  Evaluators return JSON-ready record fields so a
-# grid can be evaluated in worker processes and merged deterministically.
 
-
-def _cable_point(p: int, q: int, m: int, n: int) -> dict[str, Any]:
-    v = cables.cable_verdict(cables.CableParams(LensSpace(p, q), m, n))
-    return {
-        "threshold_met": v.threshold_met,
-        "norms_equal": v.norms_equal,
-        "norm_torus_side": rat(v.norm_torus_side),
-        "norm_cable_side": rat(v.norm_cable_side),
-        "degenerate": bool(v.warnings),
-    }
-
-
-def _iterated_point(p: int, q: int, *ms: int) -> dict[str, Any]:
-    v = cables.iterated_verdict(cables.IteratedCableParams(LensSpace(p, q), ms))
-    return {"threshold_met": v.threshold_met, "norms_equal": v.norms_equal}
-
-
-def _boundary_kernel_point(p: int, q: int, w: int) -> dict[str, Any]:
-    data = complement.WindingData(LensSpace(p, q), w)
-    closed = complement.boundary_kernel(data)
-    oracle = peripheral_kernel(complement.presentation_matrix(data), 0, 1)
-    return {"agree": oracle == (closed.mu_coeff, closed.lambda_coeff)}
-
-
-def _stab_point(p: int, q: int, k: int) -> dict[str, Any]:
-    v = stabilization.stab_verdict(stabilization.StabFamily(LensSpace(p, q), k))
-    return {"certified": v.certified_minimizer}
-
-
-def _twist_point(a: int, b: int, n: int) -> dict[str, Any]:
-    v = twistfamily.twist_verdict(twistfamily.TwistParams(a, b, n))
-    return {"h1_order": v.h1.order(), "gamma_class": v.gamma_class, "ok": v.holds}
-
-
-# A summary turns the sorted records into ``results`` and the mismatches.
-
-
-def _cable_summary(records: list[dict]) -> tuple[dict, list[dict]]:
-    above = [r for r in records if r["threshold_met"]]
-    below = [r for r in records if not r["threshold_met"]]
-    mismatches = [r for r in above if not r["norms_equal"]]
-    results = {
-        "points": len(records),
-        "threshold_met": len(above),
-        "norms_equal_above_threshold": len(above) - len(mismatches),
-        "below_threshold": len(below),
-        "norms_equal_below_threshold": sum(r["norms_equal"] for r in below),
-        "mismatches_above_threshold": mismatches,
-    }
-    return results, mismatches
-
-
-def _iterated_summary(records: list[dict]) -> tuple[dict, list[dict]]:
-    results, mismatches = _cable_summary(records)
-    del results["below_threshold"], results["norms_equal_below_threshold"]
-    return results, mismatches
-
-
-def _flag_summary(flag: str, passed: str, records: list[dict]) -> tuple[dict, list[dict]]:
-    """Count the records whose ``flag`` holds; the others are mismatches."""
-    mismatches = [r for r in records if not r[flag]]
-    results = {
-        "points": len(records),
-        passed: len(records) - len(mismatches),
-        "mismatches": mismatches,
-    }
-    return results, mismatches
-
-
-#: target -> (sweep flags in grid-coordinate order, point evaluator, summary)
-_SWEEPS: dict[str, tuple[tuple[str, ...], Callable[..., dict], Callable]] = {
-    "cable": (("p", "q", "m", "n"), _cable_point, _cable_summary),
-    "iterated": (("p", "q", "ms"), _iterated_point, _iterated_summary),
-    "boundary-kernel": (
-        ("p", "q", "w"), _boundary_kernel_point, partial(_flag_summary, "agree", "agreements")
-    ),
-    "stab": (("p", "q", "k"), _stab_point, partial(_flag_summary, "certified", "certified")),
-    "twist": (
-        ("a", "b", "n"), _twist_point, partial(_flag_summary, "ok", "homology_checks_passed")
-    ),
-}
-
-
-def _sweep_point(evaluate: Callable[..., dict], point: tuple[int, ...]) -> dict | None:
-    """The record of one grid point, or None when its family rejects it."""
+def _sweep_point(target: str, point: tuple[int, ...]) -> tuple[dict, int] | None:
+    """The record and exit code of one grid point, or None when its family rejects it."""
     try:
-        fields = evaluate(*point)
+        env, code = COMMANDS[target].evaluate(*point)
     except DomainError:
         return None
-    return {"params": list(point), **fields}
+    return {"params": list(point), **env["results"]}, code
 
 
-def _parse_range(text: str | None, flag: str) -> range:
-    if text is None:
-        raise ValueError(f"sweep requires a --{flag} range (lo:hi)")
+def _parse_range(text: str, flag: str) -> range:
     lo, sep, hi = text.partition(":")
     if not sep:
         raise ValueError(f"range must look like lo:hi, got {text!r}")
@@ -450,42 +440,39 @@ def _parse_range(text: str | None, flag: str) -> range:
     return range(int(lo), int(hi) + 1)
 
 
-def _grid_axes(args: argparse.Namespace, flag: str) -> tuple[Any, list[Iterable[int]]]:
-    """The ``inputs`` entry of one sweep flag and the grid axes it spans.
-
-    A range spans one axis; ``--ms`` pins one single-valued axis per level.
-    """
-    text = getattr(args, flag)
-    if flag != "ms":
-        return text, [_parse_range(text, flag)]
-    if text is None:
-        raise ValueError("sweep iterated requires --ms m1,m2,...")
-    ms = [int(s) for s in text.split(",")]
-    return ms, [(m,) for m in ms]
-
-
 def cmd_sweep(args: argparse.Namespace) -> tuple[dict, int]:
     if args.jobs < 1:
         raise ValueError(f"--jobs must be >= 1, got {args.jobs}")
-    flags, evaluate, summarize = _SWEEPS[args.target]
+    cmd = COMMANDS[args.target]
     inputs: dict[str, Any] = {"target": args.target}
     axes: list[Iterable[int]] = []
-    for flag in flags:
-        inputs[flag], spans = _grid_axes(args, flag)
-        axes += spans
-    worker = partial(_sweep_point, evaluate)
+    for flag in cmd.flags:
+        inputs[flag] = value = getattr(args, flag)
+        # A range spans one axis; a list pins one single-valued axis per entry.
+        axes += [(v,) for v in value] if flag in _LIST_FLAGS else [_parse_range(value, flag)]
+    mismatches: list[dict] = []
+
+    def records(outcomes: Iterable[tuple[dict, int] | None]) -> Iterator[dict]:
+        for outcome in outcomes:
+            if outcome is not None:
+                record, code = outcome
+                if code == EXIT_INCONSISTENT:
+                    mismatches.append(record)
+                yield record
+
+    # product() of ascending ranges yields ascending points; both maps keep that order.
+    worker = partial(_sweep_point, args.target)
     workers = min(args.jobs, os.cpu_count() or 1)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            raw = list(pool.map(worker, product(*axes), chunksize=256))
+            results = cmd.summary(records(pool.map(worker, product(*axes), chunksize=256)),
+                                  mismatches)
     else:
-        raw = [worker(pt) for pt in product(*axes)]
-    records = sorted((r for r in raw if r is not None), key=lambda r: r["params"])
-    if not records:
+        results = cmd.summary(records(map(worker, product(*axes))), mismatches)
+    if not results["points"]:
         # Nothing admissible: evaluate the first point uncaught so the
         # sweep fails with its reason.
-        evaluate(*next(product(*axes)))
-    results, mismatches = summarize(records)
+        cmd.evaluate(*next(product(*axes)))
     return envelope("sweep", inputs, results), EXIT_INCONSISTENT if mismatches else EXIT_OK
 
 
@@ -493,107 +480,55 @@ def cmd_sweep(args: argparse.Namespace) -> tuple[dict, int]:
 # parser
 
 
+class _Parser(argparse.ArgumentParser):
+    """A usage error is invalid input (exit 1); argparse would exit 2, "not certified"."""
+
+    def error(self, message: str) -> NoReturn:
+        raise ValueError(f"{message}\n{self.format_usage().rstrip()}")
+
+
+def _add_flags(p: argparse.ArgumentParser, flags: Iterable[str], kind: Callable,
+               help: str | None = None) -> None:
+    for flag in flags:
+        listed = flag in _LIST_FLAGS
+        p.add_argument(f"--{flag}", type=_int_list if listed else kind, required=True,
+                       help=_LIST_FLAGS.get(flag, help))
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="lensgenus",
         description="Exact rational-genus certificates for knots in lens spaces.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_json(p: argparse.ArgumentParser) -> None:
+    for name, cmd in COMMANDS.items():
+        p = sub.add_parser(name, help=cmd.help)
+        _add_flags(p, cmd.flags, int)
+        for opt, kwargs in _OPTIONS.get(name, {}).items():
+            p.add_argument(f"--{opt}", **kwargs)
         p.add_argument("--json", action="store_true", help="emit a JSON report")
-
-    p = sub.add_parser("simple-knot", help="simple knot in a homology class")
-    p.add_argument("--p", type=int, required=True)
-    p.add_argument("--q", type=int, required=True)
-    p.add_argument("--class", dest="h1_class", type=int, required=True)
-    add_json(p)
-    p.set_defaults(func=cmd_simple_knot)
-
-    p = sub.add_parser("theta", help="norm of a homology class via its torus knot")
-    p.add_argument("--p", type=int, required=True)
-    p.add_argument("--q", type=int, required=True)
-    p.add_argument("--class", dest="h1_class", type=int, required=True)
-    add_json(p)
-    p.set_defaults(func=cmd_theta)
-
-    p = sub.add_parser("cable", help="cable-knot minimizer verdict")
-    p.add_argument("--p", type=int, required=True)
-    p.add_argument("--q", type=int, required=True)
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    add_json(p)
-    p.set_defaults(func=cmd_cable)
-
-    p = sub.add_parser("iterated", help="iterated-cable minimizer verdict")
-    p.add_argument("--p", type=int, required=True)
-    p.add_argument("--q", type=int, required=True)
-    p.add_argument("--ms", type=str, required=True, help="comma-separated m1,m2,...")
-    add_json(p)
-    p.set_defaults(func=cmd_iterated)
-
-    p = sub.add_parser("stab", help="stabilized-braid minimizer verdict")
-    p.add_argument("--p", type=int, required=True)
-    p.add_argument("--q", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-    add_json(p)
-    p.set_defaults(func=cmd_stab)
-
-    p = sub.add_parser("order2", help="order-2 class uniqueness verdict in L(2k,1)")
-    p.add_argument("--k", type=int, required=True)
-    add_json(p)
-    p.set_defaults(func=cmd_order2)
-
-    p = sub.add_parser("twist", help="annulus-twist family diagram and export")
-    p.add_argument("--a", type=int, required=True)
-    p.add_argument("--b", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--export", type=str, default=None, help="write the spec line here")
-    p.add_argument("--sidecar", type=str, default=None, help="write a JSON sidecar here")
-    add_json(p)
-    p.set_defaults(func=cmd_twist)
-
-    p = sub.add_parser("boundary-kernel", help="peripheral class that bounds")
-    p.add_argument("--p", type=int, required=True)
-    p.add_argument("--q", type=int, required=True)
-    p.add_argument("--w", type=int, required=True)
-    p.add_argument("--oracle", action="store_true", help="verify against the SNF oracle")
-    add_json(p)
-    p.set_defaults(func=cmd_boundary_kernel)
-
-    p = sub.add_parser("sweep", help="grid runs with exact-equality summaries")
-    p.add_argument(
-        "target",
-        choices=["cable", "iterated", "boundary-kernel", "stab", "twist"],
-    )
-    p.add_argument("--p", type=str, help="range lo:hi")
-    p.add_argument("--q", type=str, help="range lo:hi")
-    p.add_argument("--m", type=str, help="range lo:hi")
-    p.add_argument("--n", type=str, help="range lo:hi")
-    p.add_argument("--w", type=str, help="range lo:hi")
-    p.add_argument("--k", type=str, help="range lo:hi")
-    p.add_argument("--a", type=str, help="range lo:hi")
-    p.add_argument("--b", type=str, help="range lo:hi")
-    p.add_argument("--ms", type=str, help="comma-separated m1,m2,... (iterated only)")
-    p.add_argument("--jobs", type=int, default=1, help="parallel worker processes")
-    add_json(p)
-    p.set_defaults(func=cmd_sweep)
-
+    sweep = sub.add_parser("sweep", help="grid runs with exact-equality summaries")
+    targets = sweep.add_subparsers(dest="target", required=True)
+    for name, cmd in COMMANDS.items():
+        if cmd.summary is not None:
+            p = targets.add_parser(name, help=cmd.help)
+            _add_flags(p, cmd.flags, str, "range lo:hi")
+            p.add_argument("--jobs", type=int, default=1, help="parallel worker processes")
+            p.add_argument("--json", action="store_true", help="emit a JSON report")
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
-        env, code = args.func(args)
+        args = build_parser().parse_args(argv)
+        env, code = cmd_sweep(args) if args.command == "sweep" else _run_command(args)
     except (ConsistencyError, ZeroDivisionError) as exc:
         print(f"internal consistency failure: {exc}", file=sys.stderr)
         return EXIT_INCONSISTENT
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
-    print_report(env, getattr(args, "json", False))
+    print_report(env, args.json)
     return code
 
 

@@ -64,26 +64,6 @@ class IntMatrix:
     def to_lists(self) -> list[list[int]]:
         return [list(self.row(i)) for i in range(self.rows)]
 
-    def mul(self, other: "IntMatrix") -> "IntMatrix":
-        if self.cols != other.rows:
-            raise ValueError("shape mismatch in matrix product")
-        out = []
-        for i in range(self.rows):
-            ri = self.row(i)
-            for j in range(other.cols):
-                out.append(sum(ri[k] * other.at(k, j) for k in range(self.cols)))
-        return IntMatrix(self.rows, other.cols, tuple(out))
-
-    __matmul__ = mul
-
-    def is_diagonal(self) -> bool:
-        return all(
-            self.at(i, j) == 0
-            for i in range(self.rows)
-            for j in range(self.cols)
-            if i != j
-        )
-
 
 @dataclass(frozen=True)
 class SNFResult:

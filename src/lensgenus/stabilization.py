@@ -123,11 +123,15 @@ class StabNorms:
 @dataclass(frozen=True)
 class StabVerdict:
     family: StabFamily
-    chi_capped: int
+    norms: StabNorms
     torus_chi: Fraction
     homology_class: int
     theta: Fraction
     certified_minimizer: bool
+
+    @property
+    def chi_capped(self) -> int:
+        return self.norms.chi_capped
 
 
 def stab_coefficients(s: StabFamily) -> tuple[int, int, int]:
@@ -194,7 +198,7 @@ def stab_verdict(s: StabFamily) -> StabVerdict:
         )
     return StabVerdict(
         family=s,
-        chi_capped=norms.chi_capped,
+        norms=norms,
         torus_chi=torus.chi_minus,
         homology_class=k + 4,
         theta=Fraction(norms.chi_capped, p),

@@ -1,9 +1,9 @@
+import dataclasses
 import json
-from types import SimpleNamespace
 
 import pytest
 
-from lensgenus import cables, cli, twistfamily
+from lensgenus import cables, cli, stabilization, twistfamily
 from lensgenus.cables import (
     CableParams,
     IteratedCableParams,
@@ -58,10 +58,11 @@ class TestExitCodes:
         assert "EXACT" in out
 
     def test_zero_division_is_internal_failure(self, capsys, monkeypatch):
-        def divide_by_zero(args):
+        def divide_by_zero(*values):
             return 1 // 0
 
-        monkeypatch.setattr(cli, "cmd_cable", divide_by_zero)
+        cable = cli.COMMANDS["cable"]._replace(evaluate=divide_by_zero)
+        monkeypatch.setitem(cli.COMMANDS, "cable", cable)
         code, _, err = run(capsys, "cable", "--p", "8", "--q", "1", "--m", "2", "--n", "2")
         assert code == 3
         assert "division" in err
@@ -150,6 +151,24 @@ class TestSubcommands:
         assert payload["certifications"]["oracle_agreement"]["holds"]
         assert payload["results"]["mu_coeff"] == 4
         assert payload["results"]["oracle_mu_coeff"] == 4
+
+    def test_stab_builds_its_surface_once(self, capsys, monkeypatch):
+        calls = []
+        real = stabilization.stab_norms
+        monkeypatch.setattr(stabilization, "stab_norms", lambda s: calls.append(s) or real(s))
+        code, payload, _ = run_json(capsys, "stab", "--p", "10", "--q", "1", "--k", "1")
+        assert code == 0
+        assert payload["results"]["chi_capped"] == 15
+        assert len(calls) == 1
+
+    def test_failed_oracle_is_internal_failure(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "peripheral_kernel", lambda mat, mu, lam: (0, 0))
+        code, out, err = run(
+            capsys, "boundary-kernel", "--p", "8", "--q", "1", "--w", "4", "--oracle", "--json"
+        )
+        assert code == 3
+        assert out == ""
+        assert "oracle_agreement check failed" in err
 
     def test_oracle_flag_does_not_change_results(self, capsys):
         _, plain, _ = run_json(capsys, "boundary-kernel", "--p", "15", "--q", "4", "--w", "6")
@@ -284,10 +303,11 @@ class TestSweep:
         assert "not cyclic" in err
 
     def test_iterated_mismatch_keeps_full_params(self, capsys, monkeypatch):
+        real = cables.iterated_verdict
         monkeypatch.setattr(
             cables,
             "iterated_verdict",
-            lambda ic: SimpleNamespace(threshold_met=True, norms_equal=False),
+            lambda ic: dataclasses.replace(real(ic), norms_equal=False),
         )
         code, payload, _ = run_json(
             capsys, "sweep", "iterated", "--p", "32:33", "--q", "1:1", "--ms", "2,2,2"
@@ -333,6 +353,76 @@ class TestSweep:
         assert code == 0
         assert pooled == serial
         assert sizes == ([] if pool_size is None else [pool_size])
+
+
+# One grid per sweep target, a point of it, and that point as a single command
+# (boundary-kernel sweeps always run the oracle).  The cable and iterated
+# grids start with a point below threshold, which exits 2 and is no mismatch.
+TABLE_CASES = [
+    ("cable", ["--p", "7:12", "--q", "1:1", "--m", "2:2", "--n", "2:2"], [9, 1, 2, 2],
+     ["cable", "--p", "9", "--q", "1", "--m", "2", "--n", "2"]),
+    ("iterated", ["--p", "31:34", "--q", "1:1", "--ms", "2,2,2"], [33, 1, 2, 2, 2],
+     ["iterated", "--p", "33", "--q", "1", "--ms", "2,2,2"]),
+    ("stab", ["--p", "10:12", "--q", "1:1", "--k", "1:1"], [11, 1, 1],
+     ["stab", "--p", "11", "--q", "1", "--k", "1"]),
+    ("twist", ["--a", "1:2", "--b", "1:1", "--n", "1:1"], [2, 1, 1],
+     ["twist", "--a", "2", "--b", "1", "--n", "1"]),
+    ("boundary-kernel", ["--p", "7:8", "--q", "1:2", "--w", "0:1"], [7, 2, 1],
+     ["boundary-kernel", "--p", "7", "--q", "2", "--w", "1", "--oracle"]),
+]
+
+
+class TestCommandTable:
+    @pytest.mark.parametrize("target, grid, point, single", TABLE_CASES)
+    def test_mismatch_is_evaluator_exit_3(self, capsys, monkeypatch, target, grid, point, single):
+        code, expected, _ = run_json(capsys, *single)
+        assert code == 0
+        command = cli.COMMANDS[target]
+
+        def fails_at_point(*values):
+            env, code = command.evaluate(*values)
+            return env, (3 if list(values) == point else code)
+
+        monkeypatch.setitem(cli.COMMANDS, target, command._replace(evaluate=fails_at_point))
+        code, payload, _ = run_json(capsys, "sweep", target, *grid)
+        assert code == 3
+        results = payload["results"]
+        mismatches = results.get("mismatches", results.get("mismatches_above_threshold"))
+        # Only that point, and its record is the single command's results.
+        assert mismatches == [{"params": point, **expected["results"]}]
+
+    @pytest.mark.parametrize("target, grid, point, single", TABLE_CASES)
+    def test_sweep_takes_only_its_own_flags(self, capsys, target, grid, point, single):
+        foreign = "--k" if target != "stab" else "--w"
+        code, out, err = run(capsys, "sweep", target, *grid, foreign, "1:2")
+        assert code == 1
+        assert out == ""
+        assert "unrecognized arguments" in err
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["cable", "--p", "7", "--q", "1"], "required: --m, --n"),
+            (["cable", "--p", "x", "--q", "1", "--m", "2", "--n", "2"], "invalid int value"),
+            (["iterated", "--p", "32", "--q", "1", "--ms", "2,x"], "--ms"),
+            (["sweep", "stab", "--p", "10:20", "--q", "1:2"], "required: --k"),
+            (["sweep", "--jobs", "2", "stab", "--p", "10:20", "--q", "1:2", "--k", "1:2"],
+             "invalid choice"),
+            (["frobnicate"], "invalid choice"),
+        ],
+    )
+    def test_usage_error_exits_1(self, capsys, argv, message):
+        code, out, err = run(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert message in err
+
+    @pytest.mark.parametrize("argv", [["--help"], ["cable", "--help"], ["sweep", "twist", "--help"]])
+    def test_help_exits_0(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+        assert "usage: lensgenus" in capsys.readouterr().out
 
 
 class TestThetaEdgeCases:
