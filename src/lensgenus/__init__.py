@@ -3,8 +3,9 @@
 The package computes and certifies norm data for torsion homology classes
 in lens spaces: torus-knot and cable-knot norms, stabilized-braid and
 annulus-twist families of non-simple genus minimizers, the order-2
-nonorientable-genus dictionary, and a Smith-normal-form oracle that
-cross-checks every closed form.  All arithmetic is exact.
+nonorientable-genus dictionary, and exact integer linear-algebra
+oracles (Smith normal form, and its row half for kernels) that
+cross-check every closed form.  All arithmetic is exact.
 """
 
 from .cables import (

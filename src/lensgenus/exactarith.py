@@ -1,13 +1,19 @@
 """Exact integer matrices, Smith normal form, and abelian-group invariants.
 
 Everything in this module works over arbitrary-precision Python integers;
-there is no floating point anywhere.  Smith normal form is the single
-workhorse: cokernels of presentation matrices give first homology, and
-left kernels give the peripheral classes that bound.
+there is no floating point anywhere.  Two reductions do the work:
 
-The reduction is elementary row/column operations with the pivot chosen as
-the minimal nonzero absolute value, ties broken by smallest row index then
-smallest column index, so transforms are reproducible across platforms.
+- Smith normal form, by row and column operations, gives cokernels of
+  presentation matrices, hence first homology and cokernel coordinates.
+- The peripheral kernel (the boundary classes that bound) is a left
+  kernel, so it needs only the row half of that reduction: a row-only
+  (Hermite) echelon form on plain lists that carries just the two columns
+  of the row transform it projects to.
+
+Both pick as pivot the minimal nonzero absolute value, ties broken by
+smallest row index then smallest column index, so transforms are
+reproducible across platforms.  Inputs are validated as ``IntMatrix`` at
+the public functions; the reductions themselves run on plain lists.
 """
 
 from __future__ import annotations
@@ -45,10 +51,6 @@ class IntMatrix:
         if any(len(r) != ncols for r in rows):
             raise ValueError("ragged rows")
         return cls(nrows, ncols, tuple(e for r in rows for e in r))
-
-    @classmethod
-    def identity(cls, n: int) -> "IntMatrix":
-        return cls(n, n, tuple(1 if i == j else 0 for i in range(n) for j in range(n)))
 
     @classmethod
     def zero_rows(cls, cols: int) -> "IntMatrix":
@@ -146,8 +148,8 @@ def smith_normal_form(a: IntMatrix) -> SNFResult:
     if m == 0:
         raise ValueError("smith_normal_form requires a nonempty matrix")
     d = a.to_lists()
-    u = IntMatrix.identity(m).to_lists()
-    v = IntMatrix.identity(n).to_lists()
+    u = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
+    v = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
     t = 0
     while t < min(m, n):
@@ -260,12 +262,53 @@ def _lattice_generator(pairs: list[tuple[int, int]]) -> tuple[int, int] | None:
     return c * dx, c * dy
 
 
+def _left_kernel_heads(d: list[list[int]]) -> list[tuple[int, int]]:
+    """First two coordinates of a basis of the left kernel of ``d``.
+
+    Row-only (Hermite) echelon reduction, done in place on ``d``: unimodular
+    row operations bring it to echelon form, column by column, with the
+    pivot chosen as the minimal nonzero absolute value (smallest row index
+    on ties).  The rows of the transform U that land on zero rows of the
+    echelon form span the left kernel; only U's first two columns are
+    carried, since those are all the projection reads.
+    """
+    m, n = len(d), len(d[0])
+    u = [(0, 0)] * m
+    u[0], u[1] = (1, 0), (0, 1)
+    t = 0
+    for j in range(n):
+        while t < m:
+            piv, best = -1, 0
+            for i in range(t, m):
+                e = d[i][j]
+                if e and (piv < 0 or abs(e) < best):
+                    piv, best = i, abs(e)
+            if piv < 0:
+                break
+            d[t], d[piv] = d[piv], d[t]
+            u[t], u[piv] = u[piv], u[t]
+            top, pivot = d[t], d[t][j]
+            (ux, uy), cleared = u[t], True
+            for i in range(t + 1, m):
+                e = d[i][j]
+                if e:
+                    q = e // pivot
+                    d[i] = [x - q * y for x, y in zip(d[i], top)]
+                    u[i] = (u[i][0] - q * ux, u[i][1] - q * uy)
+                    cleared = cleared and not d[i][j]
+            if cleared:
+                t += 1
+                break
+    return u[t:]
+
+
 def peripheral_kernel(a: IntMatrix, mu_col: int, lambda_col: int) -> tuple[int, int]:
     """Generator of the kernel of Z^2 -> coker(a), (1,0) -> [mu], (0,1) -> [lambda].
 
-    Works purely through Smith normal form, independent of any closed-form
-    answer, so it can serve as an oracle.  The generator is normalized to
-    have y >= 0, and x >= 0 when y = 0.
+    Works purely through an exact row (Hermite) reduction of the
+    presentation, independent of any closed-form answer, so it can serve
+    as an oracle.  The generator is normalized to have y >= 0, and x >= 0
+    when y = 0.
 
     Raises ValueError when the kernel is not infinite cyclic, which signals
     a malformed presentation.
@@ -281,9 +324,7 @@ def peripheral_kernel(a: IntMatrix, mu_col: int, lambda_col: int) -> tuple[int, 
     e_mu[mu_col] = 1
     e_lam = [0] * a.cols
     e_lam[lambda_col] = 1
-    b = IntMatrix.from_rows([e_mu, e_lam] + a.to_lists())
-    snf = smith_normal_form(b)
-    pairs = [(snf.U.at(i, 0), snf.U.at(i, 1)) for i in range(snf.rank, b.rows)]
+    pairs = _left_kernel_heads([e_mu, e_lam] + a.to_lists())
     try:
         generator = _lattice_generator(pairs)
     except ValueError:

@@ -228,6 +228,7 @@ def unfilled_class(fl: FramedLink, label: str) -> int:
 class TwistVerdict:
     """Homology check of K(a,b,n): the filling has H1 = Z/2k, gamma in class k."""
 
+    params: TwistParams
     diagram: FramedLink
     h1: AbelianGroup
     gamma_class: int
@@ -244,7 +245,7 @@ def twist_verdict(t: TwistParams) -> TwistVerdict:
     group = h1_of_filling(fl)
     cls = unfilled_class(fl, "gamma")
     order = 2 * t.k
-    return TwistVerdict(fl, group, cls, group.order() == order and cls % order == t.k)
+    return TwistVerdict(t, fl, group, cls, group.order() == order and cls % order == t.k)
 
 
 def filling_spec_export(t: TwistParams) -> tuple[FillingSpec, str]:
@@ -268,34 +269,33 @@ def filling_spec_export(t: TwistParams) -> tuple[FillingSpec, str]:
 
 
 def export_filling_specs(
-    params: Iterable[TwistParams],
+    verdicts: Iterable[TwistVerdict],
     path: str,
     sidecar_path: str | None = None,
 ) -> int:
-    """Write one canonical spec line per parameter triple; returns the count.
+    """Write one canonical spec line per verdict's triple; returns the count.
 
     The optional JSON sidecar records, per triple, the parameters, the
     order of the filled manifold's first homology, the class of the
-    unfilled component, and the spec line.
+    unfilled component, and the spec line, all read from the verdict.
     """
     lines = []
     records = []
-    for t in params:
-        spec, text = filling_spec_export(t)
+    for v in verdicts:
+        t = v.params
+        _, text = filling_spec_export(t)
         lines.append(text)
-        if sidecar_path is not None:
-            v = twist_verdict(t)
-            records.append(
-                {
-                    "a": t.a,
-                    "b": t.b,
-                    "n": t.n,
-                    "k": t.k,
-                    "h1_order": v.h1.order(),
-                    "gamma_class": v.gamma_class,
-                    "spec": text,
-                }
-            )
+        records.append(
+            {
+                "a": t.a,
+                "b": t.b,
+                "n": t.n,
+                "k": t.k,
+                "h1_order": v.h1.order(),
+                "gamma_class": v.gamma_class,
+                "spec": text,
+            }
+        )
     with open(path, "w", encoding="ascii") as fh:
         fh.write("\n".join(lines) + ("\n" if lines else ""))
     if sidecar_path is not None:

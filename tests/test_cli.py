@@ -1,5 +1,6 @@
 import dataclasses
 import json
+from types import SimpleNamespace
 
 import pytest
 
@@ -27,6 +28,30 @@ def run(capsys, *argv):
 def run_json(capsys, *argv):
     code, out, err = run(capsys, *argv, "--json")
     return code, json.loads(out), out
+
+
+@pytest.fixture
+def recording_pool(monkeypatch):
+    """Swap the sweep's process pool for an in-process one that logs its work."""
+    log = SimpleNamespace(sizes=[], slabs=[])
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            log.sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items, chunksize=1):
+            results = [fn(item) for item in items]
+            log.slabs += results
+            return iter(results)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    return log
 
 
 class TestExitCodes:
@@ -142,6 +167,23 @@ class TestSubcommands:
         assert payload["results"]["gamma_class"] == 4
         assert out.read_text() == "M((-1,1),(-1,1),(6,1),(0,1),(2,1),inf)\n"
         assert json.loads(sidecar.read_text())[0]["h1_order"] == 8
+
+    def test_twist_sidecar_builds_its_diagram_once(self, capsys, monkeypatch, tmp_path):
+        calls = []
+        real = twistfamily.build_twist_diagram
+        monkeypatch.setattr(twistfamily, "build_twist_diagram",
+                            lambda t: calls.append(t) or real(t))
+        out, sidecar = tmp_path / "s.txt", tmp_path / "s.json"
+        code, _, _ = run(capsys, "twist", "--a", "1", "--b", "1", "--n", "1",
+                         "--export", str(out), "--sidecar", str(sidecar))
+        assert code == 0
+        assert len(calls) == 1
+        spec = "M((-1,1),(-1,1),(6,1),(0,1),(2,1),inf)"
+        assert out.read_bytes() == (spec + "\n").encode()
+        assert sidecar.read_bytes() == (
+            '[\n  {\n    "a": 1,\n    "b": 1,\n    "gamma_class": 4,\n    "h1_order": 8,\n'
+            '    "k": 4,\n    "n": 1,\n    "spec": "' + spec + '"\n  }\n]\n'
+        ).encode()
 
     def test_boundary_kernel_oracle(self, capsys):
         code, payload, _ = run_json(
@@ -329,30 +371,46 @@ class TestSweep:
         assert "homology check failed" in err
 
     @pytest.mark.parametrize("jobs, cpus, pool_size", [(64, 3, 3), (2, 8, 2), (4, None, None)])
-    def test_pool_is_capped_at_cpu_count(self, capsys, monkeypatch, jobs, cpus, pool_size):
-        sizes = []
-
-        class RecordingPool:
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, items, chunksize=1):
-                return map(fn, items)
-
+    def test_pool_is_capped_at_cpu_count(self, capsys, monkeypatch, recording_pool,
+                                         jobs, cpus, pool_size):
         grid = ["sweep", "stab", "--p", "10:30", "--q", "1:2", "--k", "1:2"]
         _, _, serial = run_json(capsys, *grid)
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
         monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
         code, _, pooled = run_json(capsys, *grid, "--jobs", str(jobs))
         assert code == 0
         assert pooled == serial
-        assert sizes == ([] if pool_size is None else [pool_size])
+        assert recording_pool.sizes == ([] if pool_size is None else [pool_size])
+
+    @pytest.mark.parametrize("target, grid", [
+        ("cable", ["--p", "7:40", "--q", "1:3", "--m", "2:3", "--n", "2:3"]),
+        ("iterated", ["--p", "9:60", "--q", "1:3", "--ms", "2,2"]),
+        ("stab", ["--p", "10:40", "--q", "1:3", "--k", "1:3"]),
+        ("twist", ["--a", "1:3", "--b", "1:3", "--n=-3:3"]),
+        ("boundary-kernel", ["--p", "2:12", "--q", "1:11", "--w", "0:4"]),
+    ])
+    def test_pooled_slabs_merge_to_serial(self, capsys, monkeypatch, recording_pool,
+                                          target, grid):
+        command = cli.COMMANDS[target]
+
+        def fails_on_every_third_sum(*values):
+            env, code = command.evaluate(*values)
+            return env, (3 if sum(values) % 3 == 0 else code)
+
+        monkeypatch.setitem(cli.COMMANDS, target, command._replace(evaluate=fails_on_every_third_sum))
+        code, payload, serial = run_json(capsys, "sweep", target, *grid)
+        assert code == 3
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+        code, _, pooled = run_json(capsys, "sweep", target, *grid, "--jobs", "2")
+        assert code == 3
+        assert pooled == serial
+        # Each slab returned only its summary, and mismatches came from several.
+        slabs = recording_pool.slabs
+        assert len(slabs) == 2 * cli.SLABS_PER_WORKER
+        key = "mismatches" if "mismatches" in slabs[0] else "mismatches_above_threshold"
+        assert sum(1 for s in slabs if s[key]) > 2
+        assert all(set(s) == set(payload["results"]) for s in slabs)
+        params = [r["params"] for r in payload["results"][key]]
+        assert params == sorted(params)  # grid order: product() of ascending ranges
 
 
 # One grid per sweep target, a point of it, and that point as a single command
@@ -409,6 +467,13 @@ class TestCommandTable:
             (["sweep", "--jobs", "2", "stab", "--p", "10:20", "--q", "1:2", "--k", "1:2"],
              "invalid choice"),
             (["frobnicate"], "invalid choice"),
+            # Flags are never abbreviated: --m is not --ms and --jo is not --jobs.
+            (["sweep", "iterated", "--p", "32:40", "--q", "1:1", "--m", "2,2,2", "--jo", "2"],
+             "required: --ms"),
+            (["sweep", "iterated", "--p", "32:40", "--q", "1:1", "--ms", "2,2,2", "--jo", "2"],
+             "unrecognized arguments: --jo 2"),
+            (["iterated", "--p", "32", "--q", "1", "--ms", "2,,2"],
+             "argument --ms: expected comma-separated integers like 2,2,2, got '2,,2'"),
         ],
     )
     def test_usage_error_exits_1(self, capsys, argv, message):

@@ -1,7 +1,9 @@
 import random
+from itertools import combinations
+from math import gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lensgenus.exactarith import (
@@ -180,6 +182,66 @@ class TestPeripheralKernel:
             peripheral_kernel(a, 0, 4)
         with pytest.raises(ValueError):
             peripheral_kernel(a, 1, 1)
+
+
+def snf_kernel(a, mu_col, lambda_col):
+    """The peripheral kernel read off Smith normal form's U, as a reference.
+
+    The rows of U past the rank span the left kernel of [e_mu; e_lambda; A];
+    their first two entries span the kernel's projection, a lattice in Z^2
+    whose generator is the gcd of all entries times the primitive direction.
+    """
+    e_mu = [int(j == mu_col) for j in range(a.cols)]
+    e_lam = [int(j == lambda_col) for j in range(a.cols)]
+    b = IntMatrix.from_rows([e_mu, e_lam] + a.to_lists())
+    snf = smith_normal_form(b)
+    pairs = [(snf.U.at(i, 0), snf.U.at(i, 1)) for i in range(snf.rank, b.rows)]
+    if any(x1 * y2 - x2 * y1 for (x1, y1), (x2, y2) in combinations(pairs, 2)):
+        raise ValueError("not cyclic (rank 2)")
+    nonzero = [p for p in pairs if p != (0, 0)]
+    if not nonzero:
+        raise ValueError("not cyclic (trivial)")
+    g = 0
+    for x, y in nonzero:
+        g = gcd(g, x, y)
+    x, y = nonzero[0]
+    h = gcd(x, y)
+    x, y = g * x // h, g * y // h
+    return (-x, -y) if y < 0 or (y == 0 and x < 0) else (x, y)
+
+
+def outcome(kernel, a, mu_col, lambda_col):
+    try:
+        return kernel(a, mu_col, lambda_col)
+    except ValueError as exc:
+        assert "not cyclic" in str(exc)
+        return "not cyclic"
+
+
+class TestRowKernelAgainstSmithForm:
+    @settings(max_examples=400, deadline=None)
+    @given(
+        st.integers(min_value=2, max_value=4).flatmap(
+            lambda n: st.tuples(
+                st.lists(
+                    st.lists(st.integers(min_value=-12, max_value=12), min_size=n, max_size=n),
+                    min_size=1,
+                    max_size=4,
+                ),
+                st.permutations(range(n)),
+            )
+        )
+    )
+    @example(([[1, 0], [0, 1]], [0, 1]))  # rank-2 kernel
+    @example(([[0, 0]], [0, 1]))  # trivial kernel
+    @example((LEMMA_MATRIX_814, [0, 1, 2, 3]))
+    def test_same_generator_or_both_reject(self, case):
+        rows, order = case
+        a = IntMatrix.from_rows(rows)
+        mu_col, lambda_col = order[0], order[1]
+        assert outcome(peripheral_kernel, a, mu_col, lambda_col) == outcome(
+            snf_kernel, a, mu_col, lambda_col
+        )
 
 
 class TestIntMatrix:

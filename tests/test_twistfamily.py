@@ -210,7 +210,7 @@ class TestExport:
         out = tmp_path / "specs.txt"
         sidecar = tmp_path / "specs.json"
         count = export_filling_specs(
-            [TwistParams(1, 1, 1), TwistParams(1, 3, 2)],
+            [twist_verdict(TwistParams(1, 1, 1)), twist_verdict(TwistParams(1, 3, 2))],
             str(out),
             str(sidecar),
         )
