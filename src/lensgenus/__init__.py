@@ -14,14 +14,11 @@ from .cables import (
     IteratedCableParams,
     IteratedVerdict,
     SurfaceCheck,
-    cable_side_norm,
     cable_side_summands,
     cable_verdict,
     explicit_surface_check,
-    iterated_cable_norm,
     iterated_summands,
     iterated_verdict,
-    torus_side_norm,
 )
 from .complement import (
     GenusReport,
@@ -52,7 +49,6 @@ from .norm import (
     NormSummand,
     PeripheralClass,
     SeifertPiece,
-    clamped_graph_norm,
     graph_norm,
     orbifold_euler_char,
     torus_pairing,
@@ -75,6 +71,7 @@ from .stabilization import (
     stab_coefficients,
     stab_norms,
     stab_verdict,
+    surface_combination,
 )
 from .twistfamily import (
     UNFILLED,
@@ -127,10 +124,8 @@ __all__ = [
     "WindingData",
     "boundary_kernel",
     "build_twist_diagram",
-    "cable_side_norm",
     "cable_side_summands",
     "cable_verdict",
-    "clamped_graph_norm",
     "cokernel_invariants",
     "explicit_surface_check",
     "export_filling_specs",
@@ -138,7 +133,6 @@ __all__ = [
     "graph_norm",
     "h1_of_complement",
     "h1_of_filling",
-    "iterated_cable_norm",
     "iterated_summands",
     "iterated_verdict",
     "nonorientable_genus",
@@ -152,11 +146,11 @@ __all__ = [
     "stab_coefficients",
     "stab_norms",
     "stab_verdict",
+    "surface_combination",
     "theta_to_nonorientable_genus",
     "torus_knot_class",
     "torus_knot_theta",
     "torus_pairing",
-    "torus_side_norm",
     "twist_framings",
     "unfilled_class",
     "uniqueness_check",

@@ -22,7 +22,7 @@ from math import prod
 from .complement import torus_fiber_summand, torus_knot_theta
 from .errors import ConsistencyError, DomainError
 from .lens import LensSpace
-from .norm import NormSummand, SeifertPiece, clamped_graph_norm
+from .norm import NormSummand, SeifertPiece, graph_norm
 
 
 @dataclass(frozen=True)
@@ -143,35 +143,19 @@ def cable_side_summands(c: CableParams) -> list[NormSummand]:
     return [cable_piece, torus_piece]
 
 
-def torus_side_norm(c: CableParams) -> Fraction:
-    """Class norm measured in the (1,mn)-torus-knot complement.
-
-    Closed form |pmn - q(mn)^2| (1 - 1/(mn) - 1/(p - qmn)), clamped at
-    zero through the solid-torus extension.
-    """
-    total, _, _ = clamped_graph_norm([torus_fiber_summand(c.ambient, c.m * c.n)])
-    return total
-
-
-def cable_side_norm(c: CableParams) -> Fraction:
-    """Class norm measured through the cable decomposition.
-
-    Closed form |pn - q(mn)^2| (1 - 1/n) + |pmn - qm^2 n| (1 - 1/m - 1/(p-qm)).
-    """
-    total, _, _ = clamped_graph_norm(cable_side_summands(c))
-    return total
-
-
 def cable_verdict(c: CableParams) -> CableVerdict:
     """Evaluate both norms and certify minimizer / non-simplicity claims.
 
+    The torus side is |pmn - q(mn)^2| (1 - 1/(mn) - 1/(p - qmn)) and the
+    cable side |pn - q(mn)^2| (1 - 1/n) + |pmn - qm^2 n| (1 - 1/m - 1/(p-qm)),
+    each term clamped at zero through the solid-torus extension.
     Certification requires p >= q m^2 n; above that threshold the two
     norms must agree, and a disagreement is an internal error.  For q = m
     non-simplicity is left uncertified (not refuted).
     """
     p, q, m, n = c.ambient.p, c.ambient.q, c.m, c.n
-    n21, _, dropped_torus = clamped_graph_norm([torus_fiber_summand(c.ambient, m * n)])
-    n22, _, dropped_cable = clamped_graph_norm(cable_side_summands(c))
+    n21, _, dropped_torus = graph_norm([torus_fiber_summand(c.ambient, m * n)])
+    n22, _, dropped_cable = graph_norm(cable_side_summands(c))
     threshold = p >= q * m * m * n
     equal = n21 == n22
     if threshold and not equal:
@@ -224,12 +208,6 @@ def iterated_summands(ic: IteratedCableParams) -> list[NormSummand]:
     return summands
 
 
-def iterated_cable_norm(ic: IteratedCableParams) -> Fraction:
-    """Class norm of the iterated cable, assembled from its pieces."""
-    total, _, _ = clamped_graph_norm(iterated_summands(ic))
-    return total
-
-
 def iterated_verdict(ic: IteratedCableParams) -> IteratedVerdict:
     """Compare the iterated-cable norm with the torus-knot norm of class W.
 
@@ -239,7 +217,7 @@ def iterated_verdict(ic: IteratedCableParams) -> IteratedVerdict:
     p, q = ic.ambient.p, ic.ambient.q
     ms = ic.ms
     summands = iterated_summands(ic)
-    norm_it, _, dropped = clamped_graph_norm(summands)
+    norm_it, _, dropped = graph_norm(summands)
     torus_report = torus_knot_theta(ic.ambient, ic.total_winding)
     bound = q * prod(m * m for m in ms[:-1]) * ms[-1]
     threshold = p >= bound

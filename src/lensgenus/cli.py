@@ -283,7 +283,10 @@ def _twist(
     if not v.holds:
         return env, EXIT_INCONSISTENT
     if export:
-        twistfamily.export_filling_specs([v], export, sidecar)
+        try:
+            twistfamily.export_filling_specs([v], export, sidecar)
+        except OSError as exc:
+            raise ValueError(f"cannot write {exc.filename}: {exc.strerror}") from exc
     return env, EXIT_OK
 
 
@@ -468,12 +471,14 @@ def _merge(a: dict, b: dict) -> dict:
 
 
 def _parse_range(text: str, flag: str) -> range:
-    lo, sep, hi = text.partition(":")
-    if not sep:
-        raise ValueError(f"range must look like lo:hi, got {text!r}")
-    if int(lo) > int(hi):
+    lo, _, hi = text.partition(":")
+    try:
+        axis = range(int(lo), int(hi) + 1)
+    except ValueError:
+        raise ValueError(f"--{flag} must be an integer range lo:hi like 8:60, got {text!r}") from None
+    if not axis:
         raise ValueError(f"range --{flag} {text} is reversed (lo > hi)")
-    return range(int(lo), int(hi) + 1)
+    return axis
 
 
 def cmd_sweep(args: argparse.Namespace) -> tuple[dict, int]:

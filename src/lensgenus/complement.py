@@ -20,7 +20,7 @@ from .norm import (
     NormSummand,
     PeripheralClass,
     SeifertPiece,
-    clamped_graph_norm,
+    graph_norm,
     torus_pairing,
 )
 
@@ -113,7 +113,7 @@ def torus_knot_theta(space: LensSpace, k: int) -> GenusReport:
     holds.
     """
     summand = torus_fiber_summand(space, k)
-    chi, fibered, _ = clamped_graph_norm([summand])
+    chi, fibered, _ = graph_norm([summand])
     boundary = PeripheralClass(k * k * space.q, space.p)
     mu = abs(torus_pairing(boundary, PeripheralClass(1, 0)))
     return GenusReport(

@@ -84,6 +84,11 @@ class SNFResult:
     def rank(self) -> int:
         return len(self.invariant_factors)
 
+    def cokernel(self) -> "AbelianGroup":
+        """Group presented by the reduced matrix: Z per zero column, Z/d per factor d > 1."""
+        torsion = tuple(f for f in self.invariant_factors if f > 1)
+        return AbelianGroup(free_rank=self.D.cols - self.rank, torsion=torsion)
+
 
 @dataclass(frozen=True)
 class AbelianGroup:
@@ -219,9 +224,7 @@ def cokernel_invariants(a: IntMatrix) -> AbelianGroup:
     """Abelian group presented by ``a`` (relations in rows, generators in columns)."""
     if a.rows == 0:
         return AbelianGroup(free_rank=a.cols, torsion=())
-    snf = smith_normal_form(a)
-    torsion = tuple(f for f in snf.invariant_factors if f > 1)
-    return AbelianGroup(free_rank=a.cols - snf.rank, torsion=torsion)
+    return smith_normal_form(a).cokernel()
 
 
 def cokernel_coordinates(snf: SNFResult, vec: tuple[int, ...]) -> tuple[int, ...]:

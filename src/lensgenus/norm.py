@@ -4,15 +4,18 @@ A class is evaluated piece by piece: each piece contributes
 |pairing with the regular fiber| * |orbifold Euler characteristic| when
 that characteristic is negative.  Pieces with nonnegative characteristic
 and zero pairing carry vertical annuli and tori, which cost nothing; a
-piece with nonzero pairing but positive characteristic has no fiber
-surface at all, so the formula refuses it.
+solid torus (positive characteristic over a disk) is dropped, as its disk
+fibers cost nothing either.  Any other piece with nonzero pairing but
+positive characteristic has no fiber surface at all, so the formula
+refuses it.  ``graph_norm`` is the one evaluation of a class; it reads
+each piece's characteristic once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable
 
 
 @dataclass(frozen=True)
@@ -62,43 +65,32 @@ def torus_pairing(x: PeripheralClass, y: PeripheralClass) -> int:
     return x.mu_coeff * y.lambda_coeff - x.lambda_coeff * y.mu_coeff
 
 
-def graph_norm(summands: Sequence[NormSummand] | Iterable[NormSummand]) -> tuple[Fraction, bool]:
-    """Norm of a class on a graph manifold, plus whether the class fibers.
+def graph_norm(summands: Iterable[NormSummand]) -> tuple[Fraction, bool, int]:
+    """Norm of a class on a graph manifold, whether it fibers, and the pieces dropped.
 
-    Returns sum over pieces of |pairing| * max(0, -chi_orb) and
-    ``fibered=True`` iff every pairing is nonzero.  chi_orb = 0 pieces are
-    zero-extended (annulus/torus fibers); chi_orb > 0 with nonzero pairing
-    raises, since the piecewise formula has no fiber surface there.
+    Returns sum over pieces of |pairing| * max(0, -chi_orb), ``fibered=True``
+    iff every pairing is nonzero, and the count of solid-torus pieces
+    dropped.  chi_orb is evaluated once per piece.  chi_orb = 0 pieces are
+    zero-extended (annulus/torus fibers).  A chi_orb > 0 piece over a disk
+    has at most one genuine cone point, so it is a solid torus whose disk
+    fibers cost nothing: it is dropped and counted.  Over any other base,
+    chi_orb > 0 with nonzero pairing raises, since the piecewise formula has
+    no fiber surface there.
     """
     total = Fraction(0)
     fibered = True
+    dropped = 0
     for s in summands:
         chi = orbifold_euler_char(s.piece)
         if s.fiber_pairing == 0:
             fibered = False
-            continue
-        if chi > 0:
+        if chi <= 0:
+            total += abs(s.fiber_pairing) * (-chi)
+        elif s.piece.base_euler == 1:
+            dropped += 1
+        elif s.fiber_pairing:
             raise ValueError(
                 "norm formula inapplicable: piece with positive orbifold "
                 f"Euler characteristic {chi} has nonzero fiber pairing"
             )
-        total += abs(s.fiber_pairing) * (-chi)
-    return total, fibered
-
-
-def clamped_graph_norm(
-    summands: Sequence[NormSummand],
-) -> tuple[Fraction, bool, int]:
-    """graph_norm after discarding solid-torus pieces.
-
-    A piece with chi_orb > 0 arises here only from an order-1 cone point
-    (disk base with at most one genuine singular fiber), i.e. a solid
-    torus, whose disk fibers have zero complexity.  Such pieces are dropped
-    from the sum; the count of dropped pieces is returned so callers can
-    warn about the degenerate geometry.
-    """
-    kept = [s for s in summands if orbifold_euler_char(s.piece) <= 0]
-    dropped = len(summands) - len(kept)
-    fibered = all(s.fiber_pairing != 0 for s in summands)
-    total, _ = graph_norm(kept)
     return total, fibered, dropped

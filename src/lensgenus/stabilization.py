@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Sequence
 
 from .complement import torus_knot_theta
 from .errors import ConsistencyError, DomainError
@@ -28,31 +29,6 @@ class TripleBoundaryClass:
     on_K0: PeripheralClass
     on_L2: PeripheralClass
     on_gamma: PeripheralClass
-
-    def scaled(self, c: int) -> "TripleBoundaryClass":
-        return TripleBoundaryClass(
-            on_K0=PeripheralClass(c * self.on_K0.mu_coeff, c * self.on_K0.lambda_coeff),
-            on_L2=PeripheralClass(c * self.on_L2.mu_coeff, c * self.on_L2.lambda_coeff),
-            on_gamma=PeripheralClass(
-                c * self.on_gamma.mu_coeff, c * self.on_gamma.lambda_coeff
-            ),
-        )
-
-    def plus(self, other: "TripleBoundaryClass") -> "TripleBoundaryClass":
-        return TripleBoundaryClass(
-            on_K0=PeripheralClass(
-                self.on_K0.mu_coeff + other.on_K0.mu_coeff,
-                self.on_K0.lambda_coeff + other.on_K0.lambda_coeff,
-            ),
-            on_L2=PeripheralClass(
-                self.on_L2.mu_coeff + other.on_L2.mu_coeff,
-                self.on_L2.lambda_coeff + other.on_L2.lambda_coeff,
-            ),
-            on_gamma=PeripheralClass(
-                self.on_gamma.mu_coeff + other.on_gamma.mu_coeff,
-                self.on_gamma.lambda_coeff + other.on_gamma.lambda_coeff,
-            ),
-        )
 
 
 @dataclass(frozen=True)
@@ -129,10 +105,6 @@ class StabVerdict:
     theta: Fraction
     certified_minimizer: bool
 
-    @property
-    def chi_capped(self) -> int:
-        return self.norms.chi_capped
-
 
 def stab_coefficients(s: StabFamily) -> tuple[int, int, int]:
     """Multiplicities (c0, cgamma, cF) of the catalogued surfaces.
@@ -143,6 +115,24 @@ def stab_coefficients(s: StabFamily) -> tuple[int, int, int]:
     return (p - 2 * q * (k + 4), k * (p - q * (k + 4)), q * (k + 4))
 
 
+def surface_combination(coeffs: Sequence[int]) -> tuple[int, TripleBoundaryClass]:
+    """chi_minus and boundary of the combination with multiplicities ``coeffs``.
+
+    One multiplicity per entry of ``BASE_SURFACES``; both totals are linear.
+    """
+    terms = list(zip(coeffs, BASE_SURFACES))
+
+    def combine(side: str) -> PeripheralClass:
+        classes = [(c, getattr(f.boundary, side)) for c, f in terms]
+        return PeripheralClass(
+            sum(c * x.mu_coeff for c, x in classes),
+            sum(c * x.lambda_coeff for c, x in classes),
+        )
+
+    chi = sum(c * f.chi_minus for c, f in terms)
+    return chi, TripleBoundaryClass(combine("on_K0"), combine("on_L2"), combine("on_gamma"))
+
+
 def stab_norms(s: StabFamily) -> StabNorms:
     """Assemble the surface class and check it against its known totals.
 
@@ -151,14 +141,7 @@ def stab_norms(s: StabFamily) -> StabNorms:
     catalogue or the assembly is wrong, so it aborts.
     """
     p, q, k = s.ambient.p, s.ambient.q, s.k
-    c0, cg, cf = stab_coefficients(s)
-    chi = c0 * SURFACE_F0.chi_minus + cg * SURFACE_FGAMMA.chi_minus + cf * SURFACE_F.chi_minus
-    boundary = (
-        SURFACE_F0.boundary.scaled(c0)
-        .plus(SURFACE_FGAMMA.boundary.scaled(cg))
-        .plus(SURFACE_F.boundary.scaled(cf))
-    )
-
+    chi, boundary = surface_combination(stab_coefficients(s))
     kp4 = k + 4
     chi_expected = p * kp4 - q * kp4 * kp4
     boundary_expected = TripleBoundaryClass(

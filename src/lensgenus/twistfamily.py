@@ -5,8 +5,9 @@ spanning surface made of a disk with k positively half-twisted bands, a
 curve gamma through every band, and a co-orientable curve alpha through
 two bands, whose push-offs are resurgered to twist gamma.  The deliverable
 here is the six-component framed link of that construction, exact first
-homology of its fillings, the class of the unfilled component, and an
-export line for external geometry software.
+homology of its fillings and the class of the unfilled component (both
+read off one Smith normal form of the filled relations), and an export
+line for external geometry software.
 
 The linking numbers are not all forced by the text; the free ones were
 derived from the band picture and are locked by the homology grid: every
@@ -18,6 +19,7 @@ a and b must change nothing.  Any edit that fails that grid is wrong.
 from __future__ import annotations
 
 import json
+from contextlib import nullcontext
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
@@ -185,13 +187,41 @@ def _relation_matrix(fl: FramedLink, generators: Sequence[int]) -> IntMatrix:
     return IntMatrix.from_rows(rows)
 
 
+def _filling_homology(fl: FramedLink, label: str | None) -> tuple[AbelianGroup, int | None]:
+    """H1 of the filled manifold and the class of the unfilled ``label``.
+
+    One Smith form of the filled relations gives both.  The unfilled
+    component is homologous to the sum of its linking numbers times the
+    meridians of the filled components; its class needs a cyclic group
+    and is a nonnegative residue (an integer when the group is infinite
+    cyclic).  With ``label`` None only the group is read.
+    """
+    if label is not None:
+        idx = fl.index_of(label)
+        if fl.components[idx].framing is not None:
+            raise ValueError(f"component {label!r} is filled")
+    filled = fl.filled_indices()
+    snf = smith_normal_form(_relation_matrix(fl, filled))
+    group = snf.cokernel()
+    if label is None:
+        return group, None
+    if not group.is_cyclic():
+        raise ValueError(f"first homology {group} is not cyclic")
+    if group.order() == 1:
+        return group, 0
+    vec = tuple(fl.linking[idx][j] for j in filled)
+    # The diagonal runs 1, ..., 1 and then the lone entry that is not 1,
+    # which carries the cyclic coordinate.
+    return group, cokernel_coordinates(snf, vec)[snf.invariant_factors.count(1)]
+
+
 def h1_of_filling(fl: FramedLink) -> AbelianGroup:
     """First homology of the closed manifold given by the filled components.
 
     Unfilled components are ignored entirely; use ``unfilled_class`` to
     track where such a component lands.
     """
-    return cokernel_invariants(_relation_matrix(fl, fl.filled_indices()))
+    return _filling_homology(fl, None)[0]
 
 
 def h1_of_complement(fl: FramedLink) -> AbelianGroup:
@@ -202,26 +232,9 @@ def h1_of_complement(fl: FramedLink) -> AbelianGroup:
 def unfilled_class(fl: FramedLink, label: str) -> int:
     """Homology class of an unfilled component in the filled manifold.
 
-    The component is homologous to the sum of its linking numbers times
-    the meridians of the filled components.  The filled manifold's first
-    homology must be cyclic; the class is returned as a nonnegative
-    residue (an integer when the group is infinite cyclic).
+    The filled manifold's first homology must be cyclic.
     """
-    idx = fl.index_of(label)
-    if fl.components[idx].framing is not None:
-        raise ValueError(f"component {label!r} is filled")
-    filled = fl.filled_indices()
-    rel = _relation_matrix(fl, filled)
-    group = cokernel_invariants(rel)
-    if not group.is_cyclic():
-        raise ValueError(f"first homology {group} is not cyclic")
-    vec = tuple(fl.linking[idx][j] for j in filled)
-    if group.order() == 1:
-        return 0
-    snf = smith_normal_form(rel)
-    # The diagonal runs 1, ..., 1 and then the lone entry that is not 1,
-    # which carries the cyclic coordinate.
-    return cokernel_coordinates(snf, vec)[snf.invariant_factors.count(1)]
+    return _filling_homology(fl, label)[1]
 
 
 @dataclass(frozen=True)
@@ -238,12 +251,12 @@ class TwistVerdict:
 def twist_verdict(t: TwistParams) -> TwistVerdict:
     """Build the diagram of K(a,b,n) and check its filling homology.
 
+    One Smith form of the filled relations gives both H1 and gamma's class.
     Class k is its own negative mod 2k, so the check does not depend on
     the orientation of gamma.
     """
     fl = build_twist_diagram(t)
-    group = h1_of_filling(fl)
-    cls = unfilled_class(fl, "gamma")
+    group, cls = _filling_homology(fl, "gamma")
     order = 2 * t.k
     return TwistVerdict(t, fl, group, cls, group.order() == order and cls % order == t.k)
 
@@ -296,10 +309,13 @@ def export_filling_specs(
                 "spec": text,
             }
         )
-    with open(path, "w", encoding="ascii") as fh:
+    # Both files are open before either is written, so a path that cannot
+    # be opened leaves no spec line behind.
+    with open(path, "w", encoding="ascii") as fh, (
+        nullcontext() if sidecar_path is None else open(sidecar_path, "w", encoding="ascii")
+    ) as side:
         fh.write("\n".join(lines) + ("\n" if lines else ""))
-    if sidecar_path is not None:
-        with open(sidecar_path, "w", encoding="ascii") as fh:
-            json.dump(records, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        if side is not None:
+            json.dump(records, side, indent=2, sort_keys=True)
+            side.write("\n")
     return len(lines)

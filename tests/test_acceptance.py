@@ -16,11 +16,10 @@ import pytest
 from lensgenus.cables import (
     CableParams,
     IteratedCableParams,
-    cable_side_norm,
+    cable_side_summands,
     cable_verdict,
     explicit_surface_check,
-    iterated_cable_norm,
-    torus_side_norm,
+    iterated_summands,
 )
 from lensgenus.complement import (
     WindingData,
@@ -36,7 +35,7 @@ from lensgenus.exactarith import (
     smith_normal_form,
 )
 from lensgenus.lens import LensSpace
-from lensgenus.norm import PeripheralClass
+from lensgenus.norm import PeripheralClass, graph_norm
 from lensgenus.order2 import (
     nonorientable_genus,
     nonorientable_genus_to_theta,
@@ -63,6 +62,11 @@ def report(num: int, description: str, ok: bool, detail: str = "") -> None:
     assert ok, line
 
 
+def iterated_norm(ic):
+    """The iterated-cable side, from the one norm route (a mismatch is recorded, not raised)."""
+    return graph_norm(iterated_summands(ic))[0]
+
+
 @pytest.fixture(scope="module")
 def cable_grid():
     """Shared sweep for criteria 2 and 4: m,n in [2,5], q in [1,7], p <= 500."""
@@ -82,15 +86,15 @@ def cable_grid():
                         continue
                     space = LensSpace(p, q)
                     c = CableParams(space, m, n)
-                    n21 = torus_side_norm(c)
-                    n22 = cable_side_norm(c)
+                    n21 = torus_knot_theta(space, m * n).chi_minus
+                    n22, _, _ = graph_norm(cable_side_summands(c))
                     stats["points"] += 1
                     if n21 != n22:
                         stats["norm_mismatches"].append((p, q, m, n))
-                    if iterated_cable_norm(IteratedCableParams(space, (m, n))) != n22:
+                    if iterated_norm(IteratedCableParams(space, (m, n))) != n22:
                         stats["reduction2_failures"].append((p, q, m, n))
                     if (
-                        iterated_cable_norm(IteratedCableParams(space, (m,)))
+                        iterated_norm(IteratedCableParams(space, (m,)))
                         != torus_knot_theta(space, m).chi_minus
                     ):
                         stats["reduction1_failures"].append((p, q, m))
@@ -184,7 +188,7 @@ def test_criterion_4_iterated_cables(cable_grid):
     failures = []
     for p in range(32, 201):
         space = LensSpace(p, 1)
-        value = iterated_cable_norm(IteratedCableParams(space, (2, 2, 2)))
+        value = iterated_norm(IteratedCableParams(space, (2, 2, 2)))
         expected = torus_knot_theta(space, 8).chi_minus
         if value != expected:
             failures.append(("grid", p))
@@ -202,7 +206,7 @@ def test_criterion_4_iterated_cables(cable_grid):
             continue
         samples += 1
         space = LensSpace(p, q)
-        value = iterated_cable_norm(IteratedCableParams(space, ms))
+        value = iterated_norm(IteratedCableParams(space, ms))
         expected = torus_knot_theta(space, ms[0] * ms[1] * ms[2]).chi_minus
         if value != expected:
             failures.append(("random", p, q, ms))
@@ -270,12 +274,12 @@ def test_criterion_6_stabilization_sweep():
                 if got != displayed:
                     failures.append(("boundary", p, q, k))
                 verdict = stab_verdict(fam)
-                if verdict.chi_capped != verdict.torus_chi:
+                if verdict.norms.chi_capped != verdict.torus_chi:
                     failures.append(("capped", p, q, k))
                 if verdict.theta != Fraction(norms.chi_capped, p):
                     failures.append(("theta", p, q, k))
     spot = stab_verdict(StabFamily(LensSpace(10, 1), 1))
-    if spot.chi_capped != 15 or spot.theta != Fraction(3, 2):
+    if spot.norms.chi_capped != 15 or spot.theta != Fraction(3, 2):
         failures.append(("spot", 10, 1, 1))
     report(
         6,

@@ -3,25 +3,45 @@ from math import gcd, lcm
 
 import pytest
 
+from lensgenus import norm
 from lensgenus.cables import (
     CableParams,
     IteratedCableParams,
-    cable_side_norm,
     cable_side_summands,
     cable_verdict,
     explicit_surface_check,
-    iterated_cable_norm,
     iterated_summands,
     iterated_verdict,
-    torus_side_norm,
 )
 from lensgenus.complement import torus_knot_theta
 from lensgenus.lens import LensSpace
-from lensgenus.norm import orbifold_euler_char
+from lensgenus.norm import graph_norm, orbifold_euler_char
 
 
 def params(p, q, m, n):
     return CableParams(LensSpace(p, q), m, n)
+
+
+# Each side of a cable norm comparison, taken straight from the one norm route.
+def torus_side(c):
+    return torus_knot_theta(c.ambient, c.m * c.n).chi_minus
+
+
+def cable_side(c):
+    return graph_norm(cable_side_summands(c))[0]
+
+
+def iterated_norm(ic):
+    return graph_norm(iterated_summands(ic))[0]
+
+
+@pytest.fixture
+def chi_orb_calls(monkeypatch):
+    """Log of the pieces ``orbifold_euler_char`` is evaluated on."""
+    calls = []
+    real = norm.orbifold_euler_char
+    monkeypatch.setattr(norm, "orbifold_euler_char", lambda piece: calls.append(piece) or real(piece))
+    return calls
 
 
 class TestTorusSideNorm:
@@ -35,11 +55,11 @@ class TestTorusSideNorm:
         ],
     )
     def test_examples(self, p, q, m, n, expected):
-        assert torus_side_norm(params(p, q, m, n)) == expected
+        assert torus_side(params(p, q, m, n)) == expected
 
     def test_undefined_piece(self):
         with pytest.raises(ValueError, match="piece undefined"):
-            torus_side_norm(params(7, 2, 2, 2))
+            torus_side(params(7, 2, 2, 2))
 
 
 class TestCableSideNorm:
@@ -52,7 +72,7 @@ class TestCableSideNorm:
         ],
     )
     def test_examples(self, p, q, m, n, expected):
-        assert cable_side_norm(params(p, q, m, n)) == expected
+        assert cable_side(params(p, q, m, n)) == expected
 
     def test_summand_shapes(self):
         cable_piece, torus_piece = cable_side_summands(params(8, 1, 2, 2))
@@ -66,11 +86,11 @@ class TestCableSideNorm:
     def test_solid_torus_piece_contributes_zero(self):
         # p - qm = 1: the inner torus knot is unknotted; only the cable
         # space counts.  |pn - q(mn)^2| (1 - 1/n) = 34/2 = 17.
-        assert cable_side_norm(params(7, 3, 2, 2)) == 17
+        assert cable_side(params(7, 3, 2, 2)) == 17
 
     def test_undefined_piece(self):
         with pytest.raises(ValueError, match="piece undefined"):
-            cable_side_norm(params(5, 3, 2, 2))
+            cable_side(params(5, 3, 2, 2))
 
 
 class TestCableVerdict:
@@ -101,6 +121,12 @@ class TestCableVerdict:
         with pytest.raises(ValueError):
             CableParams(LensSpace(8, 1), 1, 2)
 
+    @pytest.mark.parametrize("p, q, m, n", [(8, 1, 2, 2), (7, 1, 2, 2), (9, 2, 2, 2), (50, 3, 2, 2)])
+    def test_one_chi_orb_per_piece(self, chi_orb_calls, p, q, m, n):
+        # Three pieces: the torus-knot piece and the two cable-side pieces.
+        cable_verdict(params(p, q, m, n))
+        assert len(chi_orb_calls) == 3
+
     def test_equality_sweep(self):
         for m in (2, 3):
             for n in (2, 3):
@@ -115,8 +141,8 @@ class TestCableVerdict:
 class TestIteratedCables:
     def test_two_level_reduction(self):
         space = LensSpace(8, 1)
-        assert iterated_cable_norm(IteratedCableParams(space, (2, 2))) == 8
-        assert iterated_cable_norm(IteratedCableParams(space, (2, 2))) == cable_side_norm(
+        assert iterated_norm(IteratedCableParams(space, (2, 2))) == 8
+        assert iterated_norm(IteratedCableParams(space, (2, 2))) == cable_side(
             params(8, 1, 2, 2)
         )
 
@@ -129,13 +155,13 @@ class TestIteratedCables:
             chi = orbifold_euler_char(s.piece)
             values.append(abs(s.fiber_pairing) * max(Fraction(0), -chi))
         assert values == [112, 48, 0]
-        assert iterated_cable_norm(ic) == 160
+        assert iterated_norm(ic) == 160
 
     def test_single_level_reduction(self):
         space = LensSpace(10, 1)
-        assert iterated_cable_norm(IteratedCableParams(space, (3,))) == 11
+        assert iterated_norm(IteratedCableParams(space, (3,))) == 11
         assert (
-            iterated_cable_norm(IteratedCableParams(space, (3,)))
+            iterated_norm(IteratedCableParams(space, (3,)))
             == torus_knot_theta(space, 3).chi_minus
         )
 
@@ -148,11 +174,11 @@ class TestIteratedCables:
                             continue
                         space = LensSpace(p, q)
                         c = params(p, q, m, n)
-                        assert iterated_cable_norm(
+                        assert iterated_norm(
                             IteratedCableParams(space, (m, n))
-                        ) == cable_side_norm(c)
+                        ) == cable_side(c)
                         assert (
-                            iterated_cable_norm(IteratedCableParams(space, (m,)))
+                            iterated_norm(IteratedCableParams(space, (m,)))
                             == torus_knot_theta(space, m).chi_minus
                         )
 
@@ -172,6 +198,13 @@ class TestIteratedCables:
         assert v.norm_iterated == 155
         assert v.norm_torus_side == 153
 
+    @pytest.mark.parametrize("p, q, ms", [(32, 1, (2, 2, 2)), (31, 1, (2, 2, 2)), (10, 1, (3,)),
+                                          (100, 3, (2, 2)), (200, 1, (2, 3, 2, 2))])
+    def test_one_chi_orb_per_piece(self, chi_orb_calls, p, q, ms):
+        # One piece per cabling level, plus the torus-knot piece of class W.
+        iterated_verdict(IteratedCableParams(LensSpace(p, q), ms))
+        assert len(chi_orb_calls) == len(ms) + 1
+
     def test_winding_bound_enforced(self):
         with pytest.raises(ValueError, match="total winding"):
             IteratedCableParams(LensSpace(8, 1), (3, 3))
@@ -179,7 +212,7 @@ class TestIteratedCables:
     def test_norm_denominator_divides_cone_lcm(self):
         for p, q, ms in [(32, 1, (2, 2, 2)), (50, 1, (2, 3)), (100, 3, (2, 2))]:
             ic = IteratedCableParams(LensSpace(p, q), ms)
-            value = iterated_cable_norm(ic)
+            value = iterated_norm(ic)
             orders = lcm(
                 *[o for s in iterated_summands(ic) for o in s.piece.cone_orders]
             )
@@ -188,8 +221,8 @@ class TestIteratedCables:
         for p, q, m, n in [(17, 2, 2, 2), (23, 1, 3, 2), (50, 3, 2, 2)]:
             c = params(p, q, m, n)
             for value, orders in [
-                (torus_side_norm(c), lcm(m * n, p - q * m * n)),
-                (cable_side_norm(c), lcm(n, m, p - q * m)),
+                (torus_side(c), lcm(m * n, p - q * m * n)),
+                (cable_side(c), lcm(n, m, p - q * m)),
             ]:
                 assert value >= 0
                 assert orders % value.denominator == 0

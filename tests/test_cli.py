@@ -359,7 +359,10 @@ class TestSweep:
         assert [r["params"] for r in mismatches] == [[32, 1, 2, 2, 2], [33, 1, 2, 2, 2]]
 
     def test_failed_twist_homology_exits_3(self, capsys, monkeypatch):
-        monkeypatch.setattr(twistfamily, "unfilled_class", lambda fl, label: 1)
+        # Move gamma to class 1 on the one homology path the verdict reads.
+        real = twistfamily._filling_homology
+        monkeypatch.setattr(twistfamily, "_filling_homology",
+                            lambda fl, label: (real(fl, label)[0], 1))
         code, payload, _ = run_json(
             capsys, "sweep", "twist", "--a", "1:1", "--b", "1:1", "--n", "1:2"
         )
@@ -474,6 +477,10 @@ class TestCommandTable:
              "unrecognized arguments: --jo 2"),
             (["iterated", "--p", "32", "--q", "1", "--ms", "2,,2"],
              "argument --ms: expected comma-separated integers like 2,2,2, got '2,,2'"),
+            (["sweep", "cable", "--p", "8:", "--q", "1:1", "--m", "2:2", "--n", "2:2"],
+             "--p must be an integer range lo:hi like 8:60, got '8:'"),
+            (["sweep", "cable", "--p", "a:b", "--q", "1:1", "--m", "2:2", "--n", "2:2"],
+             "--p must be an integer range lo:hi like 8:60, got 'a:b'"),
         ],
     )
     def test_usage_error_exits_1(self, capsys, argv, message):
@@ -523,6 +530,22 @@ class TestArgumentValidation:
         assert code == 1
         assert out == ""
         assert message in err
+
+    @pytest.mark.parametrize("bad", ["export", "sidecar"])
+    def test_unwritable_export_is_invalid_input(self, capsys, tmp_path, bad):
+        paths = {"export": tmp_path / "s.txt", "sidecar": tmp_path / "s.json"}
+        paths[bad] = tmp_path / "missing" / "x"
+        code, out, err = run(
+            capsys,
+            "twist", "--a", "1", "--b", "1", "--n", "1",
+            "--export", str(paths["export"]), "--sidecar", str(paths["sidecar"]),
+        )
+        assert code == 1
+        assert out == ""
+        assert err == f"error: cannot write {paths[bad]}: No such file or directory\n"
+        # Both files are opened before either is written: no spec line is left.
+        for path in paths.values():
+            assert not path.exists() or path.read_bytes() == b""
 
     def test_sidecar_requires_export(self, capsys, tmp_path):
         code, _, err = run(

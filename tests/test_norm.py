@@ -8,13 +8,12 @@ from lensgenus.norm import (
     NormSummand,
     PeripheralClass,
     SeifertPiece,
-    clamped_graph_norm,
     graph_norm,
     orbifold_euler_char,
     torus_pairing,
 )
 
-DISK, ANNULUS = 1, 0
+DISK, ANNULUS, SPHERE = 1, 0, 2
 
 
 class TestOrbifoldEulerChar:
@@ -51,14 +50,15 @@ class TestTorusPairing:
 
 class TestGraphNorm:
     def test_single_fibered_piece(self):
-        value, fibered = graph_norm(
+        value, fibered, dropped = graph_norm(
             [NormSummand(SeifertPiece(DISK, (4, 4)), 16)]
         )
         assert value == 8
         assert fibered
+        assert dropped == 0
 
     def test_two_pieces_one_dead(self):
-        value, fibered = graph_norm(
+        value, fibered, _ = graph_norm(
             [
                 NormSummand(SeifertPiece(ANNULUS, (2,)), 0),
                 NormSummand(SeifertPiece(DISK, (2, 6)), 24),
@@ -68,25 +68,29 @@ class TestGraphNorm:
         assert not fibered
 
     def test_empty_sum(self):
-        assert graph_norm([]) == (Fraction(0), True)
+        assert graph_norm([]) == (Fraction(0), True, 0)
 
     def test_zero_extension_at_chi_zero(self):
         # disk with cones (2,2) has chi_orb = 0: annulus fibers, no cost
-        value, fibered = graph_norm([NormSummand(SeifertPiece(DISK, (2, 2)), 5)])
+        value, fibered, _ = graph_norm([NormSummand(SeifertPiece(DISK, (2, 2)), 5)])
         assert value == 0
         assert fibered
 
     def test_positive_chi_with_pairing_rejected(self):
+        # Over a disk such a piece is a solid torus and is dropped; over any
+        # other base (here a sphere with one cone point) there is no fiber
+        # surface.
         with pytest.raises(ValueError, match="norm formula inapplicable"):
-            graph_norm([NormSummand(SeifertPiece(DISK, (3,)), 2)])
+            graph_norm([NormSummand(SeifertPiece(SPHERE, (3,)), 2)])
 
     def test_positive_chi_with_zero_pairing_allowed(self):
-        value, fibered = graph_norm([NormSummand(SeifertPiece(DISK, ()), 0)])
-        assert value == 0
-        assert not fibered
+        value, fibered, dropped = graph_norm([NormSummand(SeifertPiece(SPHERE, (3,)), 0)])
+        assert (value, fibered, dropped) == (0, False, 0)
+        value, fibered, dropped = graph_norm([NormSummand(SeifertPiece(DISK, ()), 0)])
+        assert (value, fibered, dropped) == (0, False, 1)
 
     def test_clamped_variant_drops_solid_tori(self):
-        value, fibered, dropped = clamped_graph_norm(
+        value, fibered, dropped = graph_norm(
             [
                 NormSummand(SeifertPiece(DISK, (3, 1)), 7),
                 NormSummand(SeifertPiece(DISK, (2, 6)), 24),
@@ -113,8 +117,8 @@ class TestGraphNormProperties:
     @given(summand_lists, st.integers(min_value=-7, max_value=7))
     @settings(max_examples=200, deadline=None)
     def test_homogeneity(self, summands, t):
-        base, _ = graph_norm(summands)
-        scaled, _ = graph_norm(
+        base, _, _ = graph_norm(summands)
+        scaled, _, _ = graph_norm(
             [NormSummand(s.piece, t * s.fiber_pairing) for s in summands]
         )
         assert scaled == abs(t) * base
@@ -122,6 +126,6 @@ class TestGraphNormProperties:
     @given(summand_lists, summand_lists)
     @settings(max_examples=200, deadline=None)
     def test_monotone_under_extra_summands(self, first, second):
-        value_first, _ = graph_norm(first)
-        value_both, _ = graph_norm(first + second)
+        value_first, _, _ = graph_norm(first)
+        value_both, _, _ = graph_norm(first + second)
         assert value_both >= value_first

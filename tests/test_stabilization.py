@@ -12,6 +12,7 @@ from lensgenus.stabilization import (
     stab_coefficients,
     stab_norms,
     stab_verdict,
+    surface_combination,
 )
 
 
@@ -77,11 +78,11 @@ class TestNorms:
         assert norms.chi_capped == 48
 
     def test_linearity_of_building_blocks(self):
-        f0, fg, f = BASE_SURFACES
-        doubled = f0.boundary.scaled(2)
-        assert doubled.on_L2 == PeripheralClass(-8, 0)
-        total = f0.boundary.plus(fg.boundary).plus(f.boundary)
-        assert total.on_K0 == PeripheralClass(3, 3)
+        chi, doubled = surface_combination((2, 0, 0))
+        assert (chi, doubled.on_L2) == (8, PeripheralClass(-8, 0))
+        chi, total = surface_combination((1, 1, 1))
+        assert (chi, total.on_K0) == (9, PeripheralClass(3, 3))
+        assert surface_combination((0, 1, 0)) == (1, BASE_SURFACES[1].boundary)
 
     def test_identities_on_grid(self):
         for k in range(1, 8):
@@ -104,7 +105,7 @@ class TestVerdict:
     )
     def test_examples(self, p, q, k, chi_capped, theta):
         v = stab_verdict(family(p, q, k))
-        assert v.chi_capped == chi_capped
+        assert v.norms.chi_capped == chi_capped
         assert v.theta == theta
         assert v.certified_minimizer
         assert v.homology_class == k + 4
@@ -113,4 +114,4 @@ class TestVerdict:
         for p, q, k in [(26, 1, 3), (55, 2, 5), (91, 3, 7)]:
             v = stab_verdict(family(p, q, k))
             assert v.torus_chi == torus_knot_theta(LensSpace(p, q), k + 4).chi_minus
-            assert v.chi_capped == v.torus_chi
+            assert v.norms.chi_capped == v.torus_chi

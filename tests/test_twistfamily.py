@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from lensgenus import exactarith, twistfamily
 from lensgenus.complement import WindingData, presentation_matrix
 from lensgenus.exactarith import AbelianGroup, cokernel_invariants
 from lensgenus.lens import LensSpace
@@ -174,6 +175,19 @@ class TestUnfilledClass:
             assert v.holds, (a, b, n)
             assert v.h1 == h1_of_filling(v.diagram) == AbelianGroup(0, (2 * t.k,))
             assert v.gamma_class == unfilled_class(v.diagram, "gamma")
+
+    def test_verdict_runs_one_smith_form(self, monkeypatch):
+        calls = []
+        real = exactarith.smith_normal_form
+        # Count it under every name a caller can reach it by.
+        for module in (exactarith, twistfamily):
+            monkeypatch.setattr(module, "smith_normal_form",
+                                lambda a: calls.append(a.rows) or real(a))
+        for a, b, n in [(1, 1, 1), (2, 5, -4)]:
+            calls.clear()
+            v = twist_verdict(TwistParams(a, b, n))
+            assert v.holds
+            assert calls == [5]  # the 5x5 filled relations, once
 
     def test_filled_component_rejected(self):
         fl = build_twist_diagram(TwistParams(1, 1, 1))
