@@ -171,7 +171,7 @@ def cable_verdict(c: CableParams) -> CableVerdict:
         certified_minimizer=threshold,
         certified_nonsimple=threshold and q != m,
         homology_class=(m * n) % p,
-        theta=n21 / p,
+        theta=Fraction(n21.numerator, n21.denominator * p),
         warnings=_solid_torus_warnings(dropped_cable + dropped_torus),
     )
 
@@ -235,7 +235,7 @@ def iterated_verdict(ic: IteratedCableParams) -> IteratedVerdict:
         norms_equal=equal,
         certified_minimizer=threshold and equal,
         homology_class=ic.total_winding % p,
-        theta=norm_it / p,
+        theta=Fraction(norm_it.numerator, norm_it.denominator * p),
         warnings=_solid_torus_warnings(dropped),
     )
 

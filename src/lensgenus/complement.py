@@ -58,7 +58,9 @@ class GenusReport:
             raise ValueError("chi_minus must be >= 0")
         if self.mu_pairing < 1:
             raise ValueError("mu_pairing must be a positive integer")
-        if self.theta != Fraction(self.chi_minus) / self.mu_pairing:
+        # theta == chi_minus / mu_pairing, cross-multiplied in integers.
+        theta, chi, mu = self.theta, self.chi_minus, self.mu_pairing
+        if theta.numerator * chi.denominator * mu != chi.numerator * theta.denominator:
             raise ValueError("theta must equal chi_minus / mu_pairing")
 
 
@@ -119,7 +121,7 @@ def torus_knot_theta(space: LensSpace, k: int) -> GenusReport:
     return GenusReport(
         chi_minus=chi,
         mu_pairing=mu,
-        theta=chi / mu,
+        theta=Fraction(chi.numerator, chi.denominator * mu),
         boundary_class=boundary,
         fibered=fibered,
     )

@@ -9,12 +9,18 @@ fibers cost nothing either.  Any other piece with nonzero pairing but
 positive characteristic has no fiber surface at all, so the formula
 refuses it.  ``graph_norm`` is the one evaluation of a class; it reads
 each piece's characteristic once.
+
+The arithmetic is on integers: a piece's characteristic is one numerator
+over the lcm of its cone orders, the running total is an integer
+numerator and denominator, and each result is built as a single
+``Fraction`` in lowest terms.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Iterable
 
 
@@ -53,11 +59,17 @@ class NormSummand:
 
 
 def orbifold_euler_char(piece: SeifertPiece) -> Fraction:
-    """chi(base) - sum(1 - 1/a) over the cone orders a."""
-    chi = Fraction(piece.base_euler)
-    for a in piece.cone_orders:
-        chi -= 1 - Fraction(1, a)
-    return chi
+    """chi(base) - sum(1 - 1/a) over the cone orders a.
+
+    Evaluated over L = lcm of the cone orders (1 without cones) as the one
+    fraction ((chi(base) - #cones) L + sum L/a) / L.
+    """
+    cones = piece.cone_orders
+    denom = lcm(*cones)
+    num = (piece.base_euler - len(cones)) * denom
+    for a in cones:
+        num += denom // a
+    return Fraction(num, denom)
 
 
 def torus_pairing(x: PeripheralClass, y: PeripheralClass) -> int:
@@ -76,21 +88,27 @@ def graph_norm(summands: Iterable[NormSummand]) -> tuple[Fraction, bool, int]:
     fibers cost nothing: it is dropped and counted.  Over any other base,
     chi_orb > 0 with nonzero pairing raises, since the piecewise formula has
     no fiber surface there.
+
+    The sign of chi_orb is read off its numerator, and the total is kept as
+    an integer numerator over the product of the pieces' denominators, so
+    the one ``Fraction`` built is the returned total, in lowest terms.
     """
-    total = Fraction(0)
+    num, den = 0, 1
     fibered = True
     dropped = 0
     for s in summands:
         chi = orbifold_euler_char(s.piece)
-        if s.fiber_pairing == 0:
+        pairing = s.fiber_pairing
+        if pairing == 0:
             fibered = False
-        if chi <= 0:
-            total += abs(s.fiber_pairing) * (-chi)
+        if chi.numerator <= 0:
+            num = num * chi.denominator - abs(pairing) * chi.numerator * den
+            den *= chi.denominator
         elif s.piece.base_euler == 1:
             dropped += 1
-        elif s.fiber_pairing:
+        elif pairing:
             raise ValueError(
                 "norm formula inapplicable: piece with positive orbifold "
                 f"Euler characteristic {chi} has nonzero fiber pairing"
             )
-    return total, fibered, dropped
+    return Fraction(num, den), fibered, dropped

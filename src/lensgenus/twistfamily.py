@@ -19,7 +19,8 @@ a and b must change nothing.  Any edit that fails that grid is wrong.
 from __future__ import annotations
 
 import json
-from contextlib import nullcontext
+import os
+from contextlib import suppress
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
@@ -309,13 +310,33 @@ def export_filling_specs(
                 "spec": text,
             }
         )
-    # Both files are open before either is written, so a path that cannot
-    # be opened leaves no spec line behind.
-    with open(path, "w", encoding="ascii") as fh, (
-        nullcontext() if sidecar_path is None else open(sidecar_path, "w", encoding="ascii")
-    ) as side:
-        fh.write("\n".join(lines) + ("\n" if lines else ""))
-        if side is not None:
-            json.dump(records, side, indent=2, sort_keys=True)
-            side.write("\n")
+    files = [(path, "\n".join(lines) + ("\n" if lines else ""))]
+    if sidecar_path is not None:
+        files.append((sidecar_path, json.dumps(records, indent=2, sort_keys=True) + "\n"))
+    _write_all_or_none(files)
     return len(lines)
+
+
+def _write_all_or_none(files: Sequence[tuple[str, str]]) -> None:
+    """Write each ``(path, text)``, or leave every existing file as it was.
+
+    Every text first goes to a temporary file beside its target, and the
+    targets are replaced only once all of them are written, so a missing
+    directory or a denied write changes no file.  An ``OSError`` names the
+    target path, never the temporary one.
+    """
+    temps: list[tuple[str, str]] = []
+    try:
+        for target, text in files:
+            tmp = f"{target}.{os.getpid()}.tmp"
+            with open(tmp, "x", encoding="ascii") as fh:
+                temps.append((tmp, target))
+                fh.write(text)
+        for tmp, target in temps:
+            os.replace(tmp, target)
+    except OSError as exc:
+        raise type(exc)(exc.errno, exc.strerror, target) from exc
+    finally:
+        for tmp, _ in temps:
+            with suppress(FileNotFoundError):
+                os.remove(tmp)

@@ -2,12 +2,15 @@
 
 Nothing here shares code with the library's reduction: determinants come
 from fraction-free elimination, invariant factors from determinantal
-divisors (gcds of k-by-k minors), so agreement is a genuine cross-check.
+divisors (gcds of k-by-k minors), and orbifold Euler characteristics and
+graph norms from their definitions, one ``Fraction`` step per term, so
+agreement is a genuine cross-check.
 """
 
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 from itertools import combinations
 from math import gcd
 
@@ -74,3 +77,40 @@ def mat_mul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
         [sum(a[i][k] * b[k][j] for k in range(len(b))) for j in range(len(b[0]))]
         for i in range(len(a))
     ]
+
+
+def chi_orb_reference(base_euler: int, cone_orders: tuple[int, ...]) -> Fraction:
+    """chi(base) - sum(1 - 1/a) over the cone orders a, term by term."""
+    chi = Fraction(base_euler)
+    for a in cone_orders:
+        chi -= 1 - Fraction(1, a)
+    return chi
+
+
+def graph_norm_reference(
+    pieces: list[tuple[int, tuple[int, ...], int]],
+) -> tuple[Fraction, bool, int]:
+    """(total, fibered, dropped) for pieces given as (base_euler, cone_orders, pairing).
+
+    total = sum |pairing| * max(0, -chi_orb); the class fibers iff no pairing
+    is 0; a chi_orb > 0 piece over a disk is a solid torus, dropped and
+    counted; over any other base a chi_orb > 0 piece with nonzero pairing
+    has no fiber surface, and the formula is inapplicable.
+    """
+    total = Fraction(0)
+    fibered = True
+    dropped = 0
+    for base_euler, cone_orders, pairing in pieces:
+        chi = chi_orb_reference(base_euler, cone_orders)
+        if pairing == 0:
+            fibered = False
+        if chi <= 0:
+            total += abs(pairing) * -chi
+        elif base_euler == 1:
+            dropped += 1
+        elif pairing != 0:
+            raise ValueError(
+                "norm formula inapplicable: piece with positive orbifold "
+                f"Euler characteristic {chi} has nonzero fiber pairing"
+            )
+    return total, fibered, dropped

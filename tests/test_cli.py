@@ -543,7 +543,7 @@ class TestArgumentValidation:
         assert code == 1
         assert out == ""
         assert err == f"error: cannot write {paths[bad]}: No such file or directory\n"
-        # Both files are opened before either is written: no spec line is left.
+        # Neither target is replaced until both are written: no spec line is left.
         for path in paths.values():
             assert not path.exists() or path.read_bytes() == b""
 

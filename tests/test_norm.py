@@ -1,9 +1,14 @@
+from dataclasses import fields
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lensgenus.cables import CableParams, IteratedCableParams, cable_verdict, iterated_verdict
+from lensgenus.errors import DomainError
+from lensgenus.lens import LensSpace
 from lensgenus.norm import (
     NormSummand,
     PeripheralClass,
@@ -12,6 +17,9 @@ from lensgenus.norm import (
     orbifold_euler_char,
     torus_pairing,
 )
+from lensgenus.stabilization import StabFamily, stab_verdict
+
+from _oracles import chi_orb_reference, graph_norm_reference
 
 DISK, ANNULUS, SPHERE = 1, 0, 2
 
@@ -129,3 +137,115 @@ class TestGraphNormProperties:
         value_first, _, _ = graph_norm(first)
         value_both, _, _ = graph_norm(first + second)
         assert value_both >= value_first
+
+
+# Any piece the constructor accepts, including positive-chi ones, and
+# pairings far beyond the cable grids.
+any_pieces = st.builds(
+    SeifertPiece,
+    st.integers(min_value=-2, max_value=2),
+    st.lists(st.integers(min_value=1, max_value=60), max_size=4).map(tuple),
+)
+any_summand_lists = st.lists(
+    st.builds(NormSummand, any_pieces, st.integers(min_value=-(10**6), max_value=10**6)),
+    max_size=5,
+)
+
+
+class TestAgainstReference:
+    @given(any_pieces)
+    @settings(max_examples=200, deadline=None)
+    def test_orbifold_euler_char(self, piece):
+        chi = orbifold_euler_char(piece)
+        assert type(chi) is Fraction
+        assert chi == chi_orb_reference(piece.base_euler, piece.cone_orders)
+
+    @given(any_summand_lists)
+    @settings(max_examples=200, deadline=None)
+    def test_graph_norm(self, summands):
+        triples = [(s.piece.base_euler, s.piece.cone_orders, s.fiber_pairing) for s in summands]
+        try:
+            expected = graph_norm_reference(triples)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as raised:
+                graph_norm(summands)
+            assert str(raised.value) == str(exc)
+        else:
+            total, fibered, dropped = graph_norm(summands)
+            assert type(total) is Fraction
+            assert (total, fibered, dropped) == expected
+
+    def test_inapplicable_message_in_lowest_terms(self):
+        # Over lcm(4, 4) the characteristic is 2/4; the message prints 1/2.
+        with pytest.raises(ValueError) as raised:
+            graph_norm([NormSummand(SeifertPiece(SPHERE, (4, 4)), 3)])
+        assert str(raised.value) == (
+            "norm formula inapplicable: piece with positive orbifold "
+            "Euler characteristic 1/2 has nonzero fiber pairing"
+        )
+
+
+def fraction_fields(verdict) -> dict:
+    return {f.name: getattr(verdict, f.name) for f in fields(verdict) if f.type == "Fraction"}
+
+
+def admissible(build, *grids):
+    """Every value of ``build`` over the product of ``grids`` that is defined."""
+    for point in product(*grids):
+        try:
+            yield build(*point)
+        except DomainError:
+            continue
+
+
+class TestNoFloats:
+    """Norms and theta stay ``Fraction``s, so no integer total meets ``/``."""
+
+    @pytest.mark.parametrize(
+        "summands, total",
+        [
+            ([], 0),
+            ([NormSummand(SeifertPiece(DISK, (4, 4)), 16)], 8),
+            ([NormSummand(SeifertPiece(DISK, (2, 2)), 5)], 0),
+            ([NormSummand(SeifertPiece(DISK, (3, 5)), 15)], 7),
+            ([NormSummand(SeifertPiece(ANNULUS, (3,)), 1)], Fraction(2, 3)),
+        ],
+    )
+    def test_graph_norm_total(self, summands, total):
+        value, _, _ = graph_norm(summands)
+        assert type(value) is Fraction
+        assert value == total
+
+    def test_verdict_fields(self):
+        names = {
+            "cable": {"norm_torus_side", "norm_cable_side", "theta"},
+            "iterated": {"norm_iterated", "norm_torus_side", "theta"},
+            "stab": {"torus_chi", "theta"},
+        }
+        ps, qs = range(2, 41), range(1, 4)
+        verdicts = {
+            "cable": admissible(
+                lambda p, q, m, n: cable_verdict(CableParams(LensSpace(p, q), m, n)),
+                ps, qs, (2, 3), (2, 3),
+            ),
+            "iterated": admissible(
+                lambda p, q, ms: iterated_verdict(IteratedCableParams(LensSpace(p, q), ms)),
+                ps, qs, [(2, 2), (2, 3), (2, 2, 2)],
+            ),
+            "stab": admissible(
+                lambda p, q, k: stab_verdict(StabFamily(LensSpace(p, q), k)),
+                ps, qs, (1, 2, 3),
+            ),
+        }
+        for kind, found in verdicts.items():
+            seen = 0
+            whole = 0
+            for v in found:
+                values = fraction_fields(v)
+                assert set(values) == names[kind]
+                for name, value in values.items():
+                    assert type(value) is Fraction, (kind, v, name)
+                    whole += value.denominator == 1
+                seen += 1
+            # The grid reaches whole-number norms, where an int could slip in.
+            assert seen > 20 and whole > 0, kind

@@ -243,3 +243,32 @@ class TestExport:
             "gamma_class": 4,
             "spec": "M((-1,1),(-1,1),(6,1),(0,1),(2,1),inf)",
         }
+
+    @pytest.mark.parametrize("bad", ["export", "sidecar"])
+    def test_bad_path_leaves_the_other_file(self, tmp_path, bad):
+        paths = {"export": tmp_path / "specs.txt", "sidecar": tmp_path / "specs.json"}
+        for path in paths.values():
+            path.write_bytes(b"kept\n")
+        paths[bad] = tmp_path / "missing" / "x"
+        with pytest.raises(FileNotFoundError) as raised:
+            export_filling_specs(
+                [twist_verdict(TwistParams(1, 1, 1))],
+                str(paths["export"]),
+                str(paths["sidecar"]),
+            )
+        # The error names the target the caller gave, not a temporary file.
+        assert raised.value.filename == str(paths[bad])
+        kept = "sidecar" if bad == "export" else "export"
+        assert paths[kept].read_bytes() == b"kept\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["specs.json", "specs.txt"]
+
+    def test_no_temporary_file_left(self, tmp_path):
+        out, sidecar = tmp_path / "specs.txt", tmp_path / "specs.json"
+        out.write_bytes(b"old\n")
+        export_filling_specs([twist_verdict(TwistParams(1, 1, 1))], str(out), str(sidecar))
+        export_filling_specs([twist_verdict(TwistParams(1, 3, 2))], str(out))
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["specs.json", "specs.txt"]
+        assert out.read_text() == "M((-1,1),(-1,3),(8,1),(1,2),(3,2),inf)\n"
+        assert json.loads(sidecar.read_text())[0]["spec"] == (
+            "M((-1,1),(-1,1),(6,1),(0,1),(2,1),inf)"
+        )
