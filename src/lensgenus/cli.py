@@ -13,17 +13,14 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 from functools import partial, reduce
 from itertools import islice, product
 from math import prod
-from typing import Any, Callable, Iterable, Iterator, NamedTuple, NoReturn, Sequence
+from typing import Any, Callable, Iterable, Iterator, NamedTuple, NoReturn
 
-from . import cables, complement, order2, stabilization, twistfamily
 from .errors import ConsistencyError, DomainError
-from .exactarith import peripheral_kernel
-from .lens import H1Class, LensSpace, simple_knot_in_class
+from .lens import LensSpace
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -100,17 +97,23 @@ def print_report(env: dict[str, Any], as_json: bool) -> None:
 # order, builds the family through its constructors (which raise
 # DomainError outside the family's hypotheses) and returns the envelope and
 # the exit code.  A cross-check it can see fail returns EXIT_INCONSISTENT
-# instead of raising, so a sweep can list the point as a mismatch.
+# instead of raising, so a sweep can list the point as a mismatch.  Each
+# evaluator imports the family modules it calls, so a call loads only those;
+# it calls through the module attribute, where tests and tracers patch.
 
 
 def _simple_knot(p: int, q: int, c: int) -> tuple[dict, int]:
+    import lensgenus.lens as lens
+
     space = LensSpace(p, q)
-    knot = simple_knot_in_class(space, H1Class(c, space))
+    knot = lens.simple_knot_in_class(space, lens.H1Class(c, space))
     results = {"parameter_a": knot.a, "is_unknot": knot.a == 0}
     return envelope("simple-knot", {"p": p, "q": q, "class": c}, results), EXIT_OK
 
 
 def _theta(p: int, q: int, c: int) -> tuple[dict, int]:
+    import lensgenus.complement as complement
+
     space = LensSpace(p, q)
     if not 0 <= c < space.p:
         raise ValueError(f"class {c} outside [0, {space.p - 1}]")
@@ -141,13 +144,16 @@ def _theta(p: int, q: int, c: int) -> tuple[dict, int]:
     return env, EXIT_OK
 
 
-def _norm_code(v: cables.CableVerdict | cables.IteratedVerdict) -> int:
+def _norm_code(v: Any) -> int:
+    """Exit code of a ``CableVerdict`` or ``IteratedVerdict``."""
     if v.threshold_met and not v.norms_equal:
         return EXIT_INCONSISTENT
     return EXIT_OK if v.certified_minimizer else EXIT_UNCERTIFIED
 
 
 def _cable(p: int, q: int, m: int, n: int) -> tuple[dict, int]:
+    import lensgenus.cables as cables
+
     v = cables.cable_verdict(cables.CableParams(LensSpace(p, q), m, n))
     env = envelope(
         "cable",
@@ -179,6 +185,8 @@ def _cable(p: int, q: int, m: int, n: int) -> tuple[dict, int]:
 
 
 def _iterated(p: int, q: int, *ms: int) -> tuple[dict, int]:
+    import lensgenus.cables as cables
+
     v = cables.iterated_verdict(cables.IteratedCableParams(LensSpace(p, q), ms))
     env = envelope(
         "iterated",
@@ -204,6 +212,8 @@ def _iterated(p: int, q: int, *ms: int) -> tuple[dict, int]:
 
 
 def _stab(p: int, q: int, k: int) -> tuple[dict, int]:
+    import lensgenus.stabilization as stabilization
+
     fam = stabilization.StabFamily(LensSpace(p, q), k)
     v = stabilization.stab_verdict(fam)
     env = envelope(
@@ -229,6 +239,8 @@ def _stab(p: int, q: int, k: int) -> tuple[dict, int]:
 
 
 def _order2(k: int) -> tuple[dict, int]:
+    import lensgenus.order2 as order2
+
     if k < 1:
         raise ValueError("k must be >= 1")
     space = LensSpace(2 * k, 1)
@@ -255,6 +267,8 @@ def _order2(k: int) -> tuple[dict, int]:
 def _twist(
     a: int, b: int, n: int, export: str | None = None, sidecar: str | None = None
 ) -> tuple[dict, int]:
+    import lensgenus.twistfamily as twistfamily
+
     if sidecar and not export:
         raise ValueError("--sidecar requires --export")
     t = twistfamily.TwistParams(a, b, n)
@@ -291,6 +305,9 @@ def _twist(
 
 
 def _boundary_kernel(p: int, q: int, w: int, oracle: bool = True) -> tuple[dict, int]:
+    import lensgenus.complement as complement
+    import lensgenus.exactarith as exactarith
+
     # A sweep passes no options, so it always checks against the oracle.
     data = complement.WindingData(LensSpace(p, q), w)
     closed = complement.boundary_kernel(data)
@@ -298,7 +315,7 @@ def _boundary_kernel(p: int, q: int, w: int, oracle: bool = True) -> tuple[dict,
     certs: dict[str, dict[str, Any]] = {}
     if oracle:
         mat = complement.presentation_matrix(data)
-        found = peripheral_kernel(mat, 0, 1)
+        found = exactarith.peripheral_kernel(mat, 0, 1)
         results["oracle_mu_coeff"], results["oracle_lambda_coeff"] = found
         results["presentation_rows"] = mat.to_lists()
         # The criterion text is part of the canonical output; the oracle is
@@ -439,8 +456,13 @@ def _run_command(args: argparse.Namespace) -> tuple[dict, int]:
 #: free up, so several per worker even out slabs of unequal cost.
 SLABS_PER_WORKER = 8
 
+#: Most candidate points a sweep takes, about 100x the acceptance suite's
+#: largest grid (212,341 boundary-kernel points).  A larger grid is
+#: rejected before any point runs; split it into several sweeps.
+MAX_GRID_POINTS = 25_000_000
 
-def _sweep_slab(target: str, axes: list[Sequence[int]], span: range) -> dict:
+
+def _sweep_slab(target: str, axes: list[range], span: range) -> dict:
     """The summary ``results`` of the grid points with indices in ``span``.
 
     A point is skipped when its family rejects it (``DomainError``) and is a
@@ -486,21 +508,30 @@ def cmd_sweep(args: argparse.Namespace) -> tuple[dict, int]:
         raise ValueError(f"--jobs must be >= 1, got {args.jobs}")
     cmd = COMMANDS[args.target]
     inputs: dict[str, Any] = {"target": args.target}
-    axes: list[Sequence[int]] = []
+    axes: list[range] = []
     for flag in cmd.flags:
         inputs[flag] = value = getattr(args, flag)
         # A range spans one axis; a list pins one single-valued axis per entry.
-        axes += [(v,) for v in value] if flag in _LIST_FLAGS else [_parse_range(value, flag)]
+        axes += ([range(v, v + 1) for v in value] if flag in _LIST_FLAGS
+                 else [_parse_range(value, flag)])
+    # stop - start, since len() of a range beyond sys.maxsize overflows.
+    size = prod(axis.stop - axis.start for axis in axes)
+    if size > MAX_GRID_POINTS:
+        raise ValueError(
+            f"grid has {size:,} candidate points, above the ceiling of {MAX_GRID_POINTS:,}; "
+            "split it into smaller sweeps"
+        )
     # Grid order is product() order over ascending ranges.  Slabs are
     # contiguous index ranges in that order, so merging them in order keeps
     # mismatches in grid order, and only slab summaries cross the pool.
     workers = min(args.jobs, os.cpu_count() or 1)
     slabs = workers * SLABS_PER_WORKER if workers > 1 else 1
-    size = prod(len(axis) for axis in axes)
     bounds = [size * i // slabs for i in range(slabs + 1)]
     worker = partial(_sweep_slab, args.target, axes)
     spans = map(range, bounds, bounds[1:])
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = reduce(_merge, pool.map(worker, spans))
     else:

@@ -1,10 +1,11 @@
+import concurrent.futures
 import dataclasses
 import json
 from types import SimpleNamespace
 
 import pytest
 
-from lensgenus import cables, cli, stabilization, twistfamily
+from lensgenus import cables, cli, exactarith, stabilization, twistfamily
 from lensgenus.cables import (
     CableParams,
     IteratedCableParams,
@@ -50,7 +51,7 @@ def recording_pool(monkeypatch):
             log.slabs += results
             return iter(results)
 
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     return log
 
 
@@ -204,7 +205,7 @@ class TestSubcommands:
         assert len(calls) == 1
 
     def test_failed_oracle_is_internal_failure(self, capsys, monkeypatch):
-        monkeypatch.setattr(cli, "peripheral_kernel", lambda mat, mu, lam: (0, 0))
+        monkeypatch.setattr(exactarith, "peripheral_kernel", lambda mat, mu, lam: (0, 0))
         code, out, err = run(
             capsys, "boundary-kernel", "--p", "8", "--q", "1", "--w", "4", "--oracle", "--json"
         )
@@ -330,14 +331,14 @@ class TestSweep:
         assert reason in err
 
     def test_failed_cross_check_is_not_skipped(self, capsys, monkeypatch):
-        real = cli.peripheral_kernel
+        real = exactarith.peripheral_kernel
 
         def rank_two_at_w2(mat, mu_col, lambda_col):
             if mat.at(0, 0) == 2:  # the first row is [w, 0, 0, -1]
                 raise ValueError("peripheral kernel is not cyclic of rank 1 (rank 2)")
             return real(mat, mu_col, lambda_col)
 
-        monkeypatch.setattr(cli, "peripheral_kernel", rank_two_at_w2)
+        monkeypatch.setattr(exactarith, "peripheral_kernel", rank_two_at_w2)
         code, _, err = run(
             capsys, "sweep", "boundary-kernel", "--p", "2:8", "--q", "1:3", "--w", "0:2"
         )
@@ -546,6 +547,28 @@ class TestArgumentValidation:
         # Neither target is replaced until both are written: no spec line is left.
         for path in paths.values():
             assert not path.exists() or path.read_bytes() == b""
+
+    @pytest.mark.parametrize("hi, size", [
+        ("1000000000000", "999,999,999,999"),
+        ("100000000000000000000", "99,999,999,999,999,999,999"),  # len() would overflow
+    ])
+    def test_grid_above_ceiling_is_rejected(self, capsys, hi, size):
+        code, out, err = run(capsys, "sweep", "boundary-kernel",
+                             "--p", f"2:{hi}", "--q", "1:1", "--w", "0:0")
+        assert code == 1
+        assert out == ""
+        assert err.startswith(f"error: grid has {size} candidate points, above the ceiling "
+                              f"of {cli.MAX_GRID_POINTS:,};")
+        assert cli.MAX_GRID_POINTS >= 100 * 59 * 59 * 61  # the criterion-5 grid
+
+    def test_grid_at_ceiling_runs(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "MAX_GRID_POINTS", 12)
+        grid = ["sweep", "iterated", "--q", "1:1", "--ms", "2,2,2"]
+        code, payload, _ = run_json(capsys, *grid, "--p", "31:42")
+        assert (code, payload["results"]["points"]) == (0, 12)
+        code, out, err = run(capsys, *grid, "--p", "31:43", "--jobs", "2")
+        assert (code, out) == (1, "")
+        assert "grid has 13 candidate points, above the ceiling of 12" in err
 
     def test_sidecar_requires_export(self, capsys, tmp_path):
         code, _, err = run(
