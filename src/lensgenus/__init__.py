@@ -42,8 +42,8 @@ _EXPORTS = {
         "orbifold_euler_char", "torus_pairing",
     ),
     "order2": (
-        "Order2Class", "UniquenessReport", "nonorientable_genus",
-        "nonorientable_genus_to_theta", "theta_to_nonorientable_genus", "uniqueness_check",
+        "UniquenessReport", "nonorientable_genus", "nonorientable_genus_to_theta",
+        "theta_to_nonorientable_genus", "uniqueness_check",
     ),
     "stabilization": (
         "BASE_SURFACES", "BaseSurface", "StabFamily", "StabNorms", "StabVerdict",

@@ -20,7 +20,7 @@ from fractions import Fraction
 from math import prod
 
 from .complement import torus_fiber_summand, torus_knot_theta
-from .errors import ConsistencyError, DomainError
+from .errors import DomainError
 from .lens import LensSpace
 from .norm import NormSummand, SeifertPiece, graph_norm
 
@@ -149,27 +149,24 @@ def cable_verdict(c: CableParams) -> CableVerdict:
     The torus side is |pmn - q(mn)^2| (1 - 1/(mn) - 1/(p - qmn)) and the
     cable side |pn - q(mn)^2| (1 - 1/n) + |pmn - qm^2 n| (1 - 1/m - 1/(p-qm)),
     each term clamped at zero through the solid-torus extension.
-    Certification requires p >= q m^2 n; above that threshold the two
-    norms must agree, and a disagreement is an internal error.  For q = m
-    non-simplicity is left uncertified (not refuted).
+    Certification requires p >= q m^2 n and the two norms to agree; above
+    the threshold they always do, so a disagreement there is reported as
+    ``norms_equal`` False with nothing certified, and the CLI exits 3.  For
+    q = m non-simplicity is left uncertified (not refuted).
     """
     p, q, m, n = c.ambient.p, c.ambient.q, c.m, c.n
     n21, _, dropped_torus = graph_norm([torus_fiber_summand(c.ambient, m * n)])
     n22, _, dropped_cable = graph_norm(cable_side_summands(c))
     threshold = p >= q * m * m * n
     equal = n21 == n22
-    if threshold and not equal:
-        raise ConsistencyError(
-            f"norms disagree above threshold for {c}: {n21} != {n22}"
-        )
     return CableVerdict(
         params=c,
         norm_torus_side=n21,
         norm_cable_side=n22,
         threshold_met=threshold,
         norms_equal=equal,
-        certified_minimizer=threshold,
-        certified_nonsimple=threshold and q != m,
+        certified_minimizer=threshold and equal,
+        certified_nonsimple=threshold and equal and q != m,
         homology_class=(m * n) % p,
         theta=Fraction(n21.numerator, n21.denominator * p),
         warnings=_solid_torus_warnings(dropped_cable + dropped_torus),
@@ -212,7 +209,8 @@ def iterated_verdict(ic: IteratedCableParams) -> IteratedVerdict:
     """Compare the iterated-cable norm with the torus-knot norm of class W.
 
     Certification threshold: p >= q m_1^2 ... m_{k-1}^2 m_k.  Above it the
-    norms must agree exactly.
+    norms must agree exactly; a disagreement is reported as ``norms_equal``
+    False with the minimizer uncertified, and the CLI exits 3.
     """
     p, q = ic.ambient.p, ic.ambient.q
     ms = ic.ms
@@ -222,11 +220,6 @@ def iterated_verdict(ic: IteratedCableParams) -> IteratedVerdict:
     bound = q * prod(m * m for m in ms[:-1]) * ms[-1]
     threshold = p >= bound
     equal = norm_it == torus_report.chi_minus
-    if threshold and not equal:
-        raise ConsistencyError(
-            f"iterated norm {norm_it} != torus-side norm {torus_report.chi_minus} "
-            f"above threshold for {ic}"
-        )
     return IteratedVerdict(
         params=ic,
         norm_iterated=norm_it,

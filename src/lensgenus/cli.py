@@ -20,7 +20,7 @@ from math import prod
 from typing import Any, Callable, Iterable, Iterator, NamedTuple, NoReturn
 
 from .errors import ConsistencyError, DomainError
-from .lens import LensSpace
+from .lens import H1Class, LensSpace
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -96,8 +96,9 @@ def print_report(env: dict[str, Any], as_json: bool) -> None:
 # One evaluator per command.  It takes the command's flag values in table
 # order, builds the family through its constructors (which raise
 # DomainError outside the family's hypotheses) and returns the envelope and
-# the exit code.  A cross-check it can see fail returns EXIT_INCONSISTENT
-# instead of raising, so a sweep can list the point as a mismatch.  Each
+# the exit code.  The verdicts report a disagreement between two routes as a
+# certification that does not hold; the evaluator is the one place that turns
+# it into EXIT_INCONSISTENT, so a sweep lists the point as a mismatch.  Each
 # evaluator imports the family modules it calls, so a call loads only those;
 # it calls through the module attribute, where tests and tracers patch.
 
@@ -115,8 +116,7 @@ def _theta(p: int, q: int, c: int) -> tuple[dict, int]:
     import lensgenus.complement as complement
 
     space = LensSpace(p, q)
-    if not 0 <= c < space.p:
-        raise ValueError(f"class {c} outside [0, {space.p - 1}]")
+    H1Class(c, space)  # rejects a class outside [0, p-1]
     if c == 0:
         results = {"theta": rat(0), "chi_minus": rat(0), "label": "EXACT"}
         criterion = "class 0 is the unknot, which bounds a disk"
@@ -235,7 +235,8 @@ def _stab(p: int, q: int, k: int) -> tuple[dict, int]:
             }
         },
     )
-    return env, EXIT_OK
+    # StabFamily enforces the hypothesis, so an uncertified point is a disagreement.
+    return env, EXIT_OK if v.certified_minimizer else EXIT_INCONSISTENT
 
 
 def _order2(k: int) -> tuple[dict, int]:
@@ -271,6 +272,8 @@ def _twist(
 
     if sidecar and not export:
         raise ValueError("--sidecar requires --export")
+    if sidecar and os.path.realpath(sidecar) == os.path.realpath(export):
+        raise ValueError("--export and --sidecar name the same file")
     t = twistfamily.TwistParams(a, b, n)
     v = twistfamily.twist_verdict(t)
     _, line = twistfamily.filling_spec_export(t)
@@ -442,7 +445,7 @@ def _run_command(args: argparse.Namespace) -> tuple[dict, int]:
     if code == EXIT_INCONSISTENT:
         failed = [k for k, c in env["certifications"].items() if not c["holds"]]
         raise ConsistencyError(
-            f"{name} at {env['inputs']}: {', '.join(failed) or 'cross'} check failed; "
+            f"{name} at {env['inputs']}: {', '.join(failed)} check failed; "
             f"results {env['results']}"
         )
     return env, code

@@ -4,9 +4,10 @@
 class ConsistencyError(RuntimeError):
     """An internal cross-check failed.
 
-    Raised when two routes to the same quantity disagree (closed form vs
-    linear-algebra oracle, assembled surface data vs its known total).  This
-    always indicates a bug in the library, never bad user input.
+    Verdicts report two routes that disagree at a point on their fields;
+    this is raised where no verdict carries the failure (assembled surface
+    data vs its known total, a single CLI command whose routes disagreed).
+    It always indicates a bug in the library, never bad user input.
     """
 
 

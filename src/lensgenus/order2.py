@@ -31,21 +31,6 @@ TORSION_CURVE_CRITERION = (
 
 
 @dataclass(frozen=True)
-class Order2Class:
-    """The unique order-2 class p/2 in a lens space with even p."""
-
-    ambient: LensSpace
-
-    def __post_init__(self) -> None:
-        if self.ambient.p % 2 != 0:
-            raise ValueError(f"{self.ambient} has odd p, no order-2 class")
-
-    @property
-    def value(self) -> int:
-        return self.ambient.p // 2
-
-
-@dataclass(frozen=True)
 class UniquenessReport:
     ambient: LensSpace
     nonorientable_genus: int

@@ -434,6 +434,36 @@ TABLE_CASES = [
 ]
 
 
+def doubled_summands(real, p):
+    """``cable_side_summands`` with every piece counted twice in L(p, q)."""
+    return lambda c: real(c) * (2 if c.ambient.p == p else 1)
+
+
+def doubled_torus_norm(real, p):
+    """``torus_knot_theta`` with twice the norm in L(p, q)."""
+    def route(space, k):
+        r = real(space, k)
+        if space.p != p:
+            return r
+        return dataclasses.replace(r, chi_minus=2 * r.chi_minus, theta=2 * r.theta)
+    return route
+
+
+# One route of a verdict, perturbed at the point of that target's TABLE_CASES
+# entry: the module attribute the verdict reads, how to perturb it, the
+# sweep counts (certified, out of), and the library verdict at a point.
+PERTURBED_ROUTES = [
+    ("cable", cables, "cable_side_summands", doubled_summands,
+     ("norms_equal_above_threshold", "threshold_met"),
+     lambda p, q, m, n: cables.cable_verdict(CableParams(LensSpace(p, q), m, n))),
+    ("iterated", cables, "torus_knot_theta", doubled_torus_norm,
+     ("norms_equal_above_threshold", "threshold_met"),
+     lambda p, q, *ms: cables.iterated_verdict(IteratedCableParams(LensSpace(p, q), ms))),
+    ("stab", stabilization, "torus_knot_theta", doubled_torus_norm, ("certified", "points"),
+     lambda p, q, k: stabilization.stab_verdict(StabFamily(LensSpace(p, q), k))),
+]
+
+
 class TestCommandTable:
     @pytest.mark.parametrize("target, grid, point, single", TABLE_CASES)
     def test_mismatch_is_evaluator_exit_3(self, capsys, monkeypatch, target, grid, point, single):
@@ -452,6 +482,34 @@ class TestCommandTable:
         mismatches = results.get("mismatches", results.get("mismatches_above_threshold"))
         # Only that point, and its record is the single command's results.
         assert mismatches == [{"params": point, **expected["results"]}]
+
+    @pytest.mark.parametrize("target, module, route, perturb, counts, verdict",
+                             PERTURBED_ROUTES, ids=[r[0] for r in PERTURBED_ROUTES])
+    def test_disagreeing_routes_are_a_mismatch(self, capsys, monkeypatch, recording_pool,
+                                               target, module, route, perturb, counts,
+                                               verdict):
+        _, grid, point, single = next(case for case in TABLE_CASES if case[0] == target)
+        monkeypatch.setattr(module, route, perturb(getattr(module, route), point[0]))
+        # The library reports the disagreement instead of raising it.
+        v = verdict(*point)
+        assert not v.certified_minimizer
+        assert not getattr(v, "certified_nonsimple", False)
+        env, code = cli.COMMANDS[target].evaluate(*point)
+        assert code == 3
+        code, payload, serial = run_json(capsys, "sweep", target, *grid)
+        assert code == 3
+        results = payload["results"]
+        mismatches = results.get("mismatches", results.get("mismatches_above_threshold"))
+        assert mismatches == [{"params": point, **env["results"]}]
+        certified, of = counts
+        assert results[certified] == results[of] - 1
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+        code, _, pooled = run_json(capsys, "sweep", target, *grid, "--jobs", "2")
+        assert (code, pooled) == (3, serial)
+        assert recording_pool.sizes == [2]
+        code, out, err = run(capsys, *single)
+        assert (code, out) == (3, "")
+        assert "minimizer" in err
 
     @pytest.mark.parametrize("target, grid, point, single", TABLE_CASES)
     def test_sweep_takes_only_its_own_flags(self, capsys, target, grid, point, single):
@@ -482,6 +540,8 @@ class TestCommandTable:
              "--p must be an integer range lo:hi like 8:60, got '8:'"),
             (["sweep", "cable", "--p", "a:b", "--q", "1:1", "--m", "2:2", "--n", "2:2"],
              "--p must be an integer range lo:hi like 8:60, got 'a:b'"),
+            (["theta", "--p", "8", "--q", "1", "--class", "8"], "class 8 outside [0, 7]"),
+            (["theta", "--p", "8", "--q", "1", "--class=-1"], "class -1 outside [0, 7]"),
         ],
     )
     def test_usage_error_exits_1(self, capsys, argv, message):
@@ -547,6 +607,15 @@ class TestArgumentValidation:
         # Neither target is replaced until both are written: no spec line is left.
         for path in paths.values():
             assert not path.exists() or path.read_bytes() == b""
+
+    @pytest.mark.parametrize("sidecar", ["s.txt", "./s.txt"])
+    def test_export_and_sidecar_same_file(self, capsys, monkeypatch, tmp_path, sidecar):
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run(capsys, "twist", "--a", "1", "--b", "1", "--n", "1",
+                             "--export", "s.txt", "--sidecar", sidecar)
+        assert (code, out) == (1, "")
+        assert err == "error: --export and --sidecar name the same file\n"
+        assert list(tmp_path.iterdir()) == []  # no export and no temporary file
 
     @pytest.mark.parametrize("hi, size", [
         ("1000000000000", "999,999,999,999"),

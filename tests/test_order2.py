@@ -5,7 +5,6 @@ import pytest
 from lensgenus.complement import torus_knot_theta
 from lensgenus.lens import LensSpace
 from lensgenus.order2 import (
-    Order2Class,
     nonorientable_genus,
     nonorientable_genus_to_theta,
     theta_to_nonorientable_genus,
@@ -75,13 +74,3 @@ class TestUniqueness:
     def test_criterion_is_documentation(self):
         rep = uniqueness_check(LensSpace(6, 1))
         assert "orientable" in rep.criterion
-
-
-class TestOrder2Class:
-    def test_value(self):
-        cls = Order2Class(LensSpace(8, 1))
-        assert cls.value == 4
-
-    def test_odd_rejected(self):
-        with pytest.raises(ValueError):
-            Order2Class(LensSpace(7, 2))
