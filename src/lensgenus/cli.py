@@ -2,9 +2,9 @@
 
 Every number in the output is an exact rational (``a/b`` in tables,
 ``{"num": a, "den": b}`` in JSON); nothing is ever rendered as a float.
-Exit codes: 0 success, 1 invalid input, 2 valid input but the
-certification condition is not met, 3 internal failure (a cross-check
-disagreed, or a bug such as a zero divisor).
+Exit codes: 0 success, 1 invalid input (a ``DomainError``), 2 valid input
+but the certification condition is not met, 3 internal failure (any other
+exception: a cross-check disagreed, or a bug such as a zero divisor).
 """
 
 from __future__ import annotations
@@ -121,7 +121,7 @@ def _theta(p: int, q: int, c: int) -> tuple[dict, int]:
         results = {"theta": rat(0), "chi_minus": rat(0), "label": "EXACT"}
         criterion = "class 0 is the unknot, which bounds a disk"
     elif space.p - space.q * c < 1:
-        raise ValueError(
+        raise DomainError(
             f"no torus-knot route for class {c}: cone order p - qc = "
             f"{space.p - space.q * c} < 1"
         )
@@ -242,9 +242,7 @@ def _stab(p: int, q: int, k: int) -> tuple[dict, int]:
 def _order2(k: int) -> tuple[dict, int]:
     import lensgenus.order2 as order2
 
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    space = LensSpace(2 * k, 1)
+    space = LensSpace(2 * k, 1)  # rejects k < 1
     rep = order2.uniqueness_check(space)
     env = envelope(
         "order2",
@@ -270,10 +268,10 @@ def _twist(
 ) -> tuple[dict, int]:
     import lensgenus.twistfamily as twistfamily
 
-    if sidecar and not export:
-        raise ValueError("--sidecar requires --export")
-    if sidecar and os.path.realpath(sidecar) == os.path.realpath(export):
-        raise ValueError("--export and --sidecar name the same file")
+    if sidecar is not None and export is None:
+        raise DomainError("--sidecar requires --export")
+    if sidecar is not None and os.path.realpath(sidecar) == os.path.realpath(export):
+        raise DomainError("--export and --sidecar name the same file")
     t = twistfamily.TwistParams(a, b, n)
     v = twistfamily.twist_verdict(t)
     _, line = twistfamily.filling_spec_export(t)
@@ -299,11 +297,11 @@ def _twist(
     )
     if not v.holds:
         return env, EXIT_INCONSISTENT
-    if export:
+    if export is not None:
         try:
             twistfamily.export_filling_specs([v], export, sidecar)
         except OSError as exc:
-            raise ValueError(f"cannot write {exc.filename}: {exc.strerror}") from exc
+            raise DomainError(f"cannot write {exc.filename}: {exc.strerror}") from exc
     return env, EXIT_OK
 
 
@@ -500,15 +498,15 @@ def _parse_range(text: str, flag: str) -> range:
     try:
         axis = range(int(lo), int(hi) + 1)
     except ValueError:
-        raise ValueError(f"--{flag} must be an integer range lo:hi like 8:60, got {text!r}") from None
+        raise DomainError(f"--{flag} must be an integer range lo:hi like 8:60, got {text!r}") from None
     if not axis:
-        raise ValueError(f"range --{flag} {text} is reversed (lo > hi)")
+        raise DomainError(f"range --{flag} {text} is reversed (lo > hi)")
     return axis
 
 
 def cmd_sweep(args: argparse.Namespace) -> tuple[dict, int]:
     if args.jobs < 1:
-        raise ValueError(f"--jobs must be >= 1, got {args.jobs}")
+        raise DomainError(f"--jobs must be >= 1, got {args.jobs}")
     cmd = COMMANDS[args.target]
     inputs: dict[str, Any] = {"target": args.target}
     axes: list[range] = []
@@ -520,7 +518,7 @@ def cmd_sweep(args: argparse.Namespace) -> tuple[dict, int]:
     # stop - start, since len() of a range beyond sys.maxsize overflows.
     size = prod(axis.stop - axis.start for axis in axes)
     if size > MAX_GRID_POINTS:
-        raise ValueError(
+        raise DomainError(
             f"grid has {size:,} candidate points, above the ceiling of {MAX_GRID_POINTS:,}; "
             "split it into smaller sweeps"
         )
@@ -563,7 +561,7 @@ class _Parser(argparse.ArgumentParser):
         super().__init__(allow_abbrev=False, **kwargs)
 
     def error(self, message: str) -> NoReturn:
-        raise ValueError(f"{message}\n{self.format_usage().rstrip()}")
+        raise DomainError(f"{message}\n{self.format_usage().rstrip()}")
 
 
 def _add_flags(p: argparse.ArgumentParser, flags: Iterable[str], kind: Callable,
@@ -601,12 +599,13 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
         env, code = cmd_sweep(args) if args.command == "sweep" else _run_command(args)
-    except (ConsistencyError, ZeroDivisionError) as exc:
-        print(f"internal consistency failure: {exc}", file=sys.stderr)
-        return EXIT_INCONSISTENT
-    except ValueError as exc:
+    except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
+    except Exception as exc:
+        kind = "" if isinstance(exc, ConsistencyError) else f"{type(exc).__name__}: "
+        print(f"internal consistency failure: {kind}{exc}", file=sys.stderr)
+        return EXIT_INCONSISTENT
     print_report(env, args.json)
     return code
 

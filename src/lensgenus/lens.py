@@ -38,7 +38,7 @@ class H1Class:
 
     def __post_init__(self) -> None:
         if not 0 <= self.value < self.ambient.p:
-            raise ValueError(f"class {self.value} outside [0, {self.ambient.p - 1}]")
+            raise DomainError(f"class {self.value} outside [0, {self.ambient.p - 1}]")
 
 
 @dataclass(frozen=True)

@@ -18,6 +18,7 @@ a and b must change nothing.  Any edit that fails that grid is wrong.
 
 from __future__ import annotations
 
+import errno
 import json
 import os
 from contextlib import suppress
@@ -322,9 +323,15 @@ def _write_all_or_none(files: Sequence[tuple[str, str]]) -> None:
 
     Every text first goes to a temporary file beside its target, and the
     targets are replaced only once all of them are written, so a missing
-    directory or a denied write changes no file.  An ``OSError`` names the
-    target path, never the temporary one.
+    directory or a denied write changes no file.  An empty path or an
+    existing directory, which would fail only at its rename, is refused
+    before any temporary file is written.  An ``OSError`` names the target
+    path, never the temporary one.
     """
+    for target, _ in files:
+        if not target or os.path.isdir(target):
+            code = errno.EISDIR if target else errno.ENOENT
+            raise OSError(code, os.strerror(code), target)
     temps: list[tuple[str, str]] = []
     try:
         for target, text in files:

@@ -5,7 +5,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from lensgenus import cables, cli, exactarith, stabilization, twistfamily
+from lensgenus import cables, cli, complement, exactarith, stabilization, twistfamily
 from lensgenus.cables import (
     CableParams,
     IteratedCableParams,
@@ -14,7 +14,7 @@ from lensgenus.cables import (
 )
 from lensgenus.cli import canonical_json, main
 from lensgenus.complement import WindingData, torus_fiber_summand
-from lensgenus.errors import DomainError
+from lensgenus.errors import ConsistencyError, DomainError
 from lensgenus.lens import LensSpace
 from lensgenus.stabilization import StabFamily
 from lensgenus.twistfamily import TwistParams
@@ -92,6 +92,48 @@ class TestExitCodes:
         code, _, err = run(capsys, "cable", "--p", "8", "--q", "1", "--m", "2", "--n", "2")
         assert code == 3
         assert "division" in err
+
+
+def not_cyclic(mat, mu_col, lambda_col):
+    """A ``peripheral_kernel`` whose own check fails: a library bug, not bad input."""
+    raise ValueError("peripheral kernel is not cyclic of rank 1 (rank 2)")
+
+
+class TestInternalFailureExits3:
+    """``DomainError`` is the one exception that means bad input; any other exits 3."""
+
+    def test_library_value_error(self, capsys, monkeypatch):
+        monkeypatch.setattr(exactarith, "peripheral_kernel", not_cyclic)
+        code, out, err = run(
+            capsys, "boundary-kernel", "--p", "8", "--q", "1", "--w", "4", "--oracle", "--json"
+        )
+        assert (code, out) == (3, "")
+        assert err == ("internal consistency failure: ValueError: "
+                       "peripheral kernel is not cyclic of rank 1 (rank 2)\n")
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_library_value_error_in_sweep(self, capsys, monkeypatch, recording_pool, jobs):
+        monkeypatch.setattr(exactarith, "peripheral_kernel", not_cyclic)
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+        code, out, err = run(capsys, "sweep", "boundary-kernel", "--p", "2:8", "--q", "1:3",
+                             "--w", "0:2", "--jobs", jobs, "--json")
+        assert (code, out) == (3, "")
+        assert "ValueError: peripheral kernel is not cyclic" in err
+        assert recording_pool.sizes == ([2] if jobs == "2" else [])
+
+    @pytest.mark.parametrize("exc, line", [
+        (IndexError("list index out of range"), "IndexError: list index out of range"),
+        (TypeError("unsupported operand"), "TypeError: unsupported operand"),
+        (ConsistencyError("routes disagree"), "routes disagree"),
+    ])
+    def test_any_other_exception(self, capsys, monkeypatch, exc, line):
+        def broken(space, k):
+            raise exc
+
+        monkeypatch.setattr(complement, "torus_knot_theta", broken)
+        code, out, err = run(capsys, "theta", "--p", "8", "--q", "1", "--class", "3")
+        assert (code, out) == (3, "")
+        assert err == f"internal consistency failure: {line}\n"
 
 
 class TestJsonOutput:
@@ -342,7 +384,7 @@ class TestSweep:
         code, _, err = run(
             capsys, "sweep", "boundary-kernel", "--p", "2:8", "--q", "1:3", "--w", "0:2"
         )
-        assert code == 1
+        assert code == 3
         assert "not cyclic" in err
 
     def test_iterated_mismatch_keeps_full_params(self, capsys, monkeypatch):
@@ -542,6 +584,9 @@ class TestCommandTable:
              "--p must be an integer range lo:hi like 8:60, got 'a:b'"),
             (["theta", "--p", "8", "--q", "1", "--class", "8"], "class 8 outside [0, 7]"),
             (["theta", "--p", "8", "--q", "1", "--class=-1"], "class -1 outside [0, 7]"),
+            # LensSpace(2k, 1) holds the rule k >= 1, since 2k > 1 exactly when k >= 1.
+            (["order2", "--k", "0"], "need p > q >= 1, got (p, q) = (0, 1)"),
+            (["order2", "--k=-2"], "need p > q >= 1, got (p, q) = (-4, 1)"),
         ],
     )
     def test_usage_error_exits_1(self, capsys, argv, message):
@@ -564,6 +609,19 @@ class TestThetaEdgeCases:
         code, _, err = run(capsys, "theta", "--p", "5", "--q", "2", "--class", "3")
         assert code == 1
         assert "no torus-knot route" in err
+
+
+# An unwritable export or sidecar: which flag, its name under the test's
+# directory ("" passes the empty path), and the error's text.  D is a directory.
+UNWRITABLE = [
+    (bad, name, strerror)
+    for name, strerror in [("missing/x", "No such file or directory"),
+                           ("", "No such file or directory"),
+                           ("D", "Is a directory")]
+    for bad in ("export", "sidecar")
+]
+UNWRITABLE_IDS = ["export", "sidecar", "empty-export", "empty-sidecar",
+                  "directory-export", "directory-sidecar"]
 
 
 class TestArgumentValidation:
@@ -592,21 +650,21 @@ class TestArgumentValidation:
         assert out == ""
         assert message in err
 
-    @pytest.mark.parametrize("bad", ["export", "sidecar"])
-    def test_unwritable_export_is_invalid_input(self, capsys, tmp_path, bad):
-        paths = {"export": tmp_path / "s.txt", "sidecar": tmp_path / "s.json"}
-        paths[bad] = tmp_path / "missing" / "x"
+    @pytest.mark.parametrize("bad, name, strerror", UNWRITABLE, ids=UNWRITABLE_IDS)
+    def test_unwritable_export_is_invalid_input(self, capsys, tmp_path, bad, name, strerror):
+        (tmp_path / "D").mkdir()
+        paths = {"export": str(tmp_path / "s.txt"), "sidecar": str(tmp_path / "s.json")}
+        paths[bad] = str(tmp_path / name) if name else ""
         code, out, err = run(
             capsys,
             "twist", "--a", "1", "--b", "1", "--n", "1",
-            "--export", str(paths["export"]), "--sidecar", str(paths["sidecar"]),
+            "--export", paths["export"], "--sidecar", paths["sidecar"],
         )
         assert code == 1
         assert out == ""
-        assert err == f"error: cannot write {paths[bad]}: No such file or directory\n"
-        # Neither target is replaced until both are written: no spec line is left.
-        for path in paths.values():
-            assert not path.exists() or path.read_bytes() == b""
+        assert err == f"error: cannot write {paths[bad]}: {strerror}\n"
+        # Neither target is written unless both can be: no export, sidecar or temporary file.
+        assert [p.name for p in tmp_path.iterdir()] == ["D"]
 
     @pytest.mark.parametrize("sidecar", ["s.txt", "./s.txt"])
     def test_export_and_sidecar_same_file(self, capsys, monkeypatch, tmp_path, sidecar):

@@ -1,10 +1,12 @@
-"""Start-up cost: which modules a fresh interpreter loads for each entry point.
+"""Module-level checks: what each entry point loads, and what the source may use.
 
-These count modules, never time: a single command loads only its family's
-modules, the process pool only loads for ``--jobs N > 1``, and
-``import lensgenus`` loads no submodule.
+The start-up checks count modules, never time: a single command loads only
+its family's modules, the process pool only loads for ``--jobs N > 1``, and
+``import lensgenus`` loads no submodule.  The source check keeps floating
+point out of the library.
 """
 
+import ast
 import os
 import subprocess
 import sys
@@ -74,3 +76,18 @@ def test_unknown_name_raises_attribute_error():
     with pytest.raises(AttributeError, match="no attribute 'cable_verdit'"):
         lensgenus.cable_verdit
     assert not hasattr(lensgenus, "cable_verdit")
+
+
+@pytest.mark.parametrize("path", sorted(SRC.joinpath("lensgenus").glob("*.py")),
+                         ids=lambda path: path.name)
+def test_no_floating_point_in_the_library(path):
+    # True division, a float literal or the float type is the only way a float
+    # enters exact code; Fraction(a, b) and // are the exact spellings.
+    hits = [
+        node.lineno
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div)
+        or isinstance(node, ast.Constant) and isinstance(node.value, float)
+        or isinstance(node, ast.Name) and node.id == "float"
+    ]
+    assert hits == [], f"{path.name}: floating point at lines {hits}"

@@ -244,23 +244,30 @@ class TestExport:
             "spec": "M((-1,1),(-1,1),(6,1),(0,1),(2,1),inf)",
         }
 
-    @pytest.mark.parametrize("bad", ["export", "sidecar"])
-    def test_bad_path_leaves_the_other_file(self, tmp_path, bad):
+    @pytest.mark.parametrize("bad, name, error", [
+        (bad, name, error)
+        for name, error in [("missing/x", FileNotFoundError), ("", FileNotFoundError),
+                            ("D", IsADirectoryError)]
+        for bad in ("export", "sidecar")
+    ], ids=["export", "sidecar", "empty-export", "empty-sidecar",
+            "directory-export", "directory-sidecar"])
+    def test_bad_path_leaves_the_other_file(self, tmp_path, bad, name, error):
+        (tmp_path / "D").mkdir()
         paths = {"export": tmp_path / "specs.txt", "sidecar": tmp_path / "specs.json"}
         for path in paths.values():
             path.write_bytes(b"kept\n")
-        paths[bad] = tmp_path / "missing" / "x"
-        with pytest.raises(FileNotFoundError) as raised:
+        paths[bad] = str(tmp_path / name) if name else ""
+        with pytest.raises(error) as raised:
             export_filling_specs(
                 [twist_verdict(TwistParams(1, 1, 1))],
                 str(paths["export"]),
                 str(paths["sidecar"]),
             )
         # The error names the target the caller gave, not a temporary file.
-        assert raised.value.filename == str(paths[bad])
+        assert raised.value.filename == paths[bad]
         kept = "sidecar" if bad == "export" else "export"
         assert paths[kept].read_bytes() == b"kept\n"
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["specs.json", "specs.txt"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["D", "specs.json", "specs.txt"]
 
     def test_no_temporary_file_left(self, tmp_path):
         out, sidecar = tmp_path / "specs.txt", tmp_path / "specs.json"
