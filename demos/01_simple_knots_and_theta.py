@@ -10,7 +10,6 @@ from lensgenus import (
     LensSpace,
     simple_knot_class,
     simple_knot_in_class,
-    torus_knot_class,
     torus_knot_theta,
 )
 
@@ -22,12 +21,14 @@ print(f"ambient: {space}, H1 = Z/{space.p}")
 for a in range(space.p):
     print(f"  marking a={a} represents class {simple_knot_class(space, a)}")
 
-knot = simple_knot_in_class(space, H1Class(4, space))
-print(f"simple knot in class 4 has marking a = {knot.a}")
+a = simple_knot_in_class(space, H1Class(4, space))
+print(f"simple knot in class 4 has marking a = {a}")
 
-# That knot is the (1,4)-torus knot: the criterion k*q < p + q holds.
-desc = torus_knot_class(space, 4)
-print(f"class 4 is represented by the (1,{desc.k})-torus knot")
+# The simple knot in class k is the (1,k)-torus knot exactly when the
+# criterion k*q < p + q holds; here 4*1 < 8 + 1.
+k = 4
+if k * space.q < space.p + space.q:
+    print(f"class {k} is represented by the (1,{k})-torus knot")
 
 # Its exact norm data: chi_minus = 8 on the class with meridian pairing 8,
 # so theta = 1 (rational genus 1/2).

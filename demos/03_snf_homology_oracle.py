@@ -25,7 +25,7 @@ from lensgenus import (
 a = IntMatrix.from_rows([[4, 0, 0, -1], [0, 1, -4, 0], [0, 0, 8, 1]])
 res = smith_normal_form(a)
 print("presentation matrix rows:", a.to_lists())
-print("diagonal:", res.D.to_lists())
+print("diagonal:", [list(r) for r in res.D])
 print("invariant factors:", res.invariant_factors)
 print("cokernel:", cokernel_invariants(a))  # Z + Z/4
 

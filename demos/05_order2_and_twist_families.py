@@ -37,7 +37,7 @@ print("\ntwist diagrams K(a,b,n):")
 for a, b, n in [(1, 1, 1), (1, 3, 2), (2, 2, -5)]:
     t = TwistParams(a, b, n)
     fl = build_twist_diagram(t)
-    _, line = filling_spec_export(t)
+    line = filling_spec_export(t)
     print(f"  (a,b,n) = ({a},{b},{n}), k = {t.k}:")
     print(f"    alpha framings: {twist_framings(n)}")
     print(f"    filled H1: {h1_of_filling(fl)}, knot class: {unfilled_class(fl, 'gamma')}")

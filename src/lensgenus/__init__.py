@@ -33,10 +33,7 @@ _EXPORTS = {
         "AbelianGroup", "IntMatrix", "SNFResult", "cokernel_invariants",
         "peripheral_kernel", "smith_normal_form",
     ),
-    "lens": (
-        "H1Class", "LensSpace", "SimpleKnot", "TorusKnotDesc", "simple_knot_class",
-        "simple_knot_in_class", "torus_knot_class",
-    ),
+    "lens": ("H1Class", "LensSpace", "simple_knot_class", "simple_knot_in_class"),
     "norm": (
         "NormSummand", "PeripheralClass", "SeifertPiece", "graph_norm",
         "orbifold_euler_char", "torus_pairing",
@@ -51,7 +48,7 @@ _EXPORTS = {
         "surface_combination",
     ),
     "twistfamily": (
-        "UNFILLED", "FillingSpec", "FramedLink", "LinkComponent", "TwistParams",
+        "UNFILLED", "FramedLink", "LinkComponent", "TwistParams",
         "build_twist_diagram", "export_filling_specs", "filling_spec_export",
         "h1_of_complement", "h1_of_filling", "twist_framings", "unfilled_class",
     ),

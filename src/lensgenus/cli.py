@@ -107,8 +107,8 @@ def _simple_knot(p: int, q: int, c: int) -> tuple[dict, int]:
     import lensgenus.lens as lens
 
     space = LensSpace(p, q)
-    knot = lens.simple_knot_in_class(space, lens.H1Class(c, space))
-    results = {"parameter_a": knot.a, "is_unknot": knot.a == 0}
+    a = lens.simple_knot_in_class(space, lens.H1Class(c, space))
+    results = {"parameter_a": a, "is_unknot": a == 0}
     return envelope("simple-knot", {"p": p, "q": q, "class": c}, results), EXIT_OK
 
 
@@ -270,11 +270,12 @@ def _twist(
 
     if sidecar is not None and export is None:
         raise DomainError("--sidecar requires --export")
-    if sidecar is not None and os.path.realpath(sidecar) == os.path.realpath(export):
+    # realpath maps "" and "." alike to the working directory: compare nonempty paths.
+    if sidecar and export and os.path.realpath(sidecar) == os.path.realpath(export):
         raise DomainError("--export and --sidecar name the same file")
     t = twistfamily.TwistParams(a, b, n)
     v = twistfamily.twist_verdict(t)
-    _, line = twistfamily.filling_spec_export(t)
+    line = twistfamily.filling_spec_export(t)
     env = envelope(
         "twist",
         {"a": a, "b": b, "n": n},
@@ -301,7 +302,7 @@ def _twist(
         try:
             twistfamily.export_filling_specs([v], export, sidecar)
         except OSError as exc:
-            raise DomainError(f"cannot write {exc.filename}: {exc.strerror}") from exc
+            raise DomainError(f"cannot write {exc.filename!r}: {exc.strerror}") from exc
     return env, EXIT_OK
 
 

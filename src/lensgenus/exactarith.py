@@ -13,7 +13,9 @@ there is no floating point anywhere.  Two reductions do the work:
 Both pick as pivot the minimal nonzero absolute value, ties broken by
 smallest row index then smallest column index, so transforms are
 reproducible across platforms.  Inputs are validated as ``IntMatrix`` at
-the public functions; the reductions themselves run on plain lists.
+the public functions; the reductions themselves run on plain lists, and a
+Smith form's D, U and V are those lists' own rows, as int tuples: integer
+row and column operations keep the shape and the entries integral.
 """
 
 from __future__ import annotations
@@ -60,24 +62,22 @@ class IntMatrix:
     def at(self, i: int, j: int) -> int:
         return self.entries[i * self.cols + j]
 
-    def row(self, i: int) -> tuple[int, ...]:
-        return self.entries[i * self.cols : (i + 1) * self.cols]
-
     def to_lists(self) -> list[list[int]]:
-        return [list(self.row(i)) for i in range(self.rows)]
+        n, e = self.cols, self.entries
+        return [list(e[i : i + n]) for i in range(0, self.rows * n, n)]
 
 
 @dataclass(frozen=True)
 class SNFResult:
     """Smith normal form ``U @ A @ V == D`` with unimodular U, V.
 
-    ``invariant_factors`` are the nonzero diagonal entries of D; each is
-    positive and divides the next.
+    D, U and V are tuples of row tuples.  ``invariant_factors`` are the
+    nonzero diagonal entries of D; each is positive and divides the next.
     """
 
-    D: IntMatrix
-    U: IntMatrix
-    V: IntMatrix
+    D: tuple[tuple[int, ...], ...]
+    U: tuple[tuple[int, ...], ...]
+    V: tuple[tuple[int, ...], ...]
     invariant_factors: tuple[int, ...]
 
     @property
@@ -87,7 +87,7 @@ class SNFResult:
     def cokernel(self) -> "AbelianGroup":
         """Group presented by the reduced matrix: Z per zero column, Z/d per factor d > 1."""
         torsion = tuple(f for f in self.invariant_factors if f > 1)
-        return AbelianGroup(free_rank=self.D.cols - self.rank, torsion=torsion)
+        return AbelianGroup(free_rank=len(self.V) - self.rank, torsion=torsion)
 
 
 @dataclass(frozen=True)
@@ -210,12 +210,11 @@ def smith_normal_form(a: IntMatrix) -> SNFResult:
             d[t] = [x + y for x, y in zip(d[t], d[bad_row])]
             u[t] = [x + y for x, y in zip(u[t], u[bad_row])]
 
-    dm = IntMatrix.from_rows(d)
-    factors = tuple(dm.at(i, i) for i in range(min(m, n)) if dm.at(i, i) != 0)
+    factors = tuple(d[i][i] for i in range(min(m, n)) if d[i][i])
     return SNFResult(
-        D=dm,
-        U=IntMatrix.from_rows(u),
-        V=IntMatrix.from_rows(v),
+        D=tuple(map(tuple, d)),
+        U=tuple(map(tuple, u)),
+        V=tuple(map(tuple, v)),
         invariant_factors=factors,
     )
 
@@ -233,13 +232,13 @@ def cokernel_coordinates(snf: SNFResult, vec: tuple[int, ...]) -> tuple[int, ...
     Coordinate j lives in Z/d_j (reduced to [0, d_j)) when d_j > 0 and in Z
     when d_j = 0.  The zero tuple means ``vec`` lies in the row space.
     """
-    n = snf.D.cols
+    n = len(snf.V)
     if len(vec) != n:
         raise ValueError("vector length does not match generator count")
     coords = []
     for j in range(n):
-        c = sum(vec[k] * snf.V.at(k, j) for k in range(n))
-        dj = snf.D.at(j, j) if j < snf.D.rows else 0
+        c = sum(x * row[j] for x, row in zip(vec, snf.V))
+        dj = snf.D[j][j] if j < len(snf.D) else 0
         coords.append(c % dj if dj else c)
     return tuple(coords)
 

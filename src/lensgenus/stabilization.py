@@ -18,7 +18,7 @@ from typing import Sequence
 
 from .complement import torus_knot_theta
 from .errors import ConsistencyError, DomainError
-from .lens import LensSpace, torus_knot_class
+from .lens import LensSpace
 from .norm import PeripheralClass
 
 
@@ -167,14 +167,13 @@ def stab_verdict(s: StabFamily) -> StabVerdict:
     """Certify the stabilized braid as a genus minimizer in class k+4.
 
     The capped surface complexity must equal the (1, k+4)-torus-knot norm
-    exactly; the torus knot is simple (the criterion holds whenever the
-    family hypothesis does), so matching it certifies minimality.  The
+    exactly; the torus knot is simple, since the family hypothesis gives
+    (k+4)q <= p/2 < p + q, so matching it certifies minimality.  The
     family hypothesis always yields the match, so ``certified_minimizer``
     False means the two routes disagree, and the CLI exits 3.
     """
     p, k = s.ambient.p, s.k
     norms = stab_norms(s)
-    torus_knot_class(s.ambient, k + 4)  # (k+4) q <= p/2 < p + q always
     torus = torus_knot_theta(s.ambient, k + 4)
     return StabVerdict(
         family=s,

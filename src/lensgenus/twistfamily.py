@@ -24,7 +24,6 @@ import os
 from contextlib import suppress
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
 from typing import Iterable, Sequence
 
 from .errors import DomainError
@@ -97,24 +96,6 @@ class TwistParams:
     @property
     def k(self) -> int:
         return self.a + self.b + 2
-
-
-@dataclass(frozen=True)
-class FillingSpec:
-    """Filling slopes per cusp; None marks an unfilled cusp."""
-
-    fillings: tuple[tuple[int, int] | None, ...]
-
-    def __post_init__(self) -> None:
-        for f in self.fillings:
-            if f is not None and gcd(f[0], f[1]) != 1:
-                raise ValueError(f"filling pair {f} is not coprime")
-
-    def as_text(self) -> str:
-        parts = [
-            "inf" if f is None else f"({f[0]},{f[1]})" for f in self.fillings
-        ]
-        return "M(" + ",".join(parts) + ")"
 
 
 def twist_framings(n: int) -> tuple[Fraction, Fraction]:
@@ -263,24 +244,16 @@ def twist_verdict(t: TwistParams) -> TwistVerdict:
     return TwistVerdict(t, fl, group, cls, group.order() == order and cls % order == t.k)
 
 
-def filling_spec_export(t: TwistParams) -> tuple[FillingSpec, str]:
-    """Cusp-filling spec for the six-component link and its canonical line.
+def filling_spec_export(t: TwistParams) -> str:
+    """Canonical cusp-filling line for the six-component link.
 
     The cusps are ordered so the filled manifold reads
-    M((-1,a),(-1,b),(k+2,1),(n-1,n),(n+1,n),inf); the last cusp is the
-    knot K(a,b,n) itself.
+    M((-1,a),(-1,b),(k+2,1),(n-1,n),(n+1,n),inf); the last cusp is
+    unfilled and is the knot K(a,b,n) itself.  Every slope is primitive
+    by construction.
     """
-    spec = FillingSpec(
-        fillings=(
-            (-1, t.a),
-            (-1, t.b),
-            (t.k + 2, 1),
-            (t.n - 1, t.n),
-            (t.n + 1, t.n),
-            None,
-        )
-    )
-    return spec, spec.as_text()
+    n = t.n
+    return f"M((-1,{t.a}),(-1,{t.b}),({t.k + 2},1),({n - 1},{n}),({n + 1},{n}),inf)"
 
 
 def export_filling_specs(
@@ -298,7 +271,7 @@ def export_filling_specs(
     records = []
     for v in verdicts:
         t = v.params
-        _, text = filling_spec_export(t)
+        text = filling_spec_export(t)
         lines.append(text)
         records.append(
             {

@@ -308,7 +308,7 @@ def test_criterion_7_twist_family_grid():
                     swapped, "gamma"
                 ) != cls:
                     failures.append(("swap", a, b, n))
-    _, line = filling_spec_export(TwistParams(1, 1, 1))
+    line = filling_spec_export(TwistParams(1, 1, 1))
     if line != "M((-1,1),(-1,1),(6,1),(0,1),(2,1),inf)":
         failures.append(("export", line))
     report(
@@ -355,12 +355,12 @@ def test_criterion_9_snf_property_suite():
         rows = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(m)]
         a = IntMatrix.from_rows(rows)
         res = smith_normal_form(a)
-        d = res.D.to_lists()
+        d, u, v = ([list(r) for r in mat] for mat in (res.D, res.U, res.V))
         good = (
-            mat_mul(mat_mul(res.U.to_lists(), rows), res.V.to_lists()) == d
+            mat_mul(mat_mul(u, rows), v) == d
             and all(x == 0 for i, row in enumerate(d) for j, x in enumerate(row) if i != j)
-            and abs(exact_det(res.U.to_lists())) == 1
-            and abs(exact_det(res.V.to_lists())) == 1
+            and abs(exact_det(u)) == 1
+            and abs(exact_det(v)) == 1
             and all(
                 y % x == 0
                 for x, y in zip(res.invariant_factors, res.invariant_factors[1:])

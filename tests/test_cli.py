@@ -611,17 +611,21 @@ class TestThetaEdgeCases:
         assert "no torus-knot route" in err
 
 
-# An unwritable export or sidecar: which flag, its name under the test's
-# directory ("" passes the empty path), and the error's text.  D is a directory.
-UNWRITABLE = [
-    (bad, name, strerror)
-    for name, strerror in [("missing/x", "No such file or directory"),
-                           ("", "No such file or directory"),
-                           ("D", "Is a directory")]
-    for bad in ("export", "sidecar")
-]
-UNWRITABLE_IDS = ["export", "sidecar", "empty-export", "empty-sidecar",
-                  "directory-export", "directory-sidecar"]
+# Unwritable export and sidecar paths, relative to the test's directory ("" is
+# the empty path), with the path the error names and its text.  D is a directory.
+ENOENT, EISDIR = "No such file or directory", "Is a directory"
+UNWRITABLE = {
+    "export": ("missing/x", "s.json", "missing/x", ENOENT),
+    "sidecar": ("s.txt", "missing/x", "missing/x", ENOENT),
+    "empty-export": ("", "s.json", "", ENOENT),
+    "empty-sidecar": ("s.txt", "", "", ENOENT),
+    "directory-export": ("D", "s.json", "D", EISDIR),
+    "directory-sidecar": ("s.txt", "D", "D", EISDIR),
+    # realpath maps "." and "" alike to the working directory, yet neither
+    # pair names one file.
+    "dot-export-empty-sidecar": (".", "", ".", EISDIR),
+    "both-empty": ("", "", "", ENOENT),
+}
 
 
 class TestArgumentValidation:
@@ -650,19 +654,24 @@ class TestArgumentValidation:
         assert out == ""
         assert message in err
 
-    @pytest.mark.parametrize("bad, name, strerror", UNWRITABLE, ids=UNWRITABLE_IDS)
-    def test_unwritable_export_is_invalid_input(self, capsys, tmp_path, bad, name, strerror):
+    @pytest.mark.parametrize("export, sidecar, named, strerror", list(UNWRITABLE.values()),
+                             ids=list(UNWRITABLE))
+    def test_unwritable_export_is_invalid_input(
+        self, capsys, monkeypatch, tmp_path, export, sidecar, named, strerror
+    ):
         (tmp_path / "D").mkdir()
-        paths = {"export": str(tmp_path / "s.txt"), "sidecar": str(tmp_path / "s.json")}
-        paths[bad] = str(tmp_path / name) if name else ""
+        monkeypatch.chdir(tmp_path)
+        # "" and "." pass as given; every other name is absolute, under tmp_path.
+        where = {name: name if name in ("", ".") else str(tmp_path / name)
+                 for name in (export, sidecar, named)}
         code, out, err = run(
             capsys,
             "twist", "--a", "1", "--b", "1", "--n", "1",
-            "--export", paths["export"], "--sidecar", paths["sidecar"],
+            "--export", where[export], "--sidecar", where[sidecar],
         )
         assert code == 1
         assert out == ""
-        assert err == f"error: cannot write {paths[bad]}: {strerror}\n"
+        assert err == f"error: cannot write {where[named]!r}: {strerror}\n"
         # Neither target is written unless both can be: no export, sidecar or temporary file.
         assert [p.name for p in tmp_path.iterdir()] == ["D"]
 

@@ -23,11 +23,11 @@ LEMMA_MATRIX_814 = [[4, 0, 0, -1], [0, 1, -4, 0], [0, 0, 8, 1]]
 def assert_valid_snf(rows):
     a = IntMatrix.from_rows(rows)
     res = smith_normal_form(a)
-    d = res.D.to_lists()
-    assert mat_mul(mat_mul(res.U.to_lists(), rows), res.V.to_lists()) == d
+    d, u, v = ([list(r) for r in m] for m in (res.D, res.U, res.V))
+    assert mat_mul(mat_mul(u, rows), v) == d
     assert all(x == 0 for i, row in enumerate(d) for j, x in enumerate(row) if i != j)
-    assert abs(exact_det(res.U.to_lists())) == 1
-    assert abs(exact_det(res.V.to_lists())) == 1
+    assert abs(exact_det(u)) == 1
+    assert abs(exact_det(v)) == 1
     factors = res.invariant_factors
     assert all(f > 0 for f in factors)
     for x, y in zip(factors, factors[1:]):
@@ -39,7 +39,22 @@ class TestSmithNormalForm:
     def test_identity(self):
         res = assert_valid_snf([[1, 0], [0, 1]])
         assert res.invariant_factors == (1, 1)
-        assert res.D.to_lists() == [[1, 0], [0, 1]]
+        assert res.D == ((1, 0), (0, 1))
+
+    @pytest.mark.parametrize(
+        "rows",
+        [[[4, 6, -10]], [[4], [6], [-10]], [[4, 0, -1], [0, 8, 1], [2, -4, 0]]],
+        ids=["1x3", "3x1", "3x3"],
+    )
+    def test_results_are_the_reductions_rows(self, rows):
+        # D, U and V are tuples of int tuples, shaped m x n, m x m and n x n.
+        res = assert_valid_snf(rows)
+        m, n = len(rows), len(rows[0])
+        for mat, shape in ((res.D, (m, n)), (res.U, (m, m)), (res.V, (n, n))):
+            assert type(mat) is tuple and len(mat) == shape[0]
+            for row in mat:
+                assert type(row) is tuple and len(row) == shape[1]
+                assert all(type(x) is int for x in row)
 
     def test_diag_4_6(self):
         # d1 = gcd(4,6) = 2, d2 = 24, so factors (2, 12)
@@ -195,7 +210,7 @@ def snf_kernel(a, mu_col, lambda_col):
     e_lam = [int(j == lambda_col) for j in range(a.cols)]
     b = IntMatrix.from_rows([e_mu, e_lam] + a.to_lists())
     snf = smith_normal_form(b)
-    pairs = [(snf.U.at(i, 0), snf.U.at(i, 1)) for i in range(snf.rank, b.rows)]
+    pairs = [(snf.U[i][0], snf.U[i][1]) for i in range(snf.rank, b.rows)]
     if any(x1 * y2 - x2 * y1 for (x1, y1), (x2, y2) in combinations(pairs, 2)):
         raise ValueError("not cyclic (rank 2)")
     nonzero = [p for p in pairs if p != (0, 0)]

@@ -9,7 +9,6 @@ from lensgenus.lens import (
     LensSpace,
     simple_knot_class,
     simple_knot_in_class,
-    torus_knot_class,
 )
 
 
@@ -66,7 +65,7 @@ class TestSimpleKnotClass:
         space = LensSpace(p, q)
         for a in range(p):
             c = simple_knot_class(space, a)
-            assert simple_knot_in_class(space, H1Class(c, space)).a == a
+            assert simple_knot_in_class(space, H1Class(c, space)) == a
 
     def test_out_of_range(self):
         with pytest.raises(ValueError):
@@ -76,36 +75,11 @@ class TestSimpleKnotClass:
 class TestSimpleKnotInClass:
     def test_examples(self):
         space = LensSpace(8, 1)
-        assert simple_knot_in_class(space, H1Class(4, space)).a == 4
+        assert simple_knot_in_class(space, H1Class(4, space)) == 4
         space = LensSpace(5, 2)
-        assert simple_knot_in_class(space, H1Class(3, space)).a == 1
+        assert simple_knot_in_class(space, H1Class(3, space)) == 1
 
     def test_class_zero_is_unknot(self):
         for p, q in [(8, 1), (5, 2), (13, 5)]:
             space = LensSpace(p, q)
-            assert simple_knot_in_class(space, H1Class(0, space)).a == 0
-
-
-class TestTorusKnotClass:
-    def test_valid(self):
-        desc = torus_knot_class(LensSpace(8, 1), 4)
-        assert desc.k == 4
-        assert torus_knot_class(LensSpace(32, 1), 8).k == 8
-
-    def test_boundary_of_strict_inequality(self):
-        # k = 8 < 9 passes, k = 9 does not.
-        torus_knot_class(LensSpace(8, 1), 8)
-        with pytest.raises(ValueError, match="torus-criterion violated"):
-            torus_knot_class(LensSpace(8, 1), 9)
-
-    @given(coprime_pairs, st.integers(min_value=1, max_value=250))
-    @settings(max_examples=120, deadline=None)
-    def test_integer_criterion(self, pq, k):
-        p, q = pq
-        space = LensSpace(p, q)
-        should_hold = k * q < p + q
-        if should_hold:
-            assert torus_knot_class(space, k).k == k
-        else:
-            with pytest.raises(ValueError):
-                torus_knot_class(space, k)
+            assert simple_knot_in_class(space, H1Class(0, space)) == 0

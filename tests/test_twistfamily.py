@@ -1,5 +1,7 @@
 import json
+import re
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -9,7 +11,6 @@ from lensgenus.exactarith import AbelianGroup, cokernel_invariants
 from lensgenus.lens import LensSpace
 from lensgenus.twistfamily import (
     UNFILLED,
-    FillingSpec,
     FramedLink,
     LinkComponent,
     TwistParams,
@@ -189,35 +190,49 @@ class TestUnfilledClass:
             assert v.holds
             assert calls == [5]  # the 5x5 filled relations, once
 
+    def test_verdict_validates_one_matrix(self, monkeypatch):
+        # The relation matrix is the Smith form's input; its results stay plain rows.
+        calls = []
+        real = exactarith.IntMatrix.__post_init__
+        monkeypatch.setattr(exactarith.IntMatrix, "__post_init__",
+                            lambda m: calls.append((m.rows, m.cols)) or real(m))
+        assert twist_verdict(TwistParams(1, 1, 1)).holds
+        assert calls == [(5, 5)]
+
     def test_filled_component_rejected(self):
         fl = build_twist_diagram(TwistParams(1, 1, 1))
         with pytest.raises(ValueError, match="filled"):
             unfilled_class(fl, "dF")
 
 
+def cusps(line):
+    """The filling slopes of a spec line, in cusp order; None for ``inf``."""
+    found = re.findall(r"\((-?\d+),(-?\d+)\)|(inf)", line)
+    slopes = [None if inf else (int(x), int(y)) for x, y, inf in found]
+    text = ",".join("inf" if f is None else f"({f[0]},{f[1]})" for f in slopes)
+    assert line == f"M({text})"  # the slopes are the whole line
+    return slopes
+
+
 class TestExport:
     def test_canonical_lines(self):
-        _, line = filling_spec_export(TwistParams(1, 1, 1))
+        line = filling_spec_export(TwistParams(1, 1, 1))
         assert line == "M((-1,1),(-1,1),(6,1),(0,1),(2,1),inf)"
-        _, line = filling_spec_export(TwistParams(1, 3, 2))
+        line = filling_spec_export(TwistParams(1, 3, 2))
         assert line == "M((-1,1),(-1,3),(8,1),(1,2),(3,2),inf)"
+        assert filling_spec_export(TwistParams(2, 3, -5)).endswith("(-6,-5),(-4,-5),inf)")
 
     def test_n_one_gives_zero_filling(self):
-        spec, _ = filling_spec_export(TwistParams(2, 3, 1))
-        assert spec.fillings[3] == (0, 1)
+        assert cusps(filling_spec_export(TwistParams(2, 3, 1)))[3] == (0, 1)
 
     def test_pairs_coprime(self):
-        from math import gcd
-
         for a, b, n in TWIST_GRID:
-            spec, _ = filling_spec_export(TwistParams(a, b, n))
-            for f in spec.fillings:
-                assert f is None or gcd(f[0], f[1]) == 1
-        with pytest.raises(ValueError, match="coprime"):
-            FillingSpec(fillings=((2, 4),))
+            slopes = cusps(filling_spec_export(TwistParams(a, b, n)))
+            assert len(slopes) == 6 and slopes[-1] is None
+            assert all(gcd(x, y) == 1 for x, y in slopes[:-1])
 
     def test_byte_stable(self):
-        lines = {filling_spec_export(TwistParams(2, 3, -5))[1] for _ in range(5)}
+        lines = {filling_spec_export(TwistParams(2, 3, -5)) for _ in range(5)}
         assert len(lines) == 1
 
     def test_export_files(self, tmp_path):
