@@ -15,7 +15,7 @@ docstrings are documentation, and reduction tests pin the two together.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from math import prod
 
@@ -25,82 +25,60 @@ from .lens import LensSpace
 from .norm import NormSummand, SeifertPiece, graph_norm
 
 
-@dataclass(frozen=True)
-class CableParams:
+class CableParams(namedtuple("CableParams", "ambient m n")):
     """The (1,n)-cable of the (1,m)-torus knot in the given lens space."""
 
-    ambient: LensSpace
-    m: int
-    n: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.m < 2 or self.n < 2:
+    def __new__(cls, ambient: LensSpace, m: int, n: int) -> CableParams:
+        if m < 2 or n < 2:
             raise DomainError("cable parameters require m, n >= 2")
+        return super().__new__(cls, ambient, m, n)
 
 
-@dataclass(frozen=True)
-class IteratedCableParams:
+class IteratedCableParams(namedtuple("IteratedCableParams", "ambient ms")):
     """Iterated cable C(1,m_k) o ... o C(1,m_2) o T(1,m_1)."""
 
-    ambient: LensSpace
-    ms: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not self.ms:
+    def __new__(cls, ambient: LensSpace, ms: tuple[int, ...]) -> IteratedCableParams:
+        if not ms:
             raise DomainError("need at least one cabling parameter")
-        if any(m < 2 for m in self.ms):
+        if any(m < 2 for m in ms):
             raise DomainError("all cabling parameters must be >= 2")
-        if self.total_winding >= self.ambient.p:
+        self = super().__new__(cls, ambient, ms)
+        if self.total_winding >= ambient.p:
             raise DomainError(
-                f"total winding {self.total_winding} must stay below p = {self.ambient.p}"
+                f"total winding {self.total_winding} must stay below p = {ambient.p}"
             )
+        return self
 
     @property
     def total_winding(self) -> int:
         return prod(self.ms)
 
 
-@dataclass(frozen=True)
-class CableVerdict:
-    params: CableParams
-    norm_torus_side: Fraction
-    norm_cable_side: Fraction
-    threshold_met: bool
-    norms_equal: bool
-    certified_minimizer: bool
-    certified_nonsimple: bool
-    homology_class: int
-    theta: Fraction
-    warnings: tuple[str, ...]
+CableVerdict = namedtuple(
+    "CableVerdict",
+    "params norm_torus_side norm_cable_side threshold_met norms_equal "
+    "certified_minimizer certified_nonsimple homology_class theta warnings",
+)
+
+IteratedVerdict = namedtuple(
+    "IteratedVerdict",
+    "params norm_iterated norm_torus_side threshold_met norms_equal "
+    "certified_minimizer homology_class theta warnings",
+)
 
 
-@dataclass(frozen=True)
-class IteratedVerdict:
-    params: IteratedCableParams
-    norm_iterated: Fraction
-    norm_torus_side: Fraction
-    threshold_met: bool
-    norms_equal: bool
-    certified_minimizer: bool
-    homology_class: int
-    theta: Fraction
-    warnings: tuple[str, ...]
-
-
-@dataclass(frozen=True)
-class SurfaceCheck:
+class SurfaceCheck(namedtuple(
+    "SurfaceCheck",
+    "m n ambient theta_inner theta_inner_expected theta_class theta_class_expected "
+    "surface_genus surface_boundaries surface_identity_holds",
+)):
     """Consistency record for the explicit cable surface at p = m^2 n, q = 1."""
 
-    m: int
-    n: int
-    ambient: LensSpace
-    theta_inner: Fraction
-    theta_inner_expected: Fraction
-    theta_class: Fraction
-    theta_class_expected: int
-    surface_genus: int
-    surface_boundaries: int
-    surface_identity_holds: bool
+    __slots__ = ()
 
     @property
     def all_hold(self) -> bool:

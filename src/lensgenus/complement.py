@@ -9,7 +9,7 @@ sweep them against each other.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from math import gcd
 
@@ -25,20 +25,20 @@ from .norm import (
 )
 
 
-@dataclass(frozen=True)
-class WindingData:
+class WindingData(namedtuple("WindingData", "ambient w")):
     """A knot in the solid torus U1 recorded by its winding number."""
 
-    ambient: LensSpace
-    w: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.w < 0:
+    def __new__(cls, ambient: LensSpace, w: int) -> WindingData:
+        if w < 0:
             raise DomainError("winding number must be >= 0")
+        return super().__new__(cls, ambient, w)
 
 
-@dataclass(frozen=True)
-class GenusReport:
+class GenusReport(
+    namedtuple("GenusReport", "chi_minus mu_pairing theta boundary_class fibered")
+):
     """Certified norm data for one boundary class.
 
     ``theta`` is chi_minus divided by the meridian pairing: twice the
@@ -47,21 +47,19 @@ class GenusReport:
     caller's bookkeeping.
     """
 
-    chi_minus: Fraction
-    mu_pairing: int
-    theta: Fraction
-    boundary_class: PeripheralClass
-    fibered: bool
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.chi_minus < 0:
+    def __new__(cls, chi_minus: Fraction, mu_pairing: int, theta: Fraction,
+                boundary_class: PeripheralClass, fibered: bool) -> GenusReport:
+        if chi_minus < 0:
             raise ValueError("chi_minus must be >= 0")
-        if self.mu_pairing < 1:
+        if mu_pairing < 1:
             raise ValueError("mu_pairing must be a positive integer")
         # theta == chi_minus / mu_pairing, cross-multiplied in integers.
-        theta, chi, mu = self.theta, self.chi_minus, self.mu_pairing
-        if theta.numerator * chi.denominator * mu != chi.numerator * theta.denominator:
+        chi = chi_minus
+        if theta.numerator * chi.denominator * mu_pairing != chi.numerator * theta.denominator:
             raise ValueError("theta must equal chi_minus / mu_pairing")
+        return super().__new__(cls, chi_minus, mu_pairing, theta, boundary_class, fibered)
 
 
 def boundary_kernel(data: WindingData) -> PeripheralClass:

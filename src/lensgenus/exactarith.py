@@ -20,21 +20,24 @@ row and column operations keep the shape and the entries integral.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from math import gcd
 
 
-@dataclass(frozen=True)
-class IntMatrix:
+class IntMatrix(namedtuple("IntMatrix", "rows cols entries")):
     """Immutable integer matrix, entries stored row-major.
 
     ``rows == 0`` is allowed (an empty relation set); ``cols`` must be
     positive so generators are always well defined.
     """
 
-    rows: int
-    cols: int
-    entries: tuple[int, ...]
+    __slots__ = ()
+
+    def __new__(cls, rows: int, cols: int, entries: tuple[int, ...]) -> IntMatrix:
+        self = super().__new__(cls, rows, cols, entries)
+        # Named __post_init__ because perfbench/spans.py counts matrices through it.
+        self.__post_init__()
+        return self
 
     def __post_init__(self) -> None:
         if self.rows < 0 or self.cols < 1:
@@ -67,18 +70,14 @@ class IntMatrix:
         return [list(e[i : i + n]) for i in range(0, self.rows * n, n)]
 
 
-@dataclass(frozen=True)
-class SNFResult:
+class SNFResult(namedtuple("SNFResult", "D U V invariant_factors")):
     """Smith normal form ``U @ A @ V == D`` with unimodular U, V.
 
     D, U and V are tuples of row tuples.  ``invariant_factors`` are the
     nonzero diagonal entries of D; each is positive and divides the next.
     """
 
-    D: tuple[tuple[int, ...], ...]
-    U: tuple[tuple[int, ...], ...]
-    V: tuple[tuple[int, ...], ...]
-    invariant_factors: tuple[int, ...]
+    __slots__ = ()
 
     @property
     def rank(self) -> int:
@@ -90,25 +89,24 @@ class SNFResult:
         return AbelianGroup(free_rank=len(self.V) - self.rank, torsion=torsion)
 
 
-@dataclass(frozen=True)
-class AbelianGroup:
+class AbelianGroup(namedtuple("AbelianGroup", "free_rank torsion")):
     """Finitely generated abelian group Z^free_rank + Z/t1 + ... + Z/tk.
 
     Torsion coefficients satisfy ``t_i >= 2`` and ``t_i | t_{i+1}``.
     """
 
-    free_rank: int
-    torsion: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.free_rank < 0:
+    def __new__(cls, free_rank: int, torsion: tuple[int, ...]) -> AbelianGroup:
+        if free_rank < 0:
             raise ValueError("negative free rank")
-        for t in self.torsion:
+        for t in torsion:
             if t < 2:
                 raise ValueError(f"torsion coefficient {t} < 2")
-        for a, b in zip(self.torsion, self.torsion[1:]):
+        for a, b in zip(torsion, torsion[1:]):
             if b % a != 0:
                 raise ValueError(f"torsion {a} does not divide {b}")
+        return super().__new__(cls, free_rank, torsion)
 
     def order(self) -> int | None:
         """Group order, or None when infinite."""

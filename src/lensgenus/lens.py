@@ -8,37 +8,35 @@ reverse.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from math import gcd
 
 from .errors import DomainError
 
 
-@dataclass(frozen=True)
-class LensSpace:
-    p: int
-    q: int
+class LensSpace(namedtuple("LensSpace", "p q")):
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not self.p > self.q >= 1:
-            raise DomainError(f"need p > q >= 1, got (p, q) = ({self.p}, {self.q})")
-        if gcd(self.p, self.q) != 1:
-            raise DomainError(f"p and q must be coprime, got ({self.p}, {self.q})")
+    def __new__(cls, p: int, q: int) -> LensSpace:
+        if not p > q >= 1:
+            raise DomainError(f"need p > q >= 1, got (p, q) = ({p}, {q})")
+        if gcd(p, q) != 1:
+            raise DomainError(f"p and q must be coprime, got ({p}, {q})")
+        return super().__new__(cls, p, q)
 
     def __str__(self) -> str:
         return f"L({self.p},{self.q})"
 
 
-@dataclass(frozen=True)
-class H1Class:
+class H1Class(namedtuple("H1Class", "value ambient")):
     """A first-homology class, as a residue in [0, p-1]."""
 
-    value: int
-    ambient: LensSpace
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not 0 <= self.value < self.ambient.p:
-            raise DomainError(f"class {self.value} outside [0, {self.ambient.p - 1}]")
+    def __new__(cls, value: int, ambient: LensSpace) -> H1Class:
+        if not 0 <= value < ambient.p:
+            raise DomainError(f"class {value} outside [0, {ambient.p - 1}]")
+        return super().__new__(cls, value, ambient)
 
 
 def simple_knot_class(space: LensSpace, a: int) -> int:

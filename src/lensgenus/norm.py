@@ -18,22 +18,17 @@ numerator and denominator, and each result is built as a single
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from math import lcm
 from typing import Iterable
 
 
-@dataclass(frozen=True)
-class PeripheralClass:
-    """Integer class x*[mu] + y*[lambda] on a torus boundary."""
-
-    mu_coeff: int
-    lambda_coeff: int
+#: Integer class x*[mu] + y*[lambda] on a torus boundary.
+PeripheralClass = namedtuple("PeripheralClass", "mu_coeff lambda_coeff")
 
 
-@dataclass(frozen=True)
-class SeifertPiece:
+class SeifertPiece(namedtuple("SeifertPiece", "base_euler cone_orders")):
     """Base-orbifold data: compact base surface and cone-point orders.
 
     ``base_euler`` is the Euler characteristic of the base surface with its
@@ -41,21 +36,17 @@ class SeifertPiece:
     and contribute nothing.
     """
 
-    base_euler: int
-    cone_orders: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        for a in self.cone_orders:
+    def __new__(cls, base_euler: int, cone_orders: tuple[int, ...]) -> SeifertPiece:
+        for a in cone_orders:
             if a < 1:
                 raise ValueError(f"cone order {a} < 1")
+        return super().__new__(cls, base_euler, cone_orders)
 
 
-@dataclass(frozen=True)
-class NormSummand:
-    """One Seifert piece together with the class-fiber pairing on it."""
-
-    piece: SeifertPiece
-    fiber_pairing: int
+#: One Seifert piece together with the class-fiber pairing on it.
+NormSummand = namedtuple("NormSummand", "piece fiber_pairing")
 
 
 def orbifold_euler_char(piece: SeifertPiece) -> Fraction:

@@ -16,7 +16,7 @@ N <= 3.  Via the dictionary that is theta <= 1/2.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .complement import torus_knot_theta
@@ -30,13 +30,10 @@ TORSION_CURVE_CRITERION = (
 )
 
 
-@dataclass(frozen=True)
-class UniquenessReport:
-    ambient: LensSpace
-    nonorientable_genus: int
-    unique_minimizer_guaranteed: bool
-    theta: Fraction
-    criterion: str
+UniquenessReport = namedtuple(
+    "UniquenessReport",
+    "ambient nonorientable_genus unique_minimizer_guaranteed theta criterion",
+)
 
 
 def nonorientable_genus_to_theta(h: int) -> Fraction:

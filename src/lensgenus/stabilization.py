@@ -12,7 +12,7 @@ must match the (1, k+4)-torus-knot norm exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from typing import Sequence
 
@@ -22,20 +22,10 @@ from .lens import LensSpace
 from .norm import PeripheralClass
 
 
-@dataclass(frozen=True)
-class TripleBoundaryClass:
-    """Boundary classes on the three link components (K0, L2, gamma)."""
+#: Boundary classes on the three link components (K0, L2, gamma).
+TripleBoundaryClass = namedtuple("TripleBoundaryClass", "on_K0 on_L2 on_gamma")
 
-    on_K0: PeripheralClass
-    on_L2: PeripheralClass
-    on_gamma: PeripheralClass
-
-
-@dataclass(frozen=True)
-class BaseSurface:
-    name: str
-    chi_minus: int
-    boundary: TripleBoundaryClass
+BaseSurface = namedtuple("BaseSurface", "name chi_minus boundary")
 
 
 # The catalogue.  The braid disk meets the axis four times and gamma once;
@@ -72,38 +62,25 @@ SURFACE_F = BaseSurface(
 BASE_SURFACES = (SURFACE_F0, SURFACE_FGAMMA, SURFACE_F)
 
 
-@dataclass(frozen=True)
-class StabFamily:
+class StabFamily(namedtuple("StabFamily", "ambient k")):
     """The k-fold stabilized braid in L(p,q); requires p >= 2q(k+4)."""
 
-    ambient: LensSpace
-    k: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.k < 1:
+    def __new__(cls, ambient: LensSpace, k: int) -> StabFamily:
+        if k < 1:
             raise DomainError("stabilization count k must be >= 1")
-        p, q = self.ambient.p, self.ambient.q
-        if p < 2 * q * (self.k + 4):
-            raise DomainError(
-                f"hypothesis p >= 2q(k+4) fails: {p} < {2 * q * (self.k + 4)}"
-            )
+        p, q = ambient.p, ambient.q
+        if p < 2 * q * (k + 4):
+            raise DomainError(f"hypothesis p >= 2q(k+4) fails: {p} < {2 * q * (k + 4)}")
+        return super().__new__(cls, ambient, k)
 
 
-@dataclass(frozen=True)
-class StabNorms:
-    chi_Fk: int
-    boundary: TripleBoundaryClass
-    chi_capped: int
+StabNorms = namedtuple("StabNorms", "chi_Fk boundary chi_capped")
 
-
-@dataclass(frozen=True)
-class StabVerdict:
-    family: StabFamily
-    norms: StabNorms
-    torus_chi: Fraction
-    homology_class: int
-    theta: Fraction
-    certified_minimizer: bool
+StabVerdict = namedtuple(
+    "StabVerdict", "family norms torus_chi homology_class theta certified_minimizer"
+)
 
 
 def stab_coefficients(s: StabFamily) -> tuple[int, int, int]:

@@ -21,8 +21,8 @@ from __future__ import annotations
 import errno
 import json
 import os
+from collections import namedtuple
 from contextlib import suppress
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -39,35 +39,32 @@ from .exactarith import (
 UNFILLED = None
 
 
-@dataclass(frozen=True)
-class LinkComponent:
-    label: str
-    framing: Fraction | None
+LinkComponent = namedtuple("LinkComponent", "label framing")
 
 
-@dataclass(frozen=True)
-class FramedLink:
+class FramedLink(namedtuple("FramedLink", "components linking")):
     """Framed link with a symmetric linking matrix, zero on the diagonal.
 
     Framings carry the self-linking data, so the diagonal is unused.
     """
 
-    components: tuple[LinkComponent, ...]
-    linking: tuple[tuple[int, ...], ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        n = len(self.components)
-        if len(self.linking) != n or any(len(r) != n for r in self.linking):
+    def __new__(cls, components: tuple[LinkComponent, ...],
+                linking: tuple[tuple[int, ...], ...]) -> FramedLink:
+        n = len(components)
+        if len(linking) != n or any(len(r) != n for r in linking):
             raise ValueError("linking matrix size must match component count")
         for i in range(n):
-            if self.linking[i][i] != 0:
+            if linking[i][i] != 0:
                 raise ValueError("linking diagonal must be zero")
             for j in range(i + 1, n):
-                if self.linking[i][j] != self.linking[j][i]:
+                if linking[i][j] != linking[j][i]:
                     raise ValueError("linking matrix must be symmetric")
-        labels = [c.label for c in self.components]
+        labels = [c.label for c in components]
         if len(set(labels)) != len(labels):
             raise ValueError("component labels must be unique")
+        return super().__new__(cls, components, linking)
 
     def index_of(self, label: str) -> int:
         for i, c in enumerate(self.components):
@@ -79,19 +76,17 @@ class FramedLink:
         return [i for i, c in enumerate(self.components) if c.framing is not None]
 
 
-@dataclass(frozen=True)
-class TwistParams:
+class TwistParams(namedtuple("TwistParams", "a b n")):
     """Band counts a, b >= 1 and twist count n != 0; k = a + b + 2."""
 
-    a: int
-    b: int
-    n: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.a < 1 or self.b < 1:
+    def __new__(cls, a: int, b: int, n: int) -> TwistParams:
+        if a < 1 or b < 1:
             raise DomainError("band counts a, b must be >= 1")
-        if self.n == 0:
+        if n == 0:
             raise DomainError("twist count n must be nonzero")
+        return super().__new__(cls, a, b, n)
 
     @property
     def k(self) -> int:
@@ -220,15 +215,8 @@ def unfilled_class(fl: FramedLink, label: str) -> int:
     return _filling_homology(fl, label)[1]
 
 
-@dataclass(frozen=True)
-class TwistVerdict:
-    """Homology check of K(a,b,n): the filling has H1 = Z/2k, gamma in class k."""
-
-    params: TwistParams
-    diagram: FramedLink
-    h1: AbelianGroup
-    gamma_class: int
-    holds: bool
+#: Homology check of K(a,b,n): the filling has H1 = Z/2k, gamma in class k.
+TwistVerdict = namedtuple("TwistVerdict", "params diagram h1 gamma_class holds")
 
 
 def twist_verdict(t: TwistParams) -> TwistVerdict:

@@ -1,5 +1,4 @@
 import concurrent.futures
-import dataclasses
 import json
 from types import SimpleNamespace
 
@@ -392,7 +391,7 @@ class TestSweep:
         monkeypatch.setattr(
             cables,
             "iterated_verdict",
-            lambda ic: dataclasses.replace(real(ic), norms_equal=False),
+            lambda ic: real(ic)._replace(norms_equal=False),
         )
         code, payload, _ = run_json(
             capsys, "sweep", "iterated", "--p", "32:33", "--q", "1:1", "--ms", "2,2,2"
@@ -487,7 +486,7 @@ def doubled_torus_norm(real, p):
         r = real(space, k)
         if space.p != p:
             return r
-        return dataclasses.replace(r, chi_minus=2 * r.chi_minus, theta=2 * r.theta)
+        return r._replace(chi_minus=2 * r.chi_minus, theta=2 * r.theta)
     return route
 
 

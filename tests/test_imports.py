@@ -1,9 +1,9 @@
 """Module-level checks: what each entry point loads, and what the source may use.
 
 The start-up checks count modules, never time: a single command loads only
-its family's modules, the process pool only loads for ``--jobs N > 1``, and
-``import lensgenus`` loads no submodule.  The source check keeps floating
-point out of the library.
+its family's modules and never ``dataclasses`` or ``inspect``, the process
+pool only loads for ``--jobs N > 1``, and ``import lensgenus`` loads no
+submodule.  The source check keeps floating point out of the library.
 """
 
 import ast
@@ -42,10 +42,16 @@ def test_package_import_loads_no_submodule():
     assert package_modules(loaded_after("import lensgenus")) == set()
 
 
+#: Stdlib modules no command needs: ``dataclasses`` loads ``inspect``,
+#: ``ast``, ``dis`` and ``tokenize`` before the first line of arithmetic.
+NEVER_LOADED = {"dataclasses", "inspect"}
+
+
 def test_cli_import_loads_no_pool_and_no_family():
     modules = loaded_after("import lensgenus.cli")
     assert "concurrent.futures.process" not in modules
     assert "multiprocessing" not in modules
+    assert modules & NEVER_LOADED == set()
     assert package_modules(modules) == {"cli", "errors", "lens"}
 
 
@@ -61,6 +67,7 @@ def test_cli_import_loads_no_pool_and_no_family():
 def test_command_loads_only_its_family(argv, family):
     modules = loaded_after(f"from lensgenus.cli import main\nmain({argv!r})")
     assert "concurrent.futures.process" not in modules
+    assert modules & NEVER_LOADED == set()
     assert package_modules(modules) == {"cli", "errors", "lens"} | family
 
 

@@ -83,3 +83,9 @@ class TestSimpleKnotInClass:
         for p, q in [(8, 1), (5, 2), (13, 5)]:
             space = LensSpace(p, q)
             assert simple_knot_in_class(space, H1Class(0, space)) == 0
+
+    def test_class_from_another_space(self):
+        # Same p, other q; an equal space built separately is the same space.
+        with pytest.raises(ValueError, match="different lens space"):
+            simple_knot_in_class(LensSpace(7, 3), H1Class(2, LensSpace(7, 2)))
+        assert simple_knot_in_class(LensSpace(7, 3), H1Class(2, LensSpace(7, 3))) == 6

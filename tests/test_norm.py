@@ -1,4 +1,3 @@
-from dataclasses import fields
 from fractions import Fraction
 from itertools import product
 
@@ -185,10 +184,6 @@ class TestAgainstReference:
         )
 
 
-def fraction_fields(verdict) -> dict:
-    return {f.name: getattr(verdict, f.name) for f in fields(verdict) if f.type == "Fraction"}
-
-
 def admissible(build, *grids):
     """Every value of ``build`` over the product of ``grids`` that is defined."""
     for point in product(*grids):
@@ -241,11 +236,13 @@ class TestNoFloats:
             seen = 0
             whole = 0
             for v in found:
-                values = fraction_fields(v)
-                assert set(values) == names[kind]
-                for name, value in values.items():
-                    assert type(value) is Fraction, (kind, v, name)
-                    whole += value.denominator == 1
+                values = {name: getattr(v, name) for name in v._fields}
+                assert not any(isinstance(x, float) for x in values.values()), (kind, v)
+                fractions = {name for name, x in values.items() if isinstance(x, Fraction)}
+                assert fractions == names[kind], (kind, v)
+                for name in names[kind]:
+                    assert type(values[name]) is Fraction, (kind, v, name)
+                    whole += values[name].denominator == 1
                 seen += 1
             # The grid reaches whole-number norms, where an int could slip in.
             assert seen > 20 and whole > 0, kind
