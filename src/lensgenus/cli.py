@@ -17,7 +17,7 @@ from fractions import Fraction
 from functools import partial, reduce
 from itertools import islice, product
 from math import prod
-from typing import Any, Callable, Iterable, Iterator, NamedTuple, NoReturn
+from typing import Any, BinaryIO, Callable, Iterable, Iterator, NamedTuple, NoReturn
 
 from .errors import ConsistencyError, DomainError
 from .lens import H1Class, LensSpace
@@ -454,8 +454,9 @@ def _run_command(args: argparse.Namespace) -> tuple[dict, int]:
 # sweeps
 
 
-#: Contiguous slabs per pool worker.  The pool hands slabs out as workers
-#: free up, so several per worker even out slabs of unequal cost.
+#: Contiguous slabs per worker.  Worker i takes slabs i, i + workers, ...,
+#: so every worker's share spreads over the whole grid and slabs of unequal
+#: cost even out between workers.
 SLABS_PER_WORKER = 8
 
 #: Most candidate points a sweep takes, about 100x the acceptance suite's
@@ -487,6 +488,72 @@ def _sweep_slab(target: str, axes: list[range], span: range) -> dict:
             yield record
 
     return cmd.summary(records(), mismatches)
+
+
+def _share(
+    worker: Callable[[range], dict], spans: list[range]
+) -> tuple[list[dict], Exception | None]:
+    """``worker`` over ``spans`` in order, up to the first that raises, and that exception."""
+    done: list[dict] = []
+    try:
+        for span in spans:
+            done.append(worker(span))
+    except Exception as exc:
+        return done, exc
+    return done, None
+
+
+def _run_slabs(worker: Callable[[range], dict], spans: list[range], workers: int) -> list[dict]:
+    """``worker`` over every span, in span order, computed by ``workers`` processes.
+
+    Process i takes spans i, i + workers, ...; the parent is process 0 and
+    forks the other ``workers - 1`` first, so one worker forks nothing.  A
+    child pickles its results, and the exception that stopped it if any,
+    through a pipe, and leaves only through ``os._exit``.  Every child is
+    reaped on every path.  The exception of the earliest failed span is
+    raised, the one a single process would have raised.
+    """
+    children: list[tuple[int, BinaryIO]] = []
+    try:
+        for i in range(1, workers):
+            import pickle  # only a run that forks pays for it
+
+            read, write = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                status = 1
+                try:
+                    # Else a write to a full pipe the parent gave up on would block.
+                    os.close(read)
+                    done, exc = _share(worker, spans[i::workers])
+                    try:
+                        pickle.loads(pickle.dumps(exc))
+                    except Exception:  # send a stand-in that reports the same line
+                        exc = ConsistencyError(f"{type(exc).__name__}: {exc}")
+                    with open(write, "wb") as pipe:
+                        pickle.dump((done, exc), pipe)
+                    status = 0
+                finally:
+                    os._exit(status)
+            # Closed before the next fork, so only this child holds the write end.
+            os.close(write)
+            children.append((pid, open(read, "rb")))
+        shares = [_share(worker, spans[::workers])]
+        blobs = [pipe.read() for _, pipe in children]
+    finally:
+        exits = []
+        for pid, pipe in children:
+            pipe.close()
+            exits.append(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
+    for (pid, _), blob, code in zip(children, blobs, exits):
+        if code or not blob:
+            raise RuntimeError(f"sweep worker {pid} exited with status {code} and no result")
+        shares.append(pickle.loads(blob))
+    failed = [(i + workers * len(done), exc) for i, (done, exc) in enumerate(shares)
+              if exc is not None]
+    if failed:
+        raise min(failed)[1]
+    return [shares[k % workers][0][k // workers] for k in range(len(spans))]
 
 
 def _merge(a: dict, b: dict) -> dict:
@@ -525,19 +592,16 @@ def cmd_sweep(args: argparse.Namespace) -> tuple[dict, int]:
         )
     # Grid order is product() order over ascending ranges.  Slabs are
     # contiguous index ranges in that order, so merging them in order keeps
-    # mismatches in grid order, and only slab summaries cross the pool.
-    workers = min(args.jobs, os.cpu_count() or 1)
+    # mismatches in grid order, and only slab summaries cross a pipe.  The
+    # workers are capped at the CPUs this process may run on; without fork,
+    # the parent works alone.
+    workers = (min(args.jobs, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                   else os.cpu_count() or 1)
+               if hasattr(os, "fork") else 1)
     slabs = workers * SLABS_PER_WORKER if workers > 1 else 1
     bounds = [size * i // slabs for i in range(slabs + 1)]
-    worker = partial(_sweep_slab, args.target, axes)
-    spans = map(range, bounds, bounds[1:])
-    if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = reduce(_merge, pool.map(worker, spans))
-    else:
-        results = reduce(_merge, map(worker, spans))
+    spans = list(map(range, bounds, bounds[1:]))
+    results = reduce(_merge, _run_slabs(partial(_sweep_slab, args.target, axes), spans, workers))
     if not results["points"]:
         # Nothing admissible: evaluate the first point uncaught so the
         # sweep fails with its reason.

@@ -1,5 +1,6 @@
-import concurrent.futures
 import json
+import os
+from itertools import islice, product
 from types import SimpleNamespace
 
 import pytest
@@ -31,27 +32,34 @@ def run_json(capsys, *argv):
 
 
 @pytest.fixture
-def recording_pool(monkeypatch):
-    """Swap the sweep's process pool for an in-process one that logs its work."""
-    log = SimpleNamespace(sizes=[], slabs=[])
+def slab_log(monkeypatch):
+    """Log the sweep's forks and the slab summaries its runner returns; children are real."""
+    log = SimpleNamespace(forks=[], slabs=[])
+    real_fork, real_runner = os.fork, cli._run_slabs
 
-    class RecordingPool:
-        def __init__(self, max_workers):
-            log.sizes.append(max_workers)
+    def fork():
+        pid = real_fork()
+        if pid:
+            log.forks.append(pid)
+        return pid
 
-        def __enter__(self):
-            return self
+    def runner(worker, spans, workers):
+        log.slabs = real_runner(worker, spans, workers)
+        return log.slabs
 
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, items, chunksize=1):
-            results = [fn(item) for item in items]
-            log.slabs += results
-            return iter(results)
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(cli.os, "fork", fork)
+    monkeypatch.setattr(cli, "_run_slabs", runner)
     return log
+
+
+def usable_cpus(monkeypatch, n):
+    """Make the sweep see an affinity mask of ``n`` CPUs."""
+    monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 class TestExitCodes:
@@ -111,14 +119,15 @@ class TestInternalFailureExits3:
                        "peripheral kernel is not cyclic of rank 1 (rank 2)\n")
 
     @pytest.mark.parametrize("jobs", ["1", "2"])
-    def test_library_value_error_in_sweep(self, capsys, monkeypatch, recording_pool, jobs):
+    def test_library_value_error_in_sweep(self, capsys, monkeypatch, slab_log, jobs):
         monkeypatch.setattr(exactarith, "peripheral_kernel", not_cyclic)
-        monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+        usable_cpus(monkeypatch, 2)
         code, out, err = run(capsys, "sweep", "boundary-kernel", "--p", "2:8", "--q", "1:3",
                              "--w", "0:2", "--jobs", jobs, "--json")
         assert (code, out) == (3, "")
         assert "ValueError: peripheral kernel is not cyclic" in err
-        assert recording_pool.sizes == ([2] if jobs == "2" else [])
+        assert len(slab_log.forks) == int(jobs) - 1
+        assert_no_child_left()
 
     @pytest.mark.parametrize("exc, line", [
         (IndexError("list index out of range"), "IndexError: list index out of range"),
@@ -415,16 +424,33 @@ class TestSweep:
         assert code == 3
         assert "homology check failed" in err
 
-    @pytest.mark.parametrize("jobs, cpus, pool_size", [(64, 3, 3), (2, 8, 2), (4, None, None)])
-    def test_pool_is_capped_at_cpu_count(self, capsys, monkeypatch, recording_pool,
-                                         jobs, cpus, pool_size):
+    @pytest.mark.parametrize("jobs, host, workers", [
+        # An int or None is os.cpu_count() on a host without sched_getaffinity.
+        (64, 3, 3), (2, 8, 2), (4, None, None),
+        # The affinity mask caps the workers where it exists: under taskset -c 0,
+        # --jobs 2 runs serial on a host of 8 CPUs.
+        pytest.param(2, {"affinity": 1, "cpu_count": 8}, None, id="taskset-one-cpu"),
+        pytest.param(64, {"affinity": 3, "cpu_count": 8}, 3, id="affinity-of-3"),
+        pytest.param(4, {"affinity": 4, "cpu_count": 8, "fork": False}, None, id="no-fork"),
+    ])
+    def test_pool_is_capped_at_cpu_count(self, capsys, monkeypatch, slab_log, jobs, host,
+                                         workers):
+        host = host if isinstance(host, dict) else {"cpu_count": host}
         grid = ["sweep", "stab", "--p", "10:30", "--q", "1:2", "--k", "1:2"]
         _, _, serial = run_json(capsys, *grid)
-        monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: host["cpu_count"])
+        if "affinity" in host:
+            usable_cpus(monkeypatch, host["affinity"])
+        else:
+            monkeypatch.delattr(cli.os, "sched_getaffinity", raising=False)
+        if not host.get("fork", True):
+            monkeypatch.delattr(cli.os, "fork")
         code, _, pooled = run_json(capsys, *grid, "--jobs", str(jobs))
         assert code == 0
         assert pooled == serial
-        assert recording_pool.sizes == ([] if pool_size is None else [pool_size])
+        # None is the serial path: one slab, and nothing forks.
+        assert len(slab_log.forks) == (workers or 1) - 1
+        assert len(slab_log.slabs) == (workers * cli.SLABS_PER_WORKER if workers else 1)
 
     @pytest.mark.parametrize("target, grid", [
         ("cable", ["--p", "7:40", "--q", "1:3", "--m", "2:3", "--n", "2:3"]),
@@ -433,8 +459,7 @@ class TestSweep:
         ("twist", ["--a", "1:3", "--b", "1:3", "--n=-3:3"]),
         ("boundary-kernel", ["--p", "2:12", "--q", "1:11", "--w", "0:4"]),
     ])
-    def test_pooled_slabs_merge_to_serial(self, capsys, monkeypatch, recording_pool,
-                                          target, grid):
+    def test_pooled_slabs_merge_to_serial(self, capsys, monkeypatch, slab_log, target, grid):
         command = cli.COMMANDS[target]
 
         def fails_on_every_third_sum(*values):
@@ -444,18 +469,99 @@ class TestSweep:
         monkeypatch.setitem(cli.COMMANDS, target, command._replace(evaluate=fails_on_every_third_sum))
         code, payload, serial = run_json(capsys, "sweep", target, *grid)
         assert code == 3
-        monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+        usable_cpus(monkeypatch, 2)
         code, _, pooled = run_json(capsys, "sweep", target, *grid, "--jobs", "2")
         assert code == 3
         assert pooled == serial
+        assert len(slab_log.forks) == 1
         # Each slab returned only its summary, and mismatches came from several.
-        slabs = recording_pool.slabs
+        slabs = slab_log.slabs
         assert len(slabs) == 2 * cli.SLABS_PER_WORKER
         key = "mismatches" if "mismatches" in slabs[0] else "mismatches_above_threshold"
         assert sum(1 for s in slabs if s[key]) > 2
         assert all(set(s) == set(payload["results"]) for s in slabs)
         params = [r["params"] for r in payload["results"][key]]
         assert params == sorted(params)  # grid order: product() of ascending ranges
+
+    def test_runner_returns_spans_in_order_from_distinct_pids(self):
+        spans = [range(k, k + 1) for k in range(10)]
+        results = cli._run_slabs(lambda span: {"span": span, "pid": os.getpid()}, spans, 3)
+        assert [r["span"] for r in results] == spans
+        pids = [r["pid"] for r in results]
+        assert len(set(pids)) == 3
+        assert pids[0] == os.getpid()
+        # Process i computed the interleaved spans i, i + 3, ...
+        assert pids == [pids[k % 3] for k in range(10)]
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("indices, first, where", [
+        ([5], 5, "parent"),
+        ([20], 20, "child"),
+        # Both fail: the earliest slab's error wins, the one a serial run raises.
+        ([20, 40], 20, "child"),
+        ([5, 20], 5, "parent"),
+    ])
+    def test_failing_point_exits_3_and_leaves_no_child(self, capsys, monkeypatch, slab_log,
+                                                       indices, first, where):
+        # 279 points in 16 slabs of 17 or 18: slabs 0 and 2 are the parent's, slab 1 the child's.
+        points = [stab_grid_point(i) for i in indices]
+        parent = os.getpid()
+
+        def no_route(*values):
+            side = "parent" if os.getpid() == parent else "child"
+            raise ValueError(f"no route at {list(values)} in the {side}")
+
+        fail_in_stab_sweep(monkeypatch, lambda values: list(values) in points, no_route)
+        code, out, err = run(capsys, "sweep", "stab", *STAB_GRID, "--jobs", "2")
+        assert (code, out) == (3, "")
+        assert err == ("internal consistency failure: ValueError: no route at "
+                       f"{stab_grid_point(first)} in the {where}\n")
+        assert len(slab_log.forks) == 1
+        assert_no_child_left()
+
+    def test_unpicklable_child_exception_keeps_its_line(self, capsys, monkeypatch, slab_log):
+        class LocalError(Exception):  # a local class does not pickle
+            pass
+
+        def raise_local(*values):
+            raise LocalError(f"lost at {list(values)}")
+
+        point = stab_grid_point(20)
+        fail_in_stab_sweep(monkeypatch, lambda values: list(values) == point, raise_local)
+        code, out, err = run(capsys, "sweep", "stab", *STAB_GRID, "--jobs", "2")
+        assert (code, out) == (3, "")
+        assert err == f"internal consistency failure: LocalError: lost at {point}\n"
+        assert_no_child_left()
+
+    def test_child_without_result_exits_3(self, capsys, monkeypatch, slab_log):
+        parent = os.getpid()
+        fail_in_stab_sweep(monkeypatch, lambda values: os.getpid() != parent,
+                           lambda *values: os._exit(7))
+        code, out, err = run(capsys, "sweep", "stab", *STAB_GRID, "--jobs", "2")
+        assert (code, out) == (3, "")
+        [pid] = slab_log.forks
+        assert err == ("internal consistency failure: RuntimeError: sweep worker "
+                       f"{pid} exited with status 7 and no result\n")
+        assert_no_child_left()
+
+
+STAB_GRID = ["--p", "10:40", "--q", "1:3", "--k", "1:3"]
+
+
+def stab_grid_point(index):
+    """The point at ``index`` in the grid order of ``STAB_GRID``."""
+    return list(next(islice(product(range(10, 41), range(1, 4), range(1, 4)), index, None)))
+
+
+def fail_in_stab_sweep(monkeypatch, where, fail):
+    """Run ``fail`` instead of the stab evaluator at the points ``where`` holds, on 2 CPUs."""
+    command = cli.COMMANDS["stab"]
+
+    def evaluate(*values):
+        return (fail if where(values) else command.evaluate)(*values)
+
+    monkeypatch.setitem(cli.COMMANDS, "stab", command._replace(evaluate=evaluate))
+    usable_cpus(monkeypatch, 2)
 
 
 # One grid per sweep target, a point of it, and that point as a single command
@@ -526,7 +632,7 @@ class TestCommandTable:
 
     @pytest.mark.parametrize("target, module, route, perturb, counts, verdict",
                              PERTURBED_ROUTES, ids=[r[0] for r in PERTURBED_ROUTES])
-    def test_disagreeing_routes_are_a_mismatch(self, capsys, monkeypatch, recording_pool,
+    def test_disagreeing_routes_are_a_mismatch(self, capsys, monkeypatch, slab_log,
                                                target, module, route, perturb, counts,
                                                verdict):
         _, grid, point, single = next(case for case in TABLE_CASES if case[0] == target)
@@ -544,10 +650,11 @@ class TestCommandTable:
         assert mismatches == [{"params": point, **env["results"]}]
         certified, of = counts
         assert results[certified] == results[of] - 1
-        monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+        usable_cpus(monkeypatch, 2)
         code, _, pooled = run_json(capsys, "sweep", target, *grid, "--jobs", "2")
         assert (code, pooled) == (3, serial)
-        assert recording_pool.sizes == [2]
+        assert len(slab_log.forks) == 1
+        assert_no_child_left()
         code, out, err = run(capsys, *single)
         assert (code, out) == (3, "")
         assert "minimizer" in err

@@ -1,8 +1,9 @@
 """Module-level checks: what each entry point loads, and what the source may use.
 
 The start-up checks count modules, never time: a single command loads only
-its family's modules and never ``dataclasses`` or ``inspect``, the process
-pool only loads for ``--jobs N > 1``, and ``import lensgenus`` loads no
+its family's modules and never ``dataclasses`` or ``inspect``, no sweep loads
+``concurrent.futures`` or ``multiprocessing`` (``--jobs N`` forks, and only
+a sweep that forks loads ``pickle``), and ``import lensgenus`` loads no
 submodule.  The source check keeps floating point out of the library.
 """
 
@@ -67,8 +68,19 @@ def test_cli_import_loads_no_pool_and_no_family():
 def test_command_loads_only_its_family(argv, family):
     modules = loaded_after(f"from lensgenus.cli import main\nmain({argv!r})")
     assert "concurrent.futures.process" not in modules
+    assert "pickle" not in modules
     assert modules & NEVER_LOADED == set()
     assert package_modules(modules) == {"cli", "errors", "lens"} | family
+
+
+def test_parallel_sweep_loads_no_pool():
+    # Two usable CPUs whatever the host, so the sweep forks one child.
+    argv = ["sweep", "stab", "--p", "10:40", "--q", "1:3", "--k", "1:3", "--jobs", "2"]
+    modules = loaded_after("import os\nos.sched_getaffinity = lambda pid: {0, 1}\n"
+                           f"from lensgenus.cli import main\nmain({argv!r})")
+    assert "pickle" in modules  # the runner forked
+    assert modules & {"concurrent", "concurrent.futures", "multiprocessing"} == set()
+    assert modules & NEVER_LOADED == set()
 
 
 def test_every_public_name_resolves():
