@@ -188,7 +188,8 @@ def iterated_verdict(ic: IteratedCableParams) -> IteratedVerdict:
 
     Certification threshold: p >= q m_1^2 ... m_{k-1}^2 m_k.  Above it the
     norms must agree exactly; a disagreement is reported as ``norms_equal``
-    False with the minimizer uncertified, and the CLI exits 3.
+    False with the minimizer uncertified, and the CLI exits 3.  ``theta`` is
+    the class's, from the torus-knot route, as ``cable_verdict`` reports it.
     """
     p, q = ic.ambient.p, ic.ambient.q
     ms = ic.ms
@@ -206,7 +207,7 @@ def iterated_verdict(ic: IteratedCableParams) -> IteratedVerdict:
         norms_equal=equal,
         certified_minimizer=threshold and equal,
         homology_class=ic.total_winding % p,
-        theta=Fraction(norm_it.numerator, norm_it.denominator * p),
+        theta=torus_report.theta,
         warnings=_solid_torus_warnings(dropped),
     )
 

@@ -490,70 +490,57 @@ def _sweep_slab(target: str, axes: list[range], span: range) -> dict:
     return cmd.summary(records(), mismatches)
 
 
-def _share(
-    worker: Callable[[range], dict], spans: list[range]
-) -> tuple[list[dict], Exception | None]:
-    """``worker`` over ``spans`` in order, up to the first that raises, and that exception."""
-    done: list[dict] = []
-    try:
-        for span in spans:
-            done.append(worker(span))
-    except Exception as exc:
-        return done, exc
-    return done, None
-
-
 def _run_slabs(worker: Callable[[range], dict], spans: list[range], workers: int) -> list[dict]:
     """``worker`` over every span, in span order, computed by ``workers`` processes.
 
     Process i takes spans i, i + workers, ...; the parent is process 0 and
     forks the other ``workers - 1`` first, so one worker forks nothing.  A
-    child pickles its results, and the exception that stopped it if any,
-    through a pipe, and leaves only through ``os._exit``.  Every child is
-    reaped on every path.  The exception of the earliest failed span is
-    raised, the one a single process would have raised.
+    child sends the list of its results through a pipe and exits 0, or, if
+    anything raises, sends nothing and exits 1; it leaves only through
+    ``os._exit``.  Every child is reaped on every path.  If a fork, the
+    parent's share or a read raises, or a child exits 1, the parent runs
+    every span itself, so the sweep ends as a serial run does, with its
+    results or its error.  A child that exits otherwise (a signal, another
+    status) raises ``RuntimeError``.
     """
-    children: list[tuple[int, BinaryIO]] = []
+    pids: list[int] = []
+    pipes: list[BinaryIO] = []
     try:
         for i in range(1, workers):
             import pickle  # only a run that forks pays for it
 
             read, write = os.pipe()
-            pid = os.fork()
-            if pid == 0:
-                status = 1
-                try:
-                    # Else a write to a full pipe the parent gave up on would block.
-                    os.close(read)
-                    done, exc = _share(worker, spans[i::workers])
+            pipes.append(open(read, "rb"))
+            # Leaving the block closes the parent's write end before the next fork.
+            with open(write, "wb") as sink:
+                pid = os.fork()
+                if pid == 0:
+                    status = 1
                     try:
-                        pickle.loads(pickle.dumps(exc))
-                    except Exception:  # send a stand-in that reports the same line
-                        exc = ConsistencyError(f"{type(exc).__name__}: {exc}")
-                    with open(write, "wb") as pipe:
-                        pickle.dump((done, exc), pipe)
-                    status = 0
-                finally:
-                    os._exit(status)
-            # Closed before the next fork, so only this child holds the write end.
-            os.close(write)
-            children.append((pid, open(read, "rb")))
-        shares = [_share(worker, spans[::workers])]
-        blobs = [pipe.read() for _, pipe in children]
+                        # The parent is the only reader of every pipe, so a child
+                        # never waits on a pipe a sibling holds open.
+                        for pipe in pipes:
+                            pipe.close()
+                        pickle.dump([worker(span) for span in spans[i::workers]], sink)
+                        sink.flush()
+                        status = 0
+                    finally:
+                        os._exit(status)
+            pids.append(pid)
+        shares = [[worker(span) for span in spans[::workers]]]
+        shares += [pickle.loads(pipe.read()) for pipe in pipes]
+    except Exception:
+        shares = None
     finally:
-        exits = []
-        for pid, pipe in children:
+        for pipe in pipes:
             pipe.close()
-            exits.append(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
-    for (pid, _), blob, code in zip(children, blobs, exits):
-        if code or not blob:
+        exits = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) for pid in pids]
+    for pid, code in zip(pids, exits):
+        if code not in (0, 1):
             raise RuntimeError(f"sweep worker {pid} exited with status {code} and no result")
-        shares.append(pickle.loads(blob))
-    failed = [(i + workers * len(done), exc) for i, (done, exc) in enumerate(shares)
-              if exc is not None]
-    if failed:
-        raise min(failed)[1]
-    return [shares[k % workers][0][k // workers] for k in range(len(spans))]
+    if shares is None or any(exits):
+        return [worker(span) for span in spans]
+    return [shares[k % workers][k // workers] for k in range(len(spans))]
 
 
 def _merge(a: dict, b: dict) -> dict:

@@ -179,6 +179,8 @@ def _filling_homology(fl: FramedLink, label: str | None) -> tuple[AbelianGroup, 
         if fl.components[idx].framing is not None:
             raise ValueError(f"component {label!r} is filled")
     filled = fl.filled_indices()
+    if not filled:  # nothing filled: the manifold is S^3, H1 = 0
+        return AbelianGroup(0, ()), 0
     snf = smith_normal_form(_relation_matrix(fl, filled))
     group = snf.cokernel()
     if label is None:

@@ -1,5 +1,9 @@
+import errno
 import json
 import os
+import signal
+import subprocess
+import sys
 from itertools import islice, product
 from types import SimpleNamespace
 
@@ -89,6 +93,12 @@ class TestExitCodes:
         code, out, _ = run(capsys, "theta", "--p", "23", "--q", "3", "--class", "7")
         assert code == 0
         assert "EXACT" in out
+
+    def test_text_report_lists_warnings(self, capsys):
+        code, out, _ = run(capsys, "cable", "--p", "9", "--q", "1", "--m", "2", "--n", "4")
+        assert code == 2
+        assert out.endswith("warnings:\n  - degenerate cone order 1: a decomposition piece "
+                            "is a solid torus and contributes zero\n")
 
     def test_zero_division_is_internal_failure(self, capsys, monkeypatch):
         def divide_by_zero(*values):
@@ -494,15 +504,15 @@ class TestSweep:
         assert pids == [pids[k % 3] for k in range(10)]
         assert_no_child_left()
 
-    @pytest.mark.parametrize("indices, first, where", [
-        ([5], 5, "parent"),
-        ([20], 20, "child"),
-        # Both fail: the earliest slab's error wins, the one a serial run raises.
-        ([20, 40], 20, "child"),
-        ([5, 20], 5, "parent"),
+    @pytest.mark.parametrize("indices, first", [
+        ([5], 5),  # in the parent's share
+        ([20], 20),  # in the child's share
+        # Both fail: the earliest point's error is the one a serial run prints.
+        ([20, 40], 20),
+        ([5, 20], 5),
     ])
     def test_failing_point_exits_3_and_leaves_no_child(self, capsys, monkeypatch, slab_log,
-                                                       indices, first, where):
+                                                       indices, first):
         # 279 points in 16 slabs of 17 or 18: slabs 0 and 2 are the parent's, slab 1 the child's.
         points = [stab_grid_point(i) for i in indices]
         parent = os.getpid()
@@ -512,12 +522,48 @@ class TestSweep:
             raise ValueError(f"no route at {list(values)} in the {side}")
 
         fail_in_stab_sweep(monkeypatch, lambda values: list(values) in points, no_route)
+        _, _, serial = run(capsys, "sweep", "stab", *STAB_GRID, "--jobs", "1")
         code, out, err = run(capsys, "sweep", "stab", *STAB_GRID, "--jobs", "2")
         assert (code, out) == (3, "")
-        assert err == ("internal consistency failure: ValueError: no route at "
-                       f"{stab_grid_point(first)} in the {where}\n")
+        # A failed parallel sweep is replayed by the parent alone.
+        assert err == serial == ("internal consistency failure: ValueError: no route at "
+                                 f"{stab_grid_point(first)} in the parent\n")
         assert len(slab_log.forks) == 1
         assert_no_child_left()
+
+    @pytest.mark.parametrize("cpus", [2, 4])
+    def test_failed_fork_falls_back_to_serial(self, capsys, monkeypatch, cpus):
+        _, _, serial = run_json(capsys, "sweep", "stab", *STAB_GRID)
+        real_fork, forks = os.fork, []
+
+        def fork():  # the last fork fails, after cpus - 2 real children
+            forks.append(None)
+            if len(forks) == cpus - 1:
+                raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
+            return real_fork()
+
+        monkeypatch.setattr(cli.os, "fork", fork)
+        usable_cpus(monkeypatch, cpus)
+        code, _, pooled = run_json(capsys, "sweep", "stab", *STAB_GRID, "--jobs", str(cpus))
+        assert (code, pooled) == (0, serial)
+        assert len(forks) == cpus - 1
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("workers, fail", [(3, "share"), (4, "fork")])
+    def test_failed_run_with_full_pipes_returns(self, workers, fail):
+        # Every child's share overfills its pipe.  Were a child to hold a
+        # sibling's read end, the parent would wait on the child forever.
+        script = RUNNER_WITH_FULL_PIPES.format(workers=workers, fail=fail)
+        proc = subprocess.Popen([sys.executable, "-c", script], env=source_env(),
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                                text=True, start_new_session=True)
+        try:
+            out, err = proc.communicate(timeout=30)
+        except subprocess.TimeoutExpired:
+            os.killpg(proc.pid, signal.SIGKILL)  # the script and every child it forked
+            proc.communicate()
+            pytest.fail(f"the runner hung after a failed {fail}")
+        assert (proc.returncode, out) == (0, "returned, no child left\n"), err
 
     def test_unpicklable_child_exception_keeps_its_line(self, capsys, monkeypatch, slab_log):
         class LocalError(Exception):  # a local class does not pickle
@@ -546,6 +592,45 @@ class TestSweep:
 
 
 STAB_GRID = ["--p", "10:40", "--q", "1:3", "--k", "1:3"]
+
+#: ``_run_slabs`` over 2 spans per worker, each result 70,000 bytes, so a
+#: child's share is more than a 64 KiB pipe holds.  Either the parent's
+#: first slab raises once or the last fork fails; either way the runner
+#: replays every span in the parent.
+RUNNER_WITH_FULL_PIPES = """
+import os
+from lensgenus import cli
+
+WORKERS, FAIL = {workers}, {fail!r}
+parent, real_fork, forks, calls = os.getpid(), os.fork, [], []
+
+def fork():
+    forks.append(None)
+    if FAIL == "fork" and len(forks) == WORKERS - 1:
+        raise BlockingIOError(11, "Resource temporarily unavailable")
+    return real_fork()
+
+def worker(span):
+    calls.append(span)
+    if FAIL == "share" and os.getpid() == parent and len(calls) == 1:
+        raise ValueError("the parent's first slab")
+    return "x" * 70_000
+
+os.fork = fork
+spans = [range(k, k + 1) for k in range(2 * WORKERS)]
+assert cli._run_slabs(worker, spans, WORKERS) == ["x" * 70_000] * len(spans)
+try:
+    os.waitpid(-1, os.WNOHANG)
+except ChildProcessError:
+    print("returned, no child left")
+"""
+
+
+def source_env():
+    """The environment with this checkout's ``src`` first on ``PYTHONPATH``."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    return {**os.environ,
+            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
 
 
 def stab_grid_point(index):
@@ -715,6 +800,27 @@ class TestThetaEdgeCases:
         code, _, err = run(capsys, "theta", "--p", "5", "--q", "2", "--class", "3")
         assert code == 1
         assert "no torus-knot route" in err
+
+    @pytest.mark.parametrize("command, axes", [
+        ("cable", [range(5, 60), range(1, 4), range(2, 4), range(2, 4)]),
+        # ms = 2,2,2 has threshold 32q, so most of its points lie below it.
+        ("iterated", [range(5, 60), range(1, 4), [2, 3], [2], [2]]),
+        ("iterated", [range(5, 60), range(1, 4), [2], [2]]),
+        ("stab", [range(10, 60), range(1, 4), range(1, 4)]),
+    ])
+    def test_family_theta_is_the_class_theta(self, command, axes):
+        # Each command's evaluator against the theta command's, point by point.
+        below = 0
+        for point in product(*axes):
+            try:
+                env, _ = cli.COMMANDS[command].evaluate(*point)
+            except DomainError:  # outside the family
+                continue
+            results = env["results"]
+            below += not results.get("threshold_met", True)
+            theta, _ = cli.COMMANDS["theta"].evaluate(*point[:2], results["homology_class"])
+            assert results["theta"] == theta["results"]["theta"], point
+        assert below or command == "stab"
 
 
 # Unwritable export and sidecar paths, relative to the test's directory ("" is

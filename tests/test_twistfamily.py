@@ -121,6 +121,19 @@ class TestFillingHomology:
             assert h1_of_filling(fl) == AbelianGroup(0, (p,))
             assert unfilled_class(fl, "L1") == 1 % p
 
+    def test_no_filled_component_is_s3(self):
+        fl = FramedLink(components=(LinkComponent("K", UNFILLED),), linking=((0,),))
+        assert h1_of_filling(fl) == AbelianGroup(0, ())
+        assert unfilled_class(fl, "K") == 0
+
+    def test_unknot_framed_one_is_s3(self):
+        fl = FramedLink(
+            components=(LinkComponent("U", Fraction(1)), LinkComponent("K", UNFILLED)),
+            linking=((0, 1), (1, 0)),
+        )
+        assert h1_of_filling(fl) == AbelianGroup(0, ())
+        assert unfilled_class(fl, "K") == 0
+
     def test_twist_diagram_gives_order_two_k(self):
         fl = build_twist_diagram(TwistParams(1, 1, 1))
         assert h1_of_filling(fl) == AbelianGroup(0, (8,))
@@ -203,6 +216,21 @@ class TestUnfilledClass:
         fl = build_twist_diagram(TwistParams(1, 1, 1))
         with pytest.raises(ValueError, match="filled"):
             unfilled_class(fl, "dF")
+
+    def test_unknown_label_rejected(self):
+        fl = build_twist_diagram(TwistParams(1, 1, 1))
+        with pytest.raises(ValueError, match="no component labelled 'delta'"):
+            unfilled_class(fl, "delta")
+
+    def test_non_cyclic_homology_rejected(self):
+        # Two unlinked 0-framed unknots fill to H1 = Z^2.
+        fl = FramedLink(
+            components=(LinkComponent("U", Fraction(0)), LinkComponent("V", Fraction(0)),
+                        LinkComponent("K", UNFILLED)),
+            linking=((0, 0, 1), (0, 0, 0), (1, 0, 0)),
+        )
+        with pytest.raises(ValueError, match="not cyclic"):
+            unfilled_class(fl, "K")
 
 
 def cusps(line):
