@@ -21,7 +21,7 @@ print(f"ambient: {space}, H1 = Z/{space.p}")
 for a in range(space.p):
     print(f"  marking a={a} represents class {simple_knot_class(space, a)}")
 
-a = simple_knot_in_class(space, H1Class(4, space))
+a = simple_knot_in_class(H1Class(4, space))
 print(f"simple knot in class 4 has marking a = {a}")
 
 # The simple knot in class k is the (1,k)-torus knot exactly when the

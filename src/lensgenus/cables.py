@@ -26,18 +26,24 @@ from .norm import NormSummand, SeifertPiece, graph_norm
 
 
 class CableParams(namedtuple("CableParams", "ambient m n")):
-    """The (1,n)-cable of the (1,m)-torus knot in the given lens space."""
+    """The (1,n)-cable of the (1,m)-torus knot: m, n >= 2 and cone order p - qmn >= 1."""
 
     __slots__ = ()
 
     def __new__(cls, ambient: LensSpace, m: int, n: int) -> CableParams:
         if m < 2 or n < 2:
             raise DomainError("cable parameters require m, n >= 2")
+        cone = ambient.p - ambient.q * m * n
+        if cone < 1:
+            raise DomainError(f"hypothesis p - qmn >= 1 fails: p - qmn = {cone}")
         return super().__new__(cls, ambient, m, n)
 
 
 class IteratedCableParams(namedtuple("IteratedCableParams", "ambient ms")):
-    """Iterated cable C(1,m_k) o ... o C(1,m_2) o T(1,m_1)."""
+    """Iterated cable C(1,m_k) o ... o C(1,m_2) o T(1,m_1): m_i >= 2, p - qW >= 1.
+
+    W = m_1 ... m_k; since q >= 1 and W >= m_1, W < p and p - q m_1 >= 1 follow.
+    """
 
     __slots__ = ()
 
@@ -46,12 +52,10 @@ class IteratedCableParams(namedtuple("IteratedCableParams", "ambient ms")):
             raise DomainError("need at least one cabling parameter")
         if any(m < 2 for m in ms):
             raise DomainError("all cabling parameters must be >= 2")
-        self = super().__new__(cls, ambient, ms)
-        if self.total_winding >= ambient.p:
-            raise DomainError(
-                f"total winding {self.total_winding} must stay below p = {ambient.p}"
-            )
-        return self
+        cone = ambient.p - ambient.q * prod(ms)
+        if cone < 1:
+            raise DomainError(f"hypothesis p - qW >= 1 fails: p - qW = {cone}")
+        return super().__new__(cls, ambient, ms)
 
     @property
     def total_winding(self) -> int:
@@ -107,8 +111,6 @@ def cable_side_summands(c: CableParams) -> list[NormSummand]:
     class (m^2 n q, p n).
     """
     p, q, m, n = c.ambient.p, c.ambient.q, c.m, c.n
-    if p - q * m < 1:
-        raise DomainError(f"piece undefined: cone order p - qm = {p - q * m} < 1")
     mn = m * n
     cable_piece = NormSummand(
         piece=SeifertPiece(base_euler=0, cone_orders=(n,)),
@@ -162,8 +164,6 @@ def iterated_summands(ic: IteratedCableParams) -> list[NormSummand]:
     """
     p, q = ic.ambient.p, ic.ambient.q
     ms = ic.ms
-    if p - q * ms[0] < 1:
-        raise DomainError(f"piece undefined: cone order p - q m_1 = {p - q * ms[0]} < 1")
     big_w = ic.total_winding
     summands = [
         NormSummand(

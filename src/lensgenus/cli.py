@@ -106,8 +106,7 @@ def print_report(env: dict[str, Any], as_json: bool) -> None:
 def _simple_knot(p: int, q: int, c: int) -> tuple[dict, int]:
     import lensgenus.lens as lens
 
-    space = LensSpace(p, q)
-    a = lens.simple_knot_in_class(space, lens.H1Class(c, space))
+    a = lens.simple_knot_in_class(lens.H1Class(c, LensSpace(p, q)))
     results = {"parameter_a": a, "is_unknot": a == 0}
     return envelope("simple-knot", {"p": p, "q": q, "class": c}, results), EXIT_OK
 
@@ -497,11 +496,11 @@ def _run_slabs(worker: Callable[[range], dict], spans: list[range], workers: int
     forks the other ``workers - 1`` first, so one worker forks nothing.  A
     child sends the list of its results through a pipe and exits 0, or, if
     anything raises, sends nothing and exits 1; it leaves only through
-    ``os._exit``.  Every child is reaped on every path.  If a fork, the
-    parent's share or a read raises, or a child exits 1, the parent runs
-    every span itself, so the sweep ends as a serial run does, with its
-    results or its error.  A child that exits otherwise (a signal, another
-    status) raises ``RuntimeError``.
+    ``os._exit``.  If a fork, the parent's share or a read raises (a child
+    that dies without its whole result leaves a pipe that does not unpickle),
+    the parent kills every child at once and runs every span itself, so the
+    sweep ends as a serial run does, with its results or its error.  Every
+    child is reaped on every path.
     """
     pids: list[int] = []
     pipes: list[BinaryIO] = []
@@ -530,15 +529,18 @@ def _run_slabs(worker: Callable[[range], dict], spans: list[range], workers: int
         shares = [[worker(span) for span in spans[::workers]]]
         shares += [pickle.loads(pipe.read()) for pipe in pipes]
     except Exception:
+        import signal  # only a failed run pays for it
+
+        # An unreaped child keeps its pid, so each kill reaches that child.
+        for pid in pids:
+            os.kill(pid, signal.SIGKILL)
         shares = None
     finally:
         for pipe in pipes:
             pipe.close()
-        exits = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) for pid in pids]
-    for pid, code in zip(pids, exits):
-        if code not in (0, 1):
-            raise RuntimeError(f"sweep worker {pid} exited with status {code} and no result")
-    if shares is None or any(exits):
+        for pid in pids:
+            os.waitpid(pid, 0)
+    if shares is None:
         return [worker(span) for span in spans]
     return [shares[k % workers][k // workers] for k in range(len(spans))]
 

@@ -89,14 +89,10 @@ def torus_fiber_summand(space: LensSpace, k: int) -> NormSummand:
     """The single Seifert piece carrying the (1,k)-torus-knot class.
 
     The complement fibers over a disk with cone points of order k and
-    p - qk; the class (k^2 q, p) pairs with the fiber class (k, 1).
+    p - qk; the class (k^2 q, p) pairs with the fiber class (k, 1).  The
+    caller passes k >= 1 with p - qk >= 1, as every family's constructor
+    ensures; otherwise ``SeifertPiece`` refuses a cone order below 1.
     """
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    if space.p - space.q * k < 1:
-        raise DomainError(
-            f"piece undefined: cone order p - qk = {space.p - space.q * k} < 1"
-        )
     boundary = PeripheralClass(k * k * space.q, space.p)
     fiber = PeripheralClass(k, 1)
     piece = SeifertPiece(base_euler=1, cone_orders=(k, space.p - space.q * k))

@@ -14,13 +14,12 @@ class ConsistencyError(RuntimeError):
 
 
 class DomainError(ValueError):
-    """The input is refused: parameters outside the family a constructor or
-    piece admits, or a CLI argument that cannot be used.
+    """The input is refused: parameters outside the family a constructor
+    admits, or a CLI argument that cannot be used.
 
     It is the one exception that means bad input, and it has two readers.
     ``cli.main`` reports it as invalid input (exit 1).  A sweep skips a grid
-    point on it, since the constructors and piece builders that raise it
-    define which points a sweep evaluates.  Any other exception, a plain
-    ``ValueError`` included, is a failed check: ``main`` exits 3 on it and a
-    sweep stops.
+    point on it, since the constructors that raise it define which points a
+    sweep evaluates.  Any other exception, a plain ``ValueError`` included,
+    is a failed check: ``main`` exits 3 on it and a sweep stops.
     """

@@ -50,11 +50,9 @@ def simple_knot_class(space: LensSpace, a: int) -> int:
     return (a * pow(space.q, -1, space.p)) % space.p
 
 
-def simple_knot_in_class(space: LensSpace, c: H1Class) -> int:
+def simple_knot_in_class(c: H1Class) -> int:
     """Marking parameter ``a`` of the unique simple knot in the class ``c``.
 
-    a = q*c mod p, in [0, p-1]; a = 0 is the unknot.
+    a = q*c mod p in the class's lens space, in [0, p-1]; a = 0 is the unknot.
     """
-    if c.ambient != space:
-        raise ValueError("class lives in a different lens space")
-    return (space.q * c.value) % space.p
+    return (c.ambient.q * c.value) % c.ambient.p

@@ -13,7 +13,6 @@ must match the (1, k+4)-torus-knot norm exactly.
 from __future__ import annotations
 
 from collections import namedtuple
-from fractions import Fraction
 from typing import Sequence
 
 from .complement import torus_knot_theta
@@ -147,9 +146,10 @@ def stab_verdict(s: StabFamily) -> StabVerdict:
     exactly; the torus knot is simple, since the family hypothesis gives
     (k+4)q <= p/2 < p + q, so matching it certifies minimality.  The
     family hypothesis always yields the match, so ``certified_minimizer``
-    False means the two routes disagree, and the CLI exits 3.
+    False means the two routes disagree, and the CLI exits 3.  ``theta`` is
+    the class's, from the torus-knot route, as ``cable_verdict`` reports it.
     """
-    p, k = s.ambient.p, s.k
+    k = s.k
     norms = stab_norms(s)
     torus = torus_knot_theta(s.ambient, k + 4)
     return StabVerdict(
@@ -157,6 +157,6 @@ def stab_verdict(s: StabFamily) -> StabVerdict:
         norms=norms,
         torus_chi=torus.chi_minus,
         homology_class=k + 4,
-        theta=Fraction(norms.chi_capped, p),
+        theta=torus.theta,
         certified_minimizer=torus.chi_minus == norms.chi_capped,
     )

@@ -1,7 +1,9 @@
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, lcm, prod
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from lensgenus import norm
 from lensgenus.cables import (
@@ -14,6 +16,7 @@ from lensgenus.cables import (
     iterated_verdict,
 )
 from lensgenus.complement import torus_knot_theta
+from lensgenus.errors import DomainError
 from lensgenus.lens import LensSpace
 from lensgenus.norm import graph_norm, orbifold_euler_char
 
@@ -58,8 +61,9 @@ class TestTorusSideNorm:
         assert torus_side(params(p, q, m, n)) == expected
 
     def test_undefined_piece(self):
-        with pytest.raises(ValueError, match="piece undefined"):
-            torus_side(params(7, 2, 2, 2))
+        # p - qmn = 7 - 8 < 1: the torus-knot piece would have a cone order below 1.
+        with pytest.raises(DomainError, match="p - qmn = -1$"):
+            params(7, 2, 2, 2)
 
 
 class TestCableSideNorm:
@@ -83,14 +87,10 @@ class TestCableSideNorm:
         assert torus_piece.piece.cone_orders == (2, 6)
         assert abs(torus_piece.fiber_pairing) == 24
 
-    def test_solid_torus_piece_contributes_zero(self):
-        # p - qm = 1: the inner torus knot is unknotted; only the cable
-        # space counts.  |pn - q(mn)^2| (1 - 1/n) = 34/2 = 17.
-        assert cable_side(params(7, 3, 2, 2)) == 17
-
     def test_undefined_piece(self):
-        with pytest.raises(ValueError, match="piece undefined"):
-            cable_side(params(5, 3, 2, 2))
+        # p - qm = 5 - 6 < 1 as well: the constructor refuses it first.
+        with pytest.raises(DomainError, match="p - qmn = -7$"):
+            params(5, 3, 2, 2)
 
 
 class TestCableVerdict:
@@ -206,7 +206,7 @@ class TestIteratedCables:
         assert len(chi_orb_calls) == len(ms) + 1
 
     def test_winding_bound_enforced(self):
-        with pytest.raises(ValueError, match="total winding"):
+        with pytest.raises(DomainError, match="hypothesis p - qW >= 1 fails: p - qW = -1$"):
             IteratedCableParams(LensSpace(8, 1), (3, 3))
 
     def test_norm_denominator_divides_cone_lcm(self):
@@ -226,6 +226,46 @@ class TestIteratedCables:
             ]:
                 assert value >= 0
                 assert orders % value.denominator == 0
+
+
+# Every (p, q, m, n) or (p, q, ms) the property tests try, bad values included.
+ps, qs, cabling = st.integers(-1, 300), st.integers(-1, 7), st.integers(0, 5)
+
+
+def lens_rule(p, q):
+    return p > q >= 1 and gcd(p, q) == 1
+
+
+class TestConstructorsAreTheDomain:
+    @given(ps, qs, cabling, cabling)
+    @example(8, 1, 2, 2)  # on the threshold
+    @example(7, 2, 2, 2)  # p - qmn = -1, p - qm = 3
+    @settings(max_examples=300, deadline=None)
+    def test_cable(self, p, q, m, n):
+        rule = lens_rule(p, q) and m >= 2 and n >= 2 and p - q * m * n >= 1
+        try:
+            c = params(p, q, m, n)
+        except DomainError:
+            assert not rule, (p, q, m, n)
+            return
+        assert rule, (p, q, m, n)
+        cable_verdict(c)
+        # The cable side never clamps: p - qm >= (p - qmn) + qm >= 3.
+        assert graph_norm(cable_side_summands(c))[2] == 0
+
+    @given(ps, qs, st.lists(cabling, max_size=4))
+    @example(32, 1, [2, 2, 2])
+    @example(8, 1, [3, 3])  # W = 9 > p
+    @settings(max_examples=300, deadline=None)
+    def test_iterated(self, p, q, ms):
+        rule = lens_rule(p, q) and ms != [] and min(ms) >= 2 and p - q * prod(ms) >= 1
+        try:
+            ic = IteratedCableParams(LensSpace(p, q), tuple(ms))
+        except DomainError:
+            assert not rule, (p, q, ms)
+            return
+        assert rule, (p, q, ms)
+        iterated_verdict(ic)
 
 
 class TestExplicitSurfaceCheck:

@@ -10,14 +10,9 @@ from types import SimpleNamespace
 import pytest
 
 from lensgenus import cables, cli, complement, exactarith, stabilization, twistfamily
-from lensgenus.cables import (
-    CableParams,
-    IteratedCableParams,
-    cable_side_summands,
-    iterated_summands,
-)
+from lensgenus.cables import CableParams, IteratedCableParams
 from lensgenus.cli import canonical_json, main
-from lensgenus.complement import WindingData, torus_fiber_summand
+from lensgenus.complement import WindingData
 from lensgenus.errors import ConsistencyError, DomainError
 from lensgenus.lens import LensSpace
 from lensgenus.stabilization import StabFamily
@@ -358,13 +353,14 @@ class TestSweep:
             lambda: WindingData(LensSpace(8, 1), -1),
             lambda: StabFamily(LensSpace(9, 1), 1),
             lambda: TwistParams(1, 1, 0),
-            lambda: cable_side_summands(CableParams(LensSpace(5, 2), 3, 2)),
-            lambda: iterated_summands(IteratedCableParams(LensSpace(7, 3), (3, 2))),
-            lambda: torus_fiber_summand(LensSpace(7, 2), 4),
+            # p - qmn < 1, and p - qW < 1: the pieces' cone orders.
+            lambda: CableParams(LensSpace(7, 2), 2, 2),
+            lambda: CableParams(LensSpace(5, 2), 3, 2),
+            lambda: IteratedCableParams(LensSpace(7, 3), (3, 2)),
         ],
     )
     def test_skip_rule_is_domain_error(self, build):
-        # The sweep skips a point exactly when one of these guards rejects it.
+        # The sweep skips a point exactly when one of these constructors rejects it.
         with pytest.raises(DomainError):
             build()
 
@@ -382,6 +378,10 @@ class TestSweep:
              "all cabling parameters must be >= 2"),
             (["stab", "--p", "2:9", "--q", "1:1", "--k", "1:1"], "p >= 2q(k+4) fails"),
             (["boundary-kernel", "--p", "4:4", "--q", "2:2", "--w", "0:3"], "coprime"),
+            (["cable", "--p", "7:7", "--q", "2:2", "--m", "2:2", "--n", "2:2"],
+             "hypothesis p - qmn >= 1 fails: p - qmn = -1"),
+            (["iterated", "--p", "8:8", "--q", "1:1", "--ms", "3,3"],
+             "hypothesis p - qW >= 1 fails: p - qW = -1"),
         ],
     )
     def test_no_admissible_point_exits_1(self, capsys, argv, reason):
@@ -553,17 +553,12 @@ class TestSweep:
     def test_failed_run_with_full_pipes_returns(self, workers, fail):
         # Every child's share overfills its pipe.  Were a child to hold a
         # sibling's read end, the parent would wait on the child forever.
-        script = RUNNER_WITH_FULL_PIPES.format(workers=workers, fail=fail)
-        proc = subprocess.Popen([sys.executable, "-c", script], env=source_env(),
-                                stdout=subprocess.PIPE, stderr=subprocess.PIPE,
-                                text=True, start_new_session=True)
-        try:
-            out, err = proc.communicate(timeout=30)
-        except subprocess.TimeoutExpired:
-            os.killpg(proc.pid, signal.SIGKILL)  # the script and every child it forked
-            proc.communicate()
-            pytest.fail(f"the runner hung after a failed {fail}")
-        assert (proc.returncode, out) == (0, "returned, no child left\n"), err
+        run_failing_runner(workers, fail)
+
+    def test_failed_run_stops_sleeping_children(self):
+        # The parent's first slab raises while the child sleeps for ten
+        # minutes in its share: the runner kills it instead of waiting.
+        run_failing_runner(2, "sleep")
 
     def test_unpicklable_child_exception_keeps_its_line(self, capsys, monkeypatch, slab_log):
         class LocalError(Exception):  # a local class does not pickle
@@ -579,15 +574,15 @@ class TestSweep:
         assert err == f"internal consistency failure: LocalError: lost at {point}\n"
         assert_no_child_left()
 
-    def test_child_without_result_exits_3(self, capsys, monkeypatch, slab_log):
+    def test_child_without_result_replays_serially(self, capsys, monkeypatch, slab_log):
         parent = os.getpid()
         fail_in_stab_sweep(monkeypatch, lambda values: os.getpid() != parent,
                            lambda *values: os._exit(7))
-        code, out, err = run(capsys, "sweep", "stab", *STAB_GRID, "--jobs", "2")
-        assert (code, out) == (3, "")
-        [pid] = slab_log.forks
-        assert err == ("internal consistency failure: RuntimeError: sweep worker "
-                       f"{pid} exited with status 7 and no result\n")
+        _, _, serial = run_json(capsys, "sweep", "stab", *STAB_GRID, "--jobs", "1")
+        code, _, pooled = run_json(capsys, "sweep", "stab", *STAB_GRID, "--jobs", "2")
+        # The child's empty pipe does not unpickle, so the parent runs every slab.
+        assert (code, pooled) == (0, serial)
+        assert len(slab_log.forks) == 1
         assert_no_child_left()
 
 
@@ -595,10 +590,12 @@ STAB_GRID = ["--p", "10:40", "--q", "1:3", "--k", "1:3"]
 
 #: ``_run_slabs`` over 2 spans per worker, each result 70,000 bytes, so a
 #: child's share is more than a 64 KiB pipe holds.  Either the parent's
-#: first slab raises once or the last fork fails; either way the runner
+#: first slab raises once ("share"; with "sleep" each child also sleeps ten
+#: minutes in its share) or the last fork fails; either way the runner
 #: replays every span in the parent.
 RUNNER_WITH_FULL_PIPES = """
 import os
+import time
 from lensgenus import cli
 
 WORKERS, FAIL = {workers}, {fail!r}
@@ -612,8 +609,10 @@ def fork():
 
 def worker(span):
     calls.append(span)
-    if FAIL == "share" and os.getpid() == parent and len(calls) == 1:
+    if FAIL in ("share", "sleep") and os.getpid() == parent and len(calls) == 1:
         raise ValueError("the parent's first slab")
+    if FAIL == "sleep" and os.getpid() != parent:
+        time.sleep(600)
     return "x" * 70_000
 
 os.fork = fork
@@ -624,6 +623,21 @@ try:
 except ChildProcessError:
     print("returned, no child left")
 """
+
+
+def run_failing_runner(workers, fail):
+    """Run ``RUNNER_WITH_FULL_PIPES`` in its own session; fail if it is not done in 30 s."""
+    script = RUNNER_WITH_FULL_PIPES.format(workers=workers, fail=fail)
+    proc = subprocess.Popen([sys.executable, "-c", script], env=source_env(),
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            text=True, start_new_session=True)
+    try:
+        out, err = proc.communicate(timeout=30)
+    except subprocess.TimeoutExpired:
+        os.killpg(proc.pid, signal.SIGKILL)  # the script and every child it forked
+        proc.communicate()
+        pytest.fail(f"the runner hung after a failed {fail}")
+    assert (proc.returncode, out) == (0, "returned, no child left\n"), err
 
 
 def source_env():
@@ -821,6 +835,24 @@ class TestThetaEdgeCases:
             theta, _ = cli.COMMANDS["theta"].evaluate(*point[:2], results["homology_class"])
             assert results["theta"] == theta["results"]["theta"], point
         assert below or command == "stab"
+
+    def test_stab_mismatch_keeps_the_class_theta(self, capsys, monkeypatch):
+        # A wrong capped surface at (11, 1, 1) is a mismatch; its theta still
+        # comes from the torus-knot route, so it is class 5's.
+        real = stabilization.stab_norms
+
+        def doubled_at_11(s):
+            norms = real(s)
+            return norms._replace(chi_capped=2 * norms.chi_capped) if s.ambient.p == 11 else norms
+
+        monkeypatch.setattr(stabilization, "stab_norms", doubled_at_11)
+        code, payload, _ = run_json(capsys, "sweep", "stab", "--p", "10:12", "--q", "1:1",
+                                    "--k", "1:1")
+        assert code == 3
+        [record] = payload["results"]["mismatches"]
+        assert record["params"] == [11, 1, 1]
+        _, theta, _ = run_json(capsys, "theta", "--p", "11", "--q", "1", "--class", "5")
+        assert record["theta"] == theta["results"]["theta"]
 
 
 # Unwritable export and sidecar paths, relative to the test's directory ("" is

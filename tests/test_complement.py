@@ -108,9 +108,10 @@ class TestTorusKnotTheta:
         assert torus_knot_theta(LensSpace(5, 2), 2).theta == 0
 
     def test_out_of_range(self):
-        with pytest.raises(ValueError, match="piece undefined"):
+        # Outside every family the piece itself refuses: p - qk = 0, then k = 0.
+        with pytest.raises(ValueError, match="cone order 0 < 1"):
             torus_knot_theta(LensSpace(8, 1), 8)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="cone order 0 < 1"):
             torus_knot_theta(LensSpace(8, 1), 0)
 
 

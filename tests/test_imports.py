@@ -4,7 +4,8 @@ The start-up checks count modules, never time: a single command loads only
 its family's modules and never ``dataclasses`` or ``inspect``, no sweep loads
 ``concurrent.futures`` or ``multiprocessing`` (``--jobs N`` forks, and only
 a sweep that forks loads ``pickle``), and ``import lensgenus`` loads no
-submodule.  The source check keeps floating point out of the library.
+submodule.  The source checks keep floating point out of the library and
+``DomainError`` in the constructors of the input types.
 """
 
 import ast
@@ -19,6 +20,7 @@ import pytest
 import lensgenus
 
 SRC = Path(lensgenus.__file__).resolve().parent.parent
+LIBRARY = sorted(SRC.joinpath("lensgenus").glob("*.py"))
 
 
 def loaded_after(code: str) -> set[str]:
@@ -97,8 +99,7 @@ def test_unknown_name_raises_attribute_error():
     assert not hasattr(lensgenus, "cable_verdit")
 
 
-@pytest.mark.parametrize("path", sorted(SRC.joinpath("lensgenus").glob("*.py")),
-                         ids=lambda path: path.name)
+@pytest.mark.parametrize("path", LIBRARY, ids=lambda path: path.name)
 def test_no_floating_point_in_the_library(path):
     # True division, a float literal or the float type is the only way a float
     # enters exact code; Fraction(a, b) and // are the exact spellings.
@@ -110,3 +111,27 @@ def test_no_floating_point_in_the_library(path):
         or isinstance(node, ast.Name) and node.id == "float"
     ]
     assert hits == [], f"{path.name}: floating point at lines {hits}"
+
+
+def raises_domain_error(node: ast.Raise) -> bool:
+    """``raise DomainError(...)``, ``raise errors.DomainError`` and the like."""
+    exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+    return getattr(exc, "id", getattr(exc, "attr", None)) == "DomainError"
+
+
+@pytest.mark.parametrize("path", [p for p in LIBRARY if p.name != "cli.py"],
+                         ids=lambda path: path.name)
+def test_domain_error_only_in_constructors(path):
+    # A family's hypotheses are checked once, where its input type is built,
+    # so a sweep skips exactly the points a constructor refuses.  Only the
+    # CLI also refuses arguments that no type takes in.
+    tree = ast.parse(path.read_text(), str(path))
+    in_new = {
+        id(node)
+        for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+        for fn in cls.body if isinstance(fn, ast.FunctionDef) and fn.name == "__new__"
+        for node in ast.walk(fn)
+    }
+    hits = [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Raise) and raises_domain_error(node) and id(node) not in in_new]
+    assert hits == [], f"{path.name}: DomainError raised outside __new__ at lines {hits}"

@@ -25,7 +25,7 @@ A, B = LinkComponent("a", Fraction(1)), LinkComponent("b", None)
 VALID = [
     (LensSpace, (7, 2)),
     (H1Class, (3, L72)),
-    (CableParams, (L72, 2, 3)),
+    (CableParams, (LensSpace(13, 2), 2, 3)),
     (IteratedCableParams, (LensSpace(40, 1), (2, 3))),
     (StabFamily, (LensSpace(20, 1), 1)),
     (TwistParams, (1, 1, 1)),
@@ -48,7 +48,8 @@ INVALID = [
     (CableParams, (L72, 2, 1), DomainError, "m, n >= 2"),
     (IteratedCableParams, (L72, ()), DomainError, "at least one"),
     (IteratedCableParams, (L72, (2, 1)), DomainError, ">= 2"),
-    (IteratedCableParams, (LensSpace(40, 1), (5, 8)), DomainError, "total winding 40"),
+    (IteratedCableParams, (LensSpace(40, 1), (5, 8)), DomainError,
+     r"hypothesis p - qW >= 1 fails: p - qW = 0$"),
     (StabFamily, (LensSpace(20, 1), 0), DomainError, "k must be >= 1"),
     (StabFamily, (LensSpace(9, 1), 1), DomainError, "p >= 2q"),
     (TwistParams, (0, 1, 1), DomainError, "band counts"),
@@ -72,6 +73,7 @@ INVALID = [
     (AbelianGroup, (-1, ()), ValueError, "negative free rank"),
     (AbelianGroup, (0, (1,)), ValueError, "coefficient 1 < 2"),
     (AbelianGroup, (0, (2, 3)), ValueError, "2 does not divide 3"),
+    (CableParams, (L72, 2, 3), DomainError, r"hypothesis p - qmn >= 1 fails: p - qmn = -5$"),
 ]
 
 
