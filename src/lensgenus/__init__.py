@@ -36,7 +36,7 @@ _EXPORTS = {
     "lens": ("H1Class", "LensSpace", "simple_knot_class", "simple_knot_in_class"),
     "norm": (
         "NormSummand", "PeripheralClass", "SeifertPiece", "graph_norm",
-        "orbifold_euler_char", "torus_pairing",
+        "orbifold_euler_char", "orbifold_euler_parts", "torus_pairing",
     ),
     "order2": (
         "UniquenessReport", "nonorientable_genus", "nonorientable_genus_to_theta",

@@ -93,14 +93,13 @@ def print_report(env: dict[str, Any], as_json: bool) -> None:
 # ---------------------------------------------------------------------------
 # evaluators
 #
-# One evaluator per command.  It takes the command's flag values in table
-# order, builds the family through its constructors (which raise
-# DomainError outside the family's hypotheses) and returns the envelope and
-# the exit code.  The verdicts report a disagreement between two routes as a
-# certification that does not hold; the evaluator is the one place that turns
-# it into EXIT_INCONSISTENT, so a sweep lists the point as a mismatch.  Each
-# evaluator imports the family modules it calls, so a call loads only those;
-# it calls through the module attribute, where tests and tracers patch.
+# One evaluator per command.  It takes the flag values in table order, builds
+# the family through its constructors (which raise DomainError outside the
+# family's hypotheses) and returns the verdict and the exit code: it is the
+# one place that makes a disagreement between two routes EXIT_INCONSISTENT.
+# A sweep target's ``_*_report`` half turns the verdict into the envelope;
+# any other command's verdict is its envelope.  Each half imports only the
+# family modules it uses and calls through them, where tests and tracers patch.
 
 
 def _simple_knot(p: int, q: int, c: int) -> tuple[dict, int]:
@@ -150,13 +149,17 @@ def _norm_code(v: Any) -> int:
     return EXIT_OK if v.certified_minimizer else EXIT_UNCERTIFIED
 
 
-def _cable(p: int, q: int, m: int, n: int) -> tuple[dict, int]:
+def _cable(p: int, q: int, m: int, n: int) -> tuple[Any, int]:
     import lensgenus.cables as cables
 
     v = cables.cable_verdict(cables.CableParams(LensSpace(p, q), m, n))
-    env = envelope(
+    return v, _norm_code(v)
+
+
+def _cable_report(v: Any) -> dict:
+    return envelope(
         "cable",
-        {"p": p, "q": q, "m": m, "n": n},
+        {"p": v.params.ambient.p, "q": v.params.ambient.q, "m": v.params.m, "n": v.params.n},
         {
             "norm_torus_side": rat(v.norm_torus_side),
             "norm_cable_side": rat(v.norm_cable_side),
@@ -180,16 +183,19 @@ def _cable(p: int, q: int, m: int, n: int) -> tuple[dict, int]:
         },
         v.warnings,
     )
-    return env, _norm_code(v)
 
 
-def _iterated(p: int, q: int, *ms: int) -> tuple[dict, int]:
+def _iterated(p: int, q: int, *ms: int) -> tuple[Any, int]:
     import lensgenus.cables as cables
 
     v = cables.iterated_verdict(cables.IteratedCableParams(LensSpace(p, q), ms))
-    env = envelope(
+    return v, _norm_code(v)
+
+
+def _iterated_report(v: Any) -> dict:
+    return envelope(
         "iterated",
-        {"p": p, "q": q, "ms": list(ms)},
+        {"p": v.params.ambient.p, "q": v.params.ambient.q, "ms": list(v.params.ms)},
         {
             "norm_iterated": rat(v.norm_iterated),
             "norm_torus_side": rat(v.norm_torus_side),
@@ -207,19 +213,24 @@ def _iterated(p: int, q: int, *ms: int) -> tuple[dict, int]:
         },
         v.warnings,
     )
-    return env, _norm_code(v)
 
 
-def _stab(p: int, q: int, k: int) -> tuple[dict, int]:
+def _stab(p: int, q: int, k: int) -> tuple[Any, int]:
     import lensgenus.stabilization as stabilization
 
-    fam = stabilization.StabFamily(LensSpace(p, q), k)
-    v = stabilization.stab_verdict(fam)
-    env = envelope(
+    v = stabilization.stab_verdict(stabilization.StabFamily(LensSpace(p, q), k))
+    # StabFamily enforces the hypothesis, so an uncertified point is a disagreement.
+    return v, EXIT_OK if v.certified_minimizer else EXIT_INCONSISTENT
+
+
+def _stab_report(v: Any) -> dict:
+    import lensgenus.stabilization as stabilization
+
+    return envelope(
         "stab",
-        {"p": p, "q": q, "k": k},
+        {"p": v.family.ambient.p, "q": v.family.ambient.q, "k": v.family.k},
         {
-            "coefficients": list(stabilization.stab_coefficients(fam)),
+            "coefficients": list(stabilization.stab_coefficients(v.family)),
             "chi_surface": v.norms.chi_Fk,
             "chi_capped": v.norms.chi_capped,
             "torus_knot_chi": rat(v.torus_chi),
@@ -234,8 +245,6 @@ def _stab(p: int, q: int, k: int) -> tuple[dict, int]:
             }
         },
     )
-    # StabFamily enforces the hypothesis, so an uncertified point is a disagreement.
-    return env, EXIT_OK if v.certified_minimizer else EXIT_INCONSISTENT
 
 
 def _order2(k: int) -> tuple[dict, int]:
@@ -264,7 +273,7 @@ def _order2(k: int) -> tuple[dict, int]:
 
 def _twist(
     a: int, b: int, n: int, export: str | None = None, sidecar: str | None = None
-) -> tuple[dict, int]:
+) -> tuple[Any, int]:
     import lensgenus.twistfamily as twistfamily
 
     if sidecar is not None and export is None:
@@ -272,12 +281,22 @@ def _twist(
     # realpath maps "" and "." alike to the working directory: compare nonempty paths.
     if sidecar and export and os.path.realpath(sidecar) == os.path.realpath(export):
         raise DomainError("--export and --sidecar name the same file")
-    t = twistfamily.TwistParams(a, b, n)
-    v = twistfamily.twist_verdict(t)
-    line = twistfamily.filling_spec_export(t)
-    env = envelope(
+    v = twistfamily.twist_verdict(twistfamily.TwistParams(a, b, n))
+    if v.holds and export is not None:
+        try:
+            twistfamily.export_filling_specs([v], export, sidecar)
+        except OSError as exc:
+            raise DomainError(f"cannot write {exc.filename!r}: {exc.strerror}") from exc
+    return v, EXIT_OK if v.holds else EXIT_INCONSISTENT
+
+
+def _twist_report(v: Any) -> dict:
+    import lensgenus.twistfamily as twistfamily
+
+    t = v.params
+    return envelope(
         "twist",
-        {"a": a, "b": b, "n": n},
+        {"a": t.a, "b": t.b, "n": t.n},
         {
             "k": t.k,
             "h1": str(v.h1),
@@ -285,7 +304,7 @@ def _twist(
             "gamma_class": v.gamma_class,
             "framings": ["inf" if c.framing is None else str(c.framing)
                          for c in v.diagram.components],
-            "spec": line,
+            "spec": twistfamily.filling_spec_export(t),
         },
         {
             "homology": {
@@ -295,59 +314,58 @@ def _twist(
             }
         },
     )
-    if not v.holds:
-        return env, EXIT_INCONSISTENT
-    if export is not None:
-        try:
-            twistfamily.export_filling_specs([v], export, sidecar)
-        except OSError as exc:
-            raise DomainError(f"cannot write {exc.filename!r}: {exc.strerror}") from exc
-    return env, EXIT_OK
 
 
-def _boundary_kernel(p: int, q: int, w: int, oracle: bool = True) -> tuple[dict, int]:
+def _boundary_kernel(p: int, q: int, w: int, oracle: bool = True) -> tuple[tuple, int]:
     import lensgenus.complement as complement
     import lensgenus.exactarith as exactarith
 
-    # A sweep passes no options, so it always checks against the oracle.
+    # The verdict is p, q, w, the closed form, the presentation and the oracle's
+    # kernel (None without the oracle; a sweep passes no options, so runs it).
     data = complement.WindingData(LensSpace(p, q), w)
     closed = complement.boundary_kernel(data)
+    if not oracle:
+        return (p, q, w, closed, None, None), EXIT_OK
+    mat = complement.presentation_matrix(data)
+    found = exactarith.peripheral_kernel(mat, 0, 1)
+    return (p, q, w, closed, mat, found), EXIT_OK if found == tuple(closed) else EXIT_INCONSISTENT
+
+
+def _boundary_kernel_report(verdict: tuple) -> dict:
+    p, q, w, closed, mat, found = verdict
     results: dict[str, Any] = {"mu_coeff": closed.mu_coeff, "lambda_coeff": closed.lambda_coeff}
     certs: dict[str, dict[str, Any]] = {}
-    if oracle:
-        mat = complement.presentation_matrix(data)
-        found = exactarith.peripheral_kernel(mat, 0, 1)
+    if mat is not None:
         results["oracle_mu_coeff"], results["oracle_lambda_coeff"] = found
         results["presentation_rows"] = mat.to_lists()
         # The criterion text is part of the canonical output; the oracle is
         # the row (Hermite) half of the Smith reduction.
         certs["oracle_agreement"] = {
-            "holds": found == (closed.mu_coeff, closed.lambda_coeff),
+            "holds": found == tuple(closed),
             "criterion": "closed form equals the Smith-normal-form kernel of "
             "the presentation matrix",
         }
-    env = envelope("boundary-kernel", {"p": p, "q": q, "w": w}, results, certs)
-    return env, EXIT_OK if all(c["holds"] for c in certs.values()) else EXIT_INCONSISTENT
+    return envelope("boundary-kernel", {"p": p, "q": q, "w": w}, results, certs)
 
 
 # ---------------------------------------------------------------------------
 # sweep summaries
 #
-# A summary consumes the records of the admissible points once, in grid
-# order; after that ``mismatches`` holds the records whose evaluator
-# returned EXIT_INCONSISTENT.  It returns the sweep's ``results``, whose
-# every field is an int count or a mismatch list, so the results of two
-# consecutive stretches of the grid add up field by field.
+# A summary consumes the verdicts of the admissible points once, in grid
+# order; after that ``mismatches`` holds the records of the points whose
+# evaluator returned EXIT_INCONSISTENT.  It returns the sweep's ``results``,
+# whose every field is an int count or a mismatch list, so the results of
+# two consecutive stretches of the grid add up field by field.
 
 
-def _cable_summary(records: Iterator[dict], mismatches: list[dict]) -> dict:
+def _cable_summary(verdicts: Iterator[Any], mismatches: list[dict]) -> dict:
     points = above = equal_below = 0
-    for r in records:
+    for v in verdicts:
         points += 1
-        if r["threshold_met"]:
+        if v.threshold_met:
             above += 1
         else:
-            equal_below += r["norms_equal"]
+            equal_below += v.norms_equal
     # A cable point is a mismatch exactly when its norms differ above threshold.
     return {
         "points": points,
@@ -359,14 +377,14 @@ def _cable_summary(records: Iterator[dict], mismatches: list[dict]) -> dict:
     }
 
 
-def _iterated_summary(records: Iterator[dict], mismatches: list[dict]) -> dict:
-    results = _cable_summary(records, mismatches)
+def _iterated_summary(verdicts: Iterator[Any], mismatches: list[dict]) -> dict:
+    results = _cable_summary(verdicts, mismatches)
     del results["below_threshold"], results["norms_equal_below_threshold"]
     return results
 
 
-def _passed_summary(passed: str, records: Iterator[dict], mismatches: list[dict]) -> dict:
-    points = sum(1 for _ in records)
+def _passed_summary(passed: str, verdicts: Iterator[Any], mismatches: list[dict]) -> dict:
+    points = sum(1 for _ in verdicts)
     return {"points": points, passed: points - len(mismatches), "mismatches": mismatches}
 
 
@@ -378,31 +396,27 @@ class Command(NamedTuple):
     help: str
     #: Flags in evaluator order; a list flag passes one argument per entry.
     flags: tuple[str, ...]
-    evaluate: Callable[..., tuple[dict, int]]
+    evaluate: Callable[..., tuple[Any, int]]
+    #: Report half: the verdict in, the envelope out; None if the verdict is one.
+    report: Callable[[Any], dict] | None = None
     #: Sweep summary, or None when the command has no ``sweep`` target.
-    summary: Callable[[Iterator[dict], list[dict]], dict] | None = None
+    summary: Callable[[Iterator[Any], list[dict]], dict] | None = None
 
 
 COMMANDS: dict[str, Command] = {
     "simple-knot": Command("simple knot in a homology class", ("p", "q", "class"), _simple_knot),
     "theta": Command("norm of a homology class via its torus knot", ("p", "q", "class"), _theta),
-    "cable": Command("cable-knot minimizer verdict", ("p", "q", "m", "n"), _cable, _cable_summary),
-    "iterated": Command(
-        "iterated-cable minimizer verdict", ("p", "q", "ms"), _iterated, _iterated_summary
-    ),
-    "stab": Command(
-        "stabilized-braid minimizer verdict", ("p", "q", "k"), _stab,
-        partial(_passed_summary, "certified"),
-    ),
+    "cable": Command("cable-knot minimizer verdict", ("p", "q", "m", "n"), _cable,
+                     _cable_report, _cable_summary),
+    "iterated": Command("iterated-cable minimizer verdict", ("p", "q", "ms"), _iterated,
+                        _iterated_report, _iterated_summary),
+    "stab": Command("stabilized-braid minimizer verdict", ("p", "q", "k"), _stab,
+                    _stab_report, partial(_passed_summary, "certified")),
     "order2": Command("order-2 class uniqueness verdict in L(2k,1)", ("k",), _order2),
-    "twist": Command(
-        "annulus-twist family diagram and export", ("a", "b", "n"), _twist,
-        partial(_passed_summary, "homology_checks_passed"),
-    ),
-    "boundary-kernel": Command(
-        "peripheral class that bounds", ("p", "q", "w"), _boundary_kernel,
-        partial(_passed_summary, "agreements"),
-    ),
+    "twist": Command("annulus-twist family diagram and export", ("a", "b", "n"), _twist,
+                     _twist_report, partial(_passed_summary, "homology_checks_passed")),
+    "boundary-kernel": Command("peripheral class that bounds", ("p", "q", "w"), _boundary_kernel,
+                               _boundary_kernel_report, partial(_passed_summary, "agreements")),
 }
 
 #: Flags that take a comma-separated list of integers, with their help.
@@ -439,7 +453,8 @@ def _run_command(args: argparse.Namespace) -> tuple[dict, int]:
         value = getattr(args, flag)
         values += value if flag in _LIST_FLAGS else [value]
     options = {opt: getattr(args, opt) for opt in _OPTIONS.get(name, ())}
-    env, code = cmd.evaluate(*values, **options)
+    verdict, code = cmd.evaluate(*values, **options)
+    env = verdict if cmd.report is None else cmd.report(verdict)
     if code == EXIT_INCONSISTENT:
         failed = [k for k, c in env["certifications"].items() if not c["holds"]]
         raise ConsistencyError(
@@ -467,26 +482,25 @@ MAX_GRID_POINTS = 25_000_000
 def _sweep_slab(target: str, axes: list[range], span: range) -> dict:
     """The summary ``results`` of the grid points with indices in ``span``.
 
-    A point is skipped when its family rejects it (``DomainError``) and is a
-    mismatch when its evaluator returns EXIT_INCONSISTENT; its record is
-    ``params`` plus the evaluator's results.  Skipping to the slab's start
-    walks ``product`` in C, far cheaper than evaluating the points skipped.
+    A point is skipped when its family rejects it (``DomainError``).  Only
+    a mismatch (EXIT_INCONSISTENT) runs the report half: its record is
+    ``params`` plus the single command's results.  Skipping to the slab's
+    start walks ``product`` in C, far cheaper than evaluating the points skipped.
     """
     cmd = COMMANDS[target]
     mismatches: list[dict] = []
 
-    def records() -> Iterator[dict]:
+    def verdicts() -> Iterator[Any]:
         for point in islice(product(*axes), span.start, span.stop):
             try:
-                env, code = cmd.evaluate(*point)
+                verdict, code = cmd.evaluate(*point)
             except DomainError:
                 continue
-            record = {"params": list(point), **env["results"]}
             if code == EXIT_INCONSISTENT:
-                mismatches.append(record)
-            yield record
+                mismatches.append({"params": list(point), **cmd.report(verdict)["results"]})
+            yield verdict
 
-    return cmd.summary(records(), mismatches)
+    return cmd.summary(verdicts(), mismatches)
 
 
 def _run_slabs(worker: Callable[[range], dict], spans: list[range], workers: int) -> list[dict]:
@@ -499,8 +513,9 @@ def _run_slabs(worker: Callable[[range], dict], spans: list[range], workers: int
     ``os._exit``.  If a fork, the parent's share or a read raises (a child
     that dies without its whole result leaves a pipe that does not unpickle),
     the parent kills every child at once and runs every span itself, so the
-    sweep ends as a serial run does, with its results or its error.  Every
-    child is reaped on every path.
+    sweep ends as a serial run does, with its results or its error.  An
+    interrupt (any other ``BaseException``) kills them too and propagates,
+    with no replay.  Every child is reaped on every path.
     """
     pids: list[int] = []
     pipes: list[BinaryIO] = []
@@ -528,12 +543,14 @@ def _run_slabs(worker: Callable[[range], dict], spans: list[range], workers: int
             pids.append(pid)
         shares = [[worker(span) for span in spans[::workers]]]
         shares += [pickle.loads(pipe.read()) for pipe in pipes]
-    except Exception:
+    except BaseException as exc:
         import signal  # only a failed run pays for it
 
         # An unreaped child keeps its pid, so each kill reaches that child.
         for pid in pids:
             os.kill(pid, signal.SIGKILL)
+        if not isinstance(exc, Exception):
+            raise
         shares = None
     finally:
         for pipe in pipes:

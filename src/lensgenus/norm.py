@@ -10,10 +10,10 @@ positive characteristic has no fiber surface at all, so the formula
 refuses it.  ``graph_norm`` is the one evaluation of a class; it reads
 each piece's characteristic once.
 
-The arithmetic is on integers: a piece's characteristic is one numerator
-over the lcm of its cone orders, the running total is an integer
-numerator and denominator, and each result is built as a single
-``Fraction`` in lowest terms.
+The arithmetic is on integers: ``orbifold_euler_parts`` gives a piece's
+characteristic as a numerator over the lcm of its cone orders, the total
+is an integer numerator and denominator, and only each result is built as
+a ``Fraction`` (``orbifold_euler_char`` is the characteristic as one).
 """
 
 from __future__ import annotations
@@ -49,18 +49,22 @@ class SeifertPiece(namedtuple("SeifertPiece", "base_euler cone_orders")):
 NormSummand = namedtuple("NormSummand", "piece fiber_pairing")
 
 
-def orbifold_euler_char(piece: SeifertPiece) -> Fraction:
-    """chi(base) - sum(1 - 1/a) over the cone orders a.
+def orbifold_euler_parts(piece: SeifertPiece) -> tuple[int, int]:
+    """chi(base) - sum(1 - 1/a) over the cone orders a, as (numerator, L).
 
-    Evaluated over L = lcm of the cone orders (1 without cones) as the one
-    fraction ((chi(base) - #cones) L + sum L/a) / L.
+    L = lcm of the cone orders (1 without cones); the pair is not reduced.
     """
     cones = piece.cone_orders
     denom = lcm(*cones)
     num = (piece.base_euler - len(cones)) * denom
     for a in cones:
         num += denom // a
-    return Fraction(num, denom)
+    return num, denom
+
+
+def orbifold_euler_char(piece: SeifertPiece) -> Fraction:
+    """The same characteristic as a ``Fraction``, in lowest terms."""
+    return Fraction(*orbifold_euler_parts(piece))
 
 
 def torus_pairing(x: PeripheralClass, y: PeripheralClass) -> int:
@@ -80,26 +84,25 @@ def graph_norm(summands: Iterable[NormSummand]) -> tuple[Fraction, bool, int]:
     chi_orb > 0 with nonzero pairing raises, since the piecewise formula has
     no fiber surface there.
 
-    The sign of chi_orb is read off its numerator, and the total is kept as
-    an integer numerator over the product of the pieces' denominators, so
-    the one ``Fraction`` built is the returned total, in lowest terms.
+    Each chi_orb is read as two integers and the total is kept as an integer
+    numerator and denominator: the one ``Fraction`` built is the total.
     """
     num, den = 0, 1
     fibered = True
     dropped = 0
     for s in summands:
-        chi = orbifold_euler_char(s.piece)
+        chi_num, chi_den = orbifold_euler_parts(s.piece)
         pairing = s.fiber_pairing
         if pairing == 0:
             fibered = False
-        if chi.numerator <= 0:
-            num = num * chi.denominator - abs(pairing) * chi.numerator * den
-            den *= chi.denominator
+        if chi_num <= 0:
+            num = num * chi_den - abs(pairing) * chi_num * den
+            den *= chi_den
         elif s.piece.base_euler == 1:
             dropped += 1
         elif pairing:
             raise ValueError(
                 "norm formula inapplicable: piece with positive orbifold "
-                f"Euler characteristic {chi} has nonzero fiber pairing"
+                f"Euler characteristic {Fraction(chi_num, chi_den)} has nonzero fiber pairing"
             )
     return Fraction(num, den), fibered, dropped

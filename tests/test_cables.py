@@ -40,10 +40,10 @@ def iterated_norm(ic):
 
 @pytest.fixture
 def chi_orb_calls(monkeypatch):
-    """Log of the pieces ``orbifold_euler_char`` is evaluated on."""
+    """Log of the pieces ``orbifold_euler_parts`` is evaluated on."""
     calls = []
-    real = norm.orbifold_euler_char
-    monkeypatch.setattr(norm, "orbifold_euler_char", lambda piece: calls.append(piece) or real(piece))
+    real = norm.orbifold_euler_parts
+    monkeypatch.setattr(norm, "orbifold_euler_parts", lambda piece: calls.append(piece) or real(piece))
     return calls
 
 

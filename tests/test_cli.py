@@ -4,6 +4,7 @@ import os
 import signal
 import subprocess
 import sys
+from fractions import Fraction
 from itertools import islice, product
 from types import SimpleNamespace
 
@@ -473,8 +474,8 @@ class TestSweep:
         command = cli.COMMANDS[target]
 
         def fails_on_every_third_sum(*values):
-            env, code = command.evaluate(*values)
-            return env, (3 if sum(values) % 3 == 0 else code)
+            verdict, code = command.evaluate(*values)
+            return verdict, (3 if sum(values) % 3 == 0 else code)
 
         monkeypatch.setitem(cli.COMMANDS, target, command._replace(evaluate=fails_on_every_third_sum))
         code, payload, serial = run_json(capsys, "sweep", target, *grid)
@@ -560,6 +561,24 @@ class TestSweep:
         # minutes in its share: the runner kills it instead of waiting.
         run_failing_runner(2, "sleep")
 
+    def test_interrupted_run_stops_sleeping_children(self):
+        # SIGINT reaches the parent alone (as kill -INT sends it) while the
+        # child sleeps for ten minutes in its share: the runner kills the
+        # child and re-raises at once, without replaying the spans.
+        proc = subprocess.Popen([sys.executable, "-c", RUNNER_INTERRUPTED], env=source_env(),
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                                text=True, start_new_session=True)
+        try:
+            ready = proc.stdout.readline()
+            proc.send_signal(signal.SIGINT)
+            out, err = proc.communicate(timeout=30)
+        except subprocess.TimeoutExpired:
+            os.killpg(proc.pid, signal.SIGKILL)  # the script and every child it forked
+            proc.communicate()
+            pytest.fail("the runner waited for its children after an interrupt")
+        assert ready == "ready\n", err
+        assert (proc.returncode, out) == (0, "interrupted after 1 span, no child left\n"), err
+
     def test_unpicklable_child_exception_keeps_its_line(self, capsys, monkeypatch, slab_log):
         class LocalError(Exception):  # a local class does not pickle
             pass
@@ -625,6 +644,32 @@ except ChildProcessError:
 """
 
 
+#: ``_run_slabs`` over 4 spans on 2 workers; every span sleeps ten minutes,
+#: and the parent says "ready" in its first.  An interrupt there must end
+#: the run with no child left and no span replayed.
+RUNNER_INTERRUPTED = """
+import os
+import time
+from lensgenus import cli
+
+parent, calls = os.getpid(), []
+
+def worker(span):
+    calls.append(span)
+    if os.getpid() == parent:
+        print("ready", flush=True)
+    time.sleep(600)
+
+try:
+    cli._run_slabs(worker, [range(k, k + 1) for k in range(4)], 2)
+except KeyboardInterrupt:
+    try:
+        os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        print(f"interrupted after {len(calls)} span, no child left")
+"""
+
+
 def run_failing_runner(workers, fail):
     """Run ``RUNNER_WITH_FULL_PIPES`` in its own session; fail if it is not done in 30 s."""
     script = RUNNER_WITH_FULL_PIPES.format(workers=workers, fail=fail)
@@ -680,33 +725,76 @@ TABLE_CASES = [
 ]
 
 
-def doubled_summands(real, p):
-    """``cable_side_summands`` with every piece counted twice in L(p, q)."""
-    return lambda c: real(c) * (2 if c.ambient.p == p else 1)
+def doubled_summands(real, point):
+    """``cable_side_summands`` with every piece counted twice in L(p, q), p = point[0]."""
+    return lambda c: real(c) * (2 if c.ambient.p == point[0] else 1)
 
 
-def doubled_torus_norm(real, p):
-    """``torus_knot_theta`` with twice the norm in L(p, q)."""
+def doubled_torus_norm(real, point):
+    """``torus_knot_theta`` with twice the norm in L(p, q), p = point[0]."""
     def route(space, k):
         r = real(space, k)
-        if space.p != p:
+        if space.p != point[0]:
             return r
         return r._replace(chi_minus=2 * r.chi_minus, theta=2 * r.theta)
     return route
 
 
+def moved_gamma(real, point):
+    """``_filling_homology`` with gamma one class further on where a = point[0]."""
+    def route(fl, label):
+        group, cls = real(fl, label)
+        # The Acircle component is framed -1/a.
+        return group, cls + (fl.components[1].framing == Fraction(-1, point[0]))
+    return route
+
+
+def doubled_kernel(real, point):
+    """``peripheral_kernel`` at the presentation of ``point``: twice its generator.
+
+    Twice the generator still bounds, so the pair is valid but not the kernel's.
+    """
+    rows = complement.presentation_matrix(WindingData(LensSpace(*point[:2]), point[2])).to_lists()
+
+    def route(mat, mu_col, lambda_col):
+        x, y = real(mat, mu_col, lambda_col)
+        return (2 * x, 2 * y) if mat.to_lists() == rows else (x, y)
+    return route
+
+
+def cable_certifies(p, q, m, n):
+    """Whether the library certifies the cable at (p, q, m, n) a minimizer or non-simple."""
+    v = cables.cable_verdict(CableParams(LensSpace(p, q), m, n))
+    return v.certified_minimizer or v.certified_nonsimple
+
+
+def bk_agrees(p, q, w):
+    """Whether the boundary-kernel oracle finds the closed form at (p, q, w)."""
+    data = WindingData(LensSpace(p, q), w)
+    found = exactarith.peripheral_kernel(complement.presentation_matrix(data), 0, 1)
+    return found == tuple(complement.boundary_kernel(data))
+
+
 # One route of a verdict, perturbed at the point of that target's TABLE_CASES
 # entry: the module attribute the verdict reads, how to perturb it, the
-# sweep counts (certified, out of), and the library verdict at a point.
+# sweep counts (certified, out of), the certification that fails, and
+# whether the library certifies a point.
 PERTURBED_ROUTES = [
     ("cable", cables, "cable_side_summands", doubled_summands,
-     ("norms_equal_above_threshold", "threshold_met"),
-     lambda p, q, m, n: cables.cable_verdict(CableParams(LensSpace(p, q), m, n))),
+     ("norms_equal_above_threshold", "threshold_met"), "minimizer",
+     cable_certifies),
     ("iterated", cables, "torus_knot_theta", doubled_torus_norm,
-     ("norms_equal_above_threshold", "threshold_met"),
-     lambda p, q, *ms: cables.iterated_verdict(IteratedCableParams(LensSpace(p, q), ms))),
+     ("norms_equal_above_threshold", "threshold_met"), "minimizer",
+     lambda p, q, *ms: cables.iterated_verdict(
+         IteratedCableParams(LensSpace(p, q), ms)).certified_minimizer),
     ("stab", stabilization, "torus_knot_theta", doubled_torus_norm, ("certified", "points"),
-     lambda p, q, k: stabilization.stab_verdict(StabFamily(LensSpace(p, q), k))),
+     "minimizer", lambda p, q, k: stabilization.stab_verdict(
+         StabFamily(LensSpace(p, q), k)).certified_minimizer),
+    ("twist", twistfamily, "_filling_homology", moved_gamma,
+     ("homology_checks_passed", "points"), "homology",
+     lambda a, b, n: twistfamily.twist_verdict(TwistParams(a, b, n)).holds),
+    ("boundary-kernel", exactarith, "peripheral_kernel", doubled_kernel,
+     ("agreements", "points"), "oracle_agreement", bk_agrees),
 ]
 
 
@@ -718,8 +806,8 @@ class TestCommandTable:
         command = cli.COMMANDS[target]
 
         def fails_at_point(*values):
-            env, code = command.evaluate(*values)
-            return env, (3 if list(values) == point else code)
+            verdict, code = command.evaluate(*values)
+            return verdict, (3 if list(values) == point else code)
 
         monkeypatch.setitem(cli.COMMANDS, target, command._replace(evaluate=fails_at_point))
         code, payload, _ = run_json(capsys, "sweep", target, *grid)
@@ -729,18 +817,33 @@ class TestCommandTable:
         # Only that point, and its record is the single command's results.
         assert mismatches == [{"params": point, **expected["results"]}]
 
-    @pytest.mark.parametrize("target, module, route, perturb, counts, verdict",
+    @pytest.mark.parametrize("target, grid, point, single", TABLE_CASES)
+    def test_clean_sweep_reports_no_point(self, capsys, monkeypatch, target, grid, point,
+                                          single):
+        # A point's verdict is all its summary reads: without a mismatch no
+        # point runs the report half, and the one envelope is the sweep's.
+        command, reports, envelopes = cli.COMMANDS[target], [], []
+        monkeypatch.setitem(cli.COMMANDS, target, command._replace(
+            report=lambda verdict: reports.append(verdict) or command.report(verdict)))
+        real = cli.envelope
+        monkeypatch.setattr(cli, "envelope", lambda *args: envelopes.append(args[0]) or real(*args))
+        code, payload, _ = run_json(capsys, "sweep", target, *grid)
+        assert code == 0
+        assert payload["results"]["points"] > 1
+        assert (reports, envelopes) == ([], ["sweep"])
+
+    @pytest.mark.parametrize("target, module, route, perturb, counts, check, certifies",
                              PERTURBED_ROUTES, ids=[r[0] for r in PERTURBED_ROUTES])
     def test_disagreeing_routes_are_a_mismatch(self, capsys, monkeypatch, slab_log,
                                                target, module, route, perturb, counts,
-                                               verdict):
+                                               check, certifies):
         _, grid, point, single = next(case for case in TABLE_CASES if case[0] == target)
-        monkeypatch.setattr(module, route, perturb(getattr(module, route), point[0]))
+        monkeypatch.setattr(module, route, perturb(getattr(module, route), point))
         # The library reports the disagreement instead of raising it.
-        v = verdict(*point)
-        assert not v.certified_minimizer
-        assert not getattr(v, "certified_nonsimple", False)
-        env, code = cli.COMMANDS[target].evaluate(*point)
+        assert not certifies(*point)
+        command = cli.COMMANDS[target]
+        verdict, code = command.evaluate(*point)
+        env = command.report(verdict)
         assert code == 3
         code, payload, serial = run_json(capsys, "sweep", target, *grid)
         assert code == 3
@@ -756,7 +859,7 @@ class TestCommandTable:
         assert_no_child_left()
         code, out, err = run(capsys, *single)
         assert (code, out) == (3, "")
-        assert "minimizer" in err
+        assert check in err
 
     @pytest.mark.parametrize("target, grid, point, single", TABLE_CASES)
     def test_sweep_takes_only_its_own_flags(self, capsys, target, grid, point, single):
@@ -827,10 +930,10 @@ class TestThetaEdgeCases:
         below = 0
         for point in product(*axes):
             try:
-                env, _ = cli.COMMANDS[command].evaluate(*point)
+                verdict, _ = cli.COMMANDS[command].evaluate(*point)
             except DomainError:  # outside the family
                 continue
-            results = env["results"]
+            results = cli.COMMANDS[command].report(verdict)["results"]
             below += not results.get("threshold_met", True)
             theta, _ = cli.COMMANDS["theta"].evaluate(*point[:2], results["homology_class"])
             assert results["theta"] == theta["results"]["theta"], point
