@@ -59,8 +59,7 @@ def envelope(
 
 def _fmt(value: Any) -> str:
     if isinstance(value, dict) and set(value) == {"num", "den"}:
-        f = Fraction(value["num"], value["den"])
-        return str(f)
+        return str(Fraction(value["num"], value["den"]))
     if isinstance(value, bool):
         return "yes" if value else "no"
     if isinstance(value, list):
@@ -68,78 +67,82 @@ def _fmt(value: Any) -> str:
     return str(value)
 
 
-def print_report(env: dict[str, Any], as_json: bool) -> None:
+def print_report(env: dict[str, Any], as_json: bool) -> str:
+    """The envelope rendered as canonical JSON or as text; ``main`` writes it."""
     if as_json:
-        sys.stdout.write(canonical_json(env))
-        return
-    print(f"command: {env['command']}")
-    print("inputs:")
-    for k, v in env["inputs"].items():
-        print(f"  {k} = {_fmt(v)}")
-    print("results:")
-    for k, v in env["results"].items():
-        print(f"  {k} = {_fmt(v)}")
+        return canonical_json(env)
+    lines = [f"command: {env['command']}"]
+    for section in ("inputs", "results"):
+        lines.append(f"{section}:")
+        lines += [f"  {k} = {_fmt(v)}" for k, v in env[section].items()]
     if env["certifications"]:
-        print("certifications:")
+        lines.append("certifications:")
         for k, v in env["certifications"].items():
             mark = "CERTIFIED" if v["holds"] else "not certified"
-            print(f"  {k}: {mark} ({v['criterion']})")
+            lines.append(f"  {k}: {mark} ({v['criterion']})")
     if env["warnings"]:
-        print("warnings:")
-        for w in env["warnings"]:
-            print(f"  - {w}")
+        lines.append("warnings:")
+        lines += [f"  - {w}" for w in env["warnings"]]
+    return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------
 # evaluators
 #
-# One evaluator per command.  It takes the flag values in table order, builds
-# the family through its constructors (which raise DomainError outside the
-# family's hypotheses) and returns the verdict and the exit code: it is the
-# one place that makes a disagreement between two routes EXIT_INCONSISTENT.
-# A sweep target's ``_*_report`` half turns the verdict into the envelope;
-# any other command's verdict is its envelope.  Each half imports only the
-# family modules it uses and calls through them, where tests and tracers patch.
+# Every command has two halves.  The evaluator takes the flag values in table
+# order, builds the family through its constructors (which raise DomainError
+# outside the family's hypotheses) and returns the verdict and the exit code:
+# it is the one place that makes a disagreement between two routes
+# EXIT_INCONSISTENT.  The ``_*_report`` half turns a verdict into the sections
+# of its envelope: its ``results``, and its ``certifications`` and
+# ``warnings`` where it has them.  Neither half names its command or echoes
+# its flags; ``_run_command`` builds the envelope from those.  Each half
+# imports only the family modules it uses and calls through them, where tests
+# and tracers patch.
 
 
-def _simple_knot(p: int, q: int, c: int) -> tuple[dict, int]:
+def _simple_knot(p: int, q: int, c: int) -> tuple[int, int]:
     import lensgenus.lens as lens
 
-    a = lens.simple_knot_in_class(lens.H1Class(c, LensSpace(p, q)))
-    results = {"parameter_a": a, "is_unknot": a == 0}
-    return envelope("simple-knot", {"p": p, "q": q, "class": c}, results), EXIT_OK
+    return lens.simple_knot_in_class(lens.H1Class(c, LensSpace(p, q))), EXIT_OK
 
 
-def _theta(p: int, q: int, c: int) -> tuple[dict, int]:
+def _simple_knot_report(a: int) -> dict:
+    return {"results": {"parameter_a": a, "is_unknot": a == 0}}
+
+
+def _theta(p: int, q: int, c: int) -> tuple[Any, int]:
     import lensgenus.complement as complement
 
     space = LensSpace(p, q)
     H1Class(c, space)  # rejects a class outside [0, p-1]
     if c == 0:
+        return None, EXIT_OK
+    if p - q * c < 1:
+        raise DomainError(
+            f"no torus-knot route for class {c}: cone order p - qc = {p - q * c} < 1"
+        )
+    # p - qc >= 1 gives qc < p + q, so the torus-knot criterion holds.
+    return complement.torus_knot_theta(space, c), EXIT_OK
+
+
+def _theta_report(r: Any) -> dict:
+    """``r`` is the torus knot's ``GenusReport``, or None for class 0."""
+    if r is None:
         results = {"theta": rat(0), "chi_minus": rat(0), "label": "EXACT"}
         criterion = "class 0 is the unknot, which bounds a disk"
-    elif space.p - space.q * c < 1:
-        raise DomainError(
-            f"no torus-knot route for class {c}: cone order p - qc = "
-            f"{space.p - space.q * c} < 1"
-        )
     else:
-        # p - qc >= 1 gives qc < p + q, so the torus-knot criterion holds.
-        report = complement.torus_knot_theta(space, c)
         results = {
-            "theta": rat(report.theta),
-            "chi_minus": rat(report.chi_minus),
-            "mu_pairing": report.mu_pairing,
-            "fibered": report.fibered,
+            "theta": rat(r.theta),
+            "chi_minus": rat(r.chi_minus),
+            "mu_pairing": r.mu_pairing,
+            "fibered": r.fibered,
             "label": "EXACT",
         }
         criterion = ("simple knot in this class is the (1,k)-torus knot "
                      "(holds iff k*q < p + q)")
-    env = envelope(
-        "theta", {"p": p, "q": q, "class": c}, results,
-        {"exact": {"holds": True, "criterion": criterion}},
-    )
-    return env, EXIT_OK
+    return {"results": results,
+            "certifications": {"exact": {"holds": True, "criterion": criterion}}}
 
 
 def _norm_code(v: Any) -> int:
@@ -157,10 +160,8 @@ def _cable(p: int, q: int, m: int, n: int) -> tuple[Any, int]:
 
 
 def _cable_report(v: Any) -> dict:
-    return envelope(
-        "cable",
-        {"p": v.params.ambient.p, "q": v.params.ambient.q, "m": v.params.m, "n": v.params.n},
-        {
+    return {
+        "results": {
             "norm_torus_side": rat(v.norm_torus_side),
             "norm_cable_side": rat(v.norm_cable_side),
             "norms_equal": v.norms_equal,
@@ -168,21 +169,17 @@ def _cable_report(v: Any) -> dict:
             "theta": rat(v.theta),
             "threshold_met": v.threshold_met,
         },
-        {
-            "minimizer": {
-                "holds": v.certified_minimizer,
-                "criterion": "p >= q*m^2*n; above this threshold the cable "
-                "norm matches the simple-knot norm",
-            },
-            "nonsimple": {
-                "holds": v.certified_nonsimple,
-                "criterion": "threshold holds and q != m, so the cable complement "
-                "keeps an essential torus; for q = m the verdict is unknown, "
-                "never 'simple'",
-            },
+        "certifications": {
+            "minimizer": {"holds": v.certified_minimizer,
+                          "criterion": "p >= q*m^2*n; above this threshold the cable "
+                          "norm matches the simple-knot norm"},
+            "nonsimple": {"holds": v.certified_nonsimple,
+                          "criterion": "threshold holds and q != m, so the cable complement "
+                          "keeps an essential torus; for q = m the verdict is unknown, "
+                          "never 'simple'"},
         },
-        v.warnings,
-    )
+        "warnings": v.warnings,
+    }
 
 
 def _iterated(p: int, q: int, *ms: int) -> tuple[Any, int]:
@@ -193,10 +190,8 @@ def _iterated(p: int, q: int, *ms: int) -> tuple[Any, int]:
 
 
 def _iterated_report(v: Any) -> dict:
-    return envelope(
-        "iterated",
-        {"p": v.params.ambient.p, "q": v.params.ambient.q, "ms": list(v.params.ms)},
-        {
+    return {
+        "results": {
             "norm_iterated": rat(v.norm_iterated),
             "norm_torus_side": rat(v.norm_torus_side),
             "norms_equal": v.norms_equal,
@@ -204,15 +199,13 @@ def _iterated_report(v: Any) -> dict:
             "theta": rat(v.theta),
             "threshold_met": v.threshold_met,
         },
-        {
-            "minimizer": {
-                "holds": v.certified_minimizer,
-                "criterion": "p >= q*m1^2*...*m_(k-1)^2*m_k and the iterated "
-                "norm equals the torus-knot norm",
-            }
+        "certifications": {
+            "minimizer": {"holds": v.certified_minimizer,
+                          "criterion": "p >= q*m1^2*...*m_(k-1)^2*m_k and the iterated "
+                          "norm equals the torus-knot norm"},
         },
-        v.warnings,
-    )
+        "warnings": v.warnings,
+    }
 
 
 def _stab(p: int, q: int, k: int) -> tuple[Any, int]:
@@ -226,10 +219,8 @@ def _stab(p: int, q: int, k: int) -> tuple[Any, int]:
 def _stab_report(v: Any) -> dict:
     import lensgenus.stabilization as stabilization
 
-    return envelope(
-        "stab",
-        {"p": v.family.ambient.p, "q": v.family.ambient.q, "k": v.family.k},
-        {
+    return {
+        "results": {
             "coefficients": list(stabilization.stab_coefficients(v.family)),
             "chi_surface": v.norms.chi_Fk,
             "chi_capped": v.norms.chi_capped,
@@ -237,38 +228,37 @@ def _stab_report(v: Any) -> dict:
             "homology_class": v.homology_class,
             "theta": rat(v.theta),
         },
-        {
-            "minimizer": {
-                "holds": v.certified_minimizer,
-                "criterion": "capped surface complexity equals the "
-                "(1,k+4)-torus-knot norm, which a simple knot realizes",
-            }
+        "certifications": {
+            "minimizer": {"holds": v.certified_minimizer,
+                          "criterion": "capped surface complexity equals the "
+                          "(1,k+4)-torus-knot norm, which a simple knot realizes"},
         },
-    )
+    }
 
 
-def _order2(k: int) -> tuple[dict, int]:
+def _order2(k: int) -> tuple[Any, int]:
     import lensgenus.order2 as order2
 
-    space = LensSpace(2 * k, 1)  # rejects k < 1
-    rep = order2.uniqueness_check(space)
-    env = envelope(
-        "order2",
-        {"k": k, "p": space.p, "q": 1},
-        {
+    rep = order2.uniqueness_check(LensSpace(2 * k, 1))  # rejects k < 1
+    return rep, EXIT_OK if rep.unique_minimizer_guaranteed else EXIT_UNCERTIFIED
+
+
+def _order2_report(rep: Any) -> dict:
+    space = rep.ambient
+    return {
+        # The one report half with inputs: the p = 2k and q = 1 that --k implies.
+        "inputs": {"p": space.p, "q": space.q},
+        "results": {
             "nonorientable_genus": rep.nonorientable_genus,
             "theta": rat(rep.theta),
-            "order2_class": k,
+            "order2_class": space.p // 2,
         },
-        {
-            "unique_minimizer": {
-                "holds": rep.unique_minimizer_guaranteed,
-                "criterion": "minimal nonorientable genus at most 3; "
-                + rep.criterion,
-            }
+        "certifications": {
+            "unique_minimizer": {"holds": rep.unique_minimizer_guaranteed,
+                                 "criterion": "minimal nonorientable genus at most 3; "
+                                 + rep.criterion},
         },
-    )
-    return env, EXIT_OK if rep.unique_minimizer_guaranteed else EXIT_UNCERTIFIED
+    }
 
 
 def _twist(
@@ -294,10 +284,8 @@ def _twist_report(v: Any) -> dict:
     import lensgenus.twistfamily as twistfamily
 
     t = v.params
-    return envelope(
-        "twist",
-        {"a": t.a, "b": t.b, "n": t.n},
-        {
+    return {
+        "results": {
             "k": t.k,
             "h1": str(v.h1),
             "h1_order": v.h1.order(),
@@ -306,33 +294,31 @@ def _twist_report(v: Any) -> dict:
                          for c in v.diagram.components],
             "spec": twistfamily.filling_spec_export(t),
         },
-        {
-            "homology": {
-                "holds": v.holds,
-                "criterion": "filling the five framed components gives the "
-                "lens space of order 2k with the unfilled knot in class k",
-            }
+        "certifications": {
+            "homology": {"holds": v.holds,
+                         "criterion": "filling the five framed components gives the "
+                         "lens space of order 2k with the unfilled knot in class k"},
         },
-    )
+    }
 
 
 def _boundary_kernel(p: int, q: int, w: int, oracle: bool = True) -> tuple[tuple, int]:
     import lensgenus.complement as complement
     import lensgenus.exactarith as exactarith
 
-    # The verdict is p, q, w, the closed form, the presentation and the oracle's
-    # kernel (None without the oracle; a sweep passes no options, so runs it).
+    # The verdict is the closed form, the presentation and the oracle's kernel
+    # (None without the oracle; a sweep passes no options, so runs it).
     data = complement.WindingData(LensSpace(p, q), w)
     closed = complement.boundary_kernel(data)
     if not oracle:
-        return (p, q, w, closed, None, None), EXIT_OK
+        return (closed, None, None), EXIT_OK
     mat = complement.presentation_matrix(data)
     found = exactarith.peripheral_kernel(mat, 0, 1)
-    return (p, q, w, closed, mat, found), EXIT_OK if found == tuple(closed) else EXIT_INCONSISTENT
+    return (closed, mat, found), EXIT_OK if found == tuple(closed) else EXIT_INCONSISTENT
 
 
 def _boundary_kernel_report(verdict: tuple) -> dict:
-    p, q, w, closed, mat, found = verdict
+    closed, mat, found = verdict
     results: dict[str, Any] = {"mu_coeff": closed.mu_coeff, "lambda_coeff": closed.lambda_coeff}
     certs: dict[str, dict[str, Any]] = {}
     if mat is not None:
@@ -345,7 +331,7 @@ def _boundary_kernel_report(verdict: tuple) -> dict:
             "criterion": "closed form equals the Smith-normal-form kernel of "
             "the presentation matrix",
         }
-    return envelope("boundary-kernel", {"p": p, "q": q, "w": w}, results, certs)
+    return {"results": results, "certifications": certs}
 
 
 # ---------------------------------------------------------------------------
@@ -397,22 +383,26 @@ class Command(NamedTuple):
     #: Flags in evaluator order; a list flag passes one argument per entry.
     flags: tuple[str, ...]
     evaluate: Callable[..., tuple[Any, int]]
-    #: Report half: the verdict in, the envelope out; None if the verdict is one.
-    report: Callable[[Any], dict] | None = None
+    #: Report half: a verdict in, the sections of its envelope out; every
+    #: command has one, and a sweep runs it only for a mismatch record.
+    report: Callable[[Any], dict]
     #: Sweep summary, or None when the command has no ``sweep`` target.
     summary: Callable[[Iterator[Any], list[dict]], dict] | None = None
 
 
 COMMANDS: dict[str, Command] = {
-    "simple-knot": Command("simple knot in a homology class", ("p", "q", "class"), _simple_knot),
-    "theta": Command("norm of a homology class via its torus knot", ("p", "q", "class"), _theta),
+    "simple-knot": Command("simple knot in a homology class", ("p", "q", "class"), _simple_knot,
+                           _simple_knot_report),
+    "theta": Command("norm of a homology class via its torus knot", ("p", "q", "class"), _theta,
+                     _theta_report),
     "cable": Command("cable-knot minimizer verdict", ("p", "q", "m", "n"), _cable,
                      _cable_report, _cable_summary),
     "iterated": Command("iterated-cable minimizer verdict", ("p", "q", "ms"), _iterated,
                         _iterated_report, _iterated_summary),
     "stab": Command("stabilized-braid minimizer verdict", ("p", "q", "k"), _stab,
                     _stab_report, partial(_passed_summary, "certified")),
-    "order2": Command("order-2 class uniqueness verdict in L(2k,1)", ("k",), _order2),
+    "order2": Command("order-2 class uniqueness verdict in L(2k,1)", ("k",), _order2,
+                      _order2_report),
     "twist": Command("annulus-twist family diagram and export", ("a", "b", "n"), _twist,
                      _twist_report, partial(_passed_summary, "homology_checks_passed")),
     "boundary-kernel": Command("peripheral class that bounds", ("p", "q", "w"), _boundary_kernel,
@@ -445,16 +435,18 @@ def _int_list(text: str) -> list[int]:
 
 
 def _run_command(args: argparse.Namespace) -> tuple[dict, int]:
-    """Evaluate one single command; a failed cross-check is an internal failure."""
+    """The envelope of one single command; a failed cross-check is an internal failure."""
     name = args.command
     cmd = COMMANDS[name]
+    inputs = {flag: getattr(args, flag) for flag in cmd.flags}
     values: list[int] = []
-    for flag in cmd.flags:
-        value = getattr(args, flag)
+    for flag, value in inputs.items():
         values += value if flag in _LIST_FLAGS else [value]
     options = {opt: getattr(args, opt) for opt in _OPTIONS.get(name, ())}
     verdict, code = cmd.evaluate(*values, **options)
-    env = verdict if cmd.report is None else cmd.report(verdict)
+    sections = cmd.report(verdict)
+    inputs.update(sections.pop("inputs", {}))
+    env = envelope(name, inputs, **sections)
     if code == EXIT_INCONSISTENT:
         failed = [k for k, c in env["certifications"].items() if not c["holds"]]
         raise ConsistencyError(
@@ -667,9 +659,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    # Integers of any size print, so huge inputs keep their exit codes; Python
+    # 3.10.6 and older have no limit to lift.
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)
     try:
         args = build_parser().parse_args(argv)
         env, code = cmd_sweep(args) if args.command == "sweep" else _run_command(args)
+        # Rendered before anything is written: a report that fails to render prints nothing.
+        text = print_report(env, args.json)
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
@@ -677,7 +675,7 @@ def main(argv: list[str] | None = None) -> int:
         kind = "" if isinstance(exc, ConsistencyError) else f"{type(exc).__name__}: "
         print(f"internal consistency failure: {kind}{exc}", file=sys.stderr)
         return EXIT_INCONSISTENT
-    print_report(env, args.json)
+    sys.stdout.write(text)
     return code
 
 

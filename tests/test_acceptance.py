@@ -67,6 +67,15 @@ def iterated_norm(ic):
     return graph_norm(iterated_summands(ic))[0]
 
 
+def cable_gap(p, q, m, n):
+    """norm_cable_side - norm_torus_side in closed form.
+
+    Below the threshold q*m^2*n only the cable piece's fiber pairing changes
+    sign; p - qmn = 1 makes the torus piece a solid torus, which is clamped.
+    """
+    return 2 * (n - 1) * max(0, q * m * m * n - p) - (p - q * m * n == 1)
+
+
 @pytest.fixture(scope="module")
 def cable_grid():
     """Shared sweep for criteria 2 and 4: m,n in [2,5], q in [1,7], p <= 500."""
@@ -76,6 +85,7 @@ def cable_grid():
         "reduction2_failures": [],
         "reduction1_failures": [],
         "below": [],
+        "gap_failures": [],
     }
     for m in range(2, 6):
         for n in range(2, 6):
@@ -91,6 +101,8 @@ def cable_grid():
                     stats["points"] += 1
                     if n21 != n22:
                         stats["norm_mismatches"].append((p, q, m, n))
+                    if n22 - n21 != cable_gap(p, q, m, n):
+                        stats["gap_failures"].append((p, q, m, n))
                     if iterated_norm(IteratedCableParams(space, (m, n))) != n22:
                         stats["reduction2_failures"].append((p, q, m, n))
                     if (
@@ -107,6 +119,8 @@ def cable_grid():
                     if p - q * m < 2 or p - q * m * n < 2:
                         continue
                     v = cable_verdict(CableParams(LensSpace(p, q), m, n))
+                    if v.norm_cable_side - v.norm_torus_side != cable_gap(p, q, m, n):
+                        stats["gap_failures"].append((p, q, m, n))
                     stats["below"].append(
                         {
                             "params": (p, q, m, n),
@@ -155,6 +169,7 @@ def test_criterion_2_norm_equality_sweep(cable_grid):
     ok = (
         cable_grid["points"] > 0
         and not cable_grid["norm_mismatches"]
+        and not cable_grid["gap_failures"]
         and len(cable_grid["below"]) >= 20
         and all(not rec["certified"] for rec in cable_grid["below"])
     )
@@ -164,7 +179,8 @@ def test_criterion_2_norm_equality_sweep(cable_grid):
         "norm equality above threshold over m,n in [2,5], q in [1,7], p <= 500",
         ok,
         f"{cable_grid['points']} instances equal; {len(cable_grid['below'])} "
-        f"below-threshold recorded, {equal_below} happened to agree, none certified",
+        f"below-threshold recorded, {equal_below} happened to agree, none certified; "
+        f"{len(cable_grid['gap_failures'])} points off the closed-form gap",
     )
 
 

@@ -911,6 +911,120 @@ class TestCommandTable:
         assert "usage: lensgenus" in capsys.readouterr().out
 
 
+#: One call of each single command, as in the README.
+SINGLE_COMMANDS = [
+    ["simple-knot", "--p", "8", "--q", "1", "--class", "4"],
+    ["theta", "--p", "8", "--q", "1", "--class", "4"],
+    ["cable", "--p", "8", "--q", "1", "--m", "2", "--n", "2"],
+    ["iterated", "--p", "32", "--q", "1", "--ms", "2,2,2"],
+    ["stab", "--p", "10", "--q", "1", "--k", "1"],
+    ["order2", "--k", "4"],
+    ["twist", "--a", "1", "--b", "1", "--n", "1"],
+    ["boundary-kernel", "--p", "8", "--q", "1", "--w", "4", "--oracle"],
+]
+
+
+class Unprintable:
+    """A result value that renders neither as text nor as JSON."""
+
+    def __str__(self):
+        raise ValueError("this value cannot be rendered")
+
+
+class TestOneReportShape:
+    def test_report_half_runs_once_on_the_verdict(self, capsys, monkeypatch):
+        # Every command: the evaluator's verdict goes to its report half once,
+        # and the one envelope is built from the command's name.
+        assert sorted(argv[0] for argv in SINGLE_COMMANDS) == sorted(cli.COMMANDS)
+        real = cli.envelope
+        for name, *flags in SINGLE_COMMANDS:
+            command, verdicts, reported, envelopes = cli.COMMANDS[name], [], [], []
+
+            def evaluate(*values, **options):
+                verdicts.append(command.evaluate(*values, **options))
+                return verdicts[-1]
+
+            def report(verdict):
+                reported.append(verdict)
+                return command.report(verdict)
+
+            monkeypatch.setitem(cli.COMMANDS, name,
+                                command._replace(evaluate=evaluate, report=report))
+            monkeypatch.setattr(cli, "envelope", lambda *args, **kwargs:
+                                envelopes.append(args[0]) or real(*args, **kwargs))
+            code, out, err = run(capsys, name, *flags)
+            assert code in (0, 2) and out.startswith(f"command: {name}\n"), err
+            [(verdict, _)] = verdicts
+            assert len(reported) == 1 and reported[0] is verdict, name
+            assert envelopes == [name]
+
+    @pytest.mark.parametrize("mode", [[], ["--json"]], ids=["text", "json"])
+    def test_report_that_fails_to_render_prints_nothing(self, capsys, monkeypatch, mode):
+        real = cables.cable_verdict
+        monkeypatch.setattr(cables, "cable_verdict",
+                            lambda c: real(c)._replace(homology_class=Unprintable()))
+        code, out, err = run(capsys, "cable", "--p", "8", "--q", "1", "--m", "2", "--n", "2",
+                             *mode)
+        assert (code, out) == (3, "")
+        assert err.startswith("internal consistency failure: ")
+
+
+@pytest.fixture
+def default_digit_limit():
+    """Python's default limit of 4,300 digits on int-to-str conversion, for one test."""
+    if not hasattr(sys, "set_int_max_str_digits"):  # Python 3.10.6 and older: no limit
+        yield
+        return
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    yield
+    sys.set_int_max_str_digits(old)
+
+
+#: Every single command and sweep target with the integer X, and its exit code.
+#: The cable with m = n = X is refused: p - qmn < 1, a message with a huge number.
+HUGE_INTEGER_CASES = [
+    ("simple-knot --p X --q 1 --class 5", 0),
+    ("theta --p X --q 1 --class 5", 0),
+    ("cable --p X --q 1 --m 2 --n 2", 0),
+    ("cable --p 5 --q 1 --m X --n X", 1),
+    ("iterated --p X --q 1 --ms 2,2,2", 0),
+    ("stab --p X --q 1 --k 1", 0),
+    ("order2 --k X", 2),
+    ("twist --a X --b 1 --n 1", 0),
+    ("boundary-kernel --p X --q 1 --w 4 --oracle", 0),
+    ("sweep cable --p X:X --q 1:1 --m 2:2 --n 2:2", 0),
+    ("sweep iterated --p X:X --q 1:1 --ms 2,2,2", 0),
+    ("sweep stab --p X:X --q 1:1 --k 1:1", 0),
+    ("sweep twist --a X:X --b 1:1 --n 1:1", 0),
+    ("sweep boundary-kernel --p X:X --q 1:1 --w 0:4", 0),
+]
+
+
+class TestIntegersOfAnySize:
+    @pytest.mark.usefixtures("default_digit_limit")
+    @pytest.mark.parametrize("mode", [[], ["--json"]], ids=["text", "json"])
+    @pytest.mark.parametrize("digits", [4299, 4301])
+    @pytest.mark.parametrize("argv, expected", HUGE_INTEGER_CASES,
+                             ids=[case[0] for case in HUGE_INTEGER_CASES])
+    def test_exit_code_holds(self, capsys, argv, expected, digits, mode):
+        x = "1" + "0" * (digits - 2) + "1"  # 10^(digits-1) + 1, spelled without str(int)
+        code, out, err = run(capsys, *argv.replace("X", x).split(), *mode)
+        assert code == expected, err[:200]
+        assert "Traceback" not in err
+        assert (out == "") if code == 1 else (x in out)
+
+    @pytest.mark.usefixtures("default_digit_limit")
+    @pytest.mark.parametrize("argv", [["iterated", "--p", "1" + "0" * 30, "--q", "1"],
+                                      ["sweep", "iterated", "--p", "100:100", "--q", "1:1"]],
+                             ids=["single", "sweep"])
+    def test_long_ms_list_is_invalid_input(self, capsys, argv):
+        # 20,000 levels of m = 2 give W = 2^20000, so p - qW has 6,021 digits.
+        code, out, err = run(capsys, *argv, "--ms", ",".join(["2"] * 20_000))
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and len(err) > 6_021
+
+
 class TestThetaEdgeCases:
     def test_class_beyond_torus_route(self, capsys):
         # L(5,2), class 3: cone order 5 - 6 < 1, no formula applies.
@@ -935,7 +1049,8 @@ class TestThetaEdgeCases:
                 continue
             results = cli.COMMANDS[command].report(verdict)["results"]
             below += not results.get("threshold_met", True)
-            theta, _ = cli.COMMANDS["theta"].evaluate(*point[:2], results["homology_class"])
+            genus, _ = cli.COMMANDS["theta"].evaluate(*point[:2], results["homology_class"])
+            theta = cli.COMMANDS["theta"].report(genus)
             assert results["theta"] == theta["results"]["theta"], point
         assert below or command == "stab"
 
