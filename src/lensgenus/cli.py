@@ -15,8 +15,9 @@ import os
 import sys
 from fractions import Fraction
 from functools import partial, reduce
-from itertools import islice, product
+from itertools import groupby, islice, product
 from math import prod
+from operator import itemgetter
 from typing import Any, BinaryIO, Callable, Iterable, Iterator, NamedTuple, NoReturn
 
 from .errors import ConsistencyError, DomainError
@@ -471,19 +472,43 @@ SLABS_PER_WORKER = 8
 MAX_GRID_POINTS = 25_000_000
 
 
+def _admitted_blocks(points: Iterator[tuple[int, ...]]) -> Iterator[tuple[int, ...]]:
+    """``points`` less those whose ``(p, q)``, the first two coordinates, ``LensSpace`` rejects.
+
+    In grid order the points of one ``(p, q)`` form a block, so ``LensSpace``
+    runs once per block, and ``groupby`` passes over a rejected one in C.
+    """
+    for (p, q), block in groupby(points, itemgetter(0, 1)):
+        try:
+            LensSpace(p, q)
+        except DomainError:
+            # The rejection each point's evaluator would raise.
+            continue
+        yield from block
+
+
 def _sweep_slab(target: str, axes: list[range], span: range) -> dict:
     """The summary ``results`` of the grid points with indices in ``span``.
 
-    A point is skipped when its family rejects it (``DomainError``).  Only
-    a mismatch (EXIT_INCONSISTENT) runs the report half: its record is
-    ``params`` plus the single command's results.  Skipping to the slab's
-    start walks ``product`` in C, far cheaper than evaluating the points skipped.
+    A point is skipped when its family rejects it (``DomainError``).  For a
+    command whose flags begin with ``p, q``, every evaluator builds
+    ``LensSpace(p, q)`` before anything else, so a ``(p, q)`` that it
+    rejects is skipped once for its whole block of points, and the
+    evaluator never sees it; the output is the same.  A block of one point
+    (``iterated``, whose other axes are pinned) is left to its evaluator,
+    which makes the same check at no extra cost.  Only a mismatch
+    (EXIT_INCONSISTENT) runs the report half: its record is ``params`` plus
+    the single command's results.  Skipping to the slab's start walks
+    ``product`` in C, far cheaper than evaluating the points skipped.
     """
     cmd = COMMANDS[target]
     mismatches: list[dict] = []
+    points = islice(product(*axes), span.start, span.stop)
+    if cmd.flags[:2] == ("p", "q") and any(len(axis) > 1 for axis in axes[2:]):
+        points = _admitted_blocks(points)
 
     def verdicts() -> Iterator[Any]:
-        for point in islice(product(*axes), span.start, span.stop):
+        for point in points:
             try:
                 verdict, code = cmd.evaluate(*point)
             except DomainError:

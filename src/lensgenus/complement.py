@@ -76,13 +76,11 @@ def presentation_matrix(data: WindingData) -> IntMatrix:
     w times around that core, and the surgery relation p*M + q*L = 0.
     """
     p, q, w = data.ambient.p, data.ambient.q, data.w
-    return IntMatrix.from_rows(
-        [
-            [w, 0, 0, -1],
-            [0, 1, -w, 0],
-            [0, 0, p, q],
-        ]
-    )
+    return IntMatrix(3, 4, (
+        w, 0, 0, -1,
+        0, 1, -w, 0,
+        0, 0, p, q,
+    ))
 
 
 def torus_fiber_summand(space: LensSpace, k: int) -> NormSummand:

@@ -21,6 +21,7 @@ row and column operations keep the shape and the entries integral.
 from __future__ import annotations
 
 from collections import namedtuple
+from itertools import repeat
 from math import gcd
 
 
@@ -46,7 +47,7 @@ class IntMatrix(namedtuple("IntMatrix", "rows cols entries")):
             raise ValueError(
                 f"entry count {len(self.entries)} != {self.rows}x{self.cols}"
             )
-        if not all(isinstance(e, int) for e in self.entries):
+        if not all(map(isinstance, self.entries, repeat(int))):
             raise ValueError("entries must be integers")
 
     @classmethod
@@ -224,8 +225,10 @@ def cokernel_invariants(a: IntMatrix) -> AbelianGroup:
     return smith_normal_form(a).cokernel()
 
 
-def cokernel_coordinates(snf: SNFResult, vec: tuple[int, ...]) -> tuple[int, ...]:
-    """Coordinates of ``vec`` in the cokernel's diagonal basis.
+def cokernel_coordinates(
+    snf: SNFResult, vec: tuple[int, ...], cols: tuple[int, ...] | None = None
+) -> tuple[int, ...]:
+    """Coordinates of ``vec`` in the cokernel's diagonal basis; with ``cols``, only those.
 
     Coordinate j lives in Z/d_j (reduced to [0, d_j)) when d_j > 0 and in Z
     when d_j = 0.  The zero tuple means ``vec`` lies in the row space.
@@ -234,7 +237,7 @@ def cokernel_coordinates(snf: SNFResult, vec: tuple[int, ...]) -> tuple[int, ...
     if len(vec) != n:
         raise ValueError("vector length does not match generator count")
     coords = []
-    for j in range(n):
+    for j in range(n) if cols is None else cols:
         c = sum(x * row[j] for x, row in zip(vec, snf.V))
         dj = snf.D[j][j] if j < len(snf.D) else 0
         coords.append(c % dj if dj else c)
@@ -271,34 +274,47 @@ def _left_kernel_heads(d: list[list[int]]) -> list[tuple[int, int]]:
     on ties).  The rows of the transform U that land on zero rows of the
     echelon form span the left kernel; only U's first two columns are
     carried, since those are all the projection reads.
+
+    Each step reads every row below the pivot once: it reduces the row and
+    looks for the next pivot among the remainders, which are smaller than
+    the pivot, so the pivot row itself never wins the next search.  Rows
+    are swapped only when the pivot row moves.
     """
     m, n = len(d), len(d[0])
     u = [(0, 0)] * m
     u[0], u[1] = (1, 0), (0, 1)
     t = 0
     for j in range(n):
-        while t < m:
+        piv, best = -1, 0
+        for i in range(t, m):
+            e = d[i][j]
+            if e:
+                a = e if e > 0 else -e
+                if piv < 0 or a < best:
+                    piv, best = i, a
+        while piv >= 0:
+            if piv != t:
+                d[t], d[piv] = d[piv], d[t]
+                u[t], u[piv] = u[piv], u[t]
+            top = d[t]
+            pivot = top[j]
+            ux, uy = u[t]
             piv, best = -1, 0
-            for i in range(t, m):
-                e = d[i][j]
-                if e and (piv < 0 or abs(e) < best):
-                    piv, best = i, abs(e)
-            if piv < 0:
-                break
-            d[t], d[piv] = d[piv], d[t]
-            u[t], u[piv] = u[piv], u[t]
-            top, pivot = d[t], d[t][j]
-            (ux, uy), cleared = u[t], True
             for i in range(t + 1, m):
-                e = d[i][j]
+                row = d[i]
+                e = row[j]
                 if e:
                     q = e // pivot
-                    d[i] = [x - q * y for x, y in zip(d[i], top)]
-                    u[i] = (u[i][0] - q * ux, u[i][1] - q * uy)
-                    cleared = cleared and not d[i][j]
-            if cleared:
+                    d[i] = [x - q * y for x, y in zip(row, top)]
+                    ui = u[i]
+                    u[i] = (ui[0] - q * ux, ui[1] - q * uy)
+                    e -= q * pivot
+                    if e:
+                        a = e if e > 0 else -e
+                        if piv < 0 or a < best:
+                            piv, best = i, a
+            if piv < 0:
                 t += 1
-                break
     return u[t:]
 
 

@@ -191,8 +191,9 @@ def _filling_homology(fl: FramedLink, label: str | None) -> tuple[AbelianGroup, 
         return group, 0
     vec = tuple(fl.linking[idx][j] for j in filled)
     # The diagonal runs 1, ..., 1 and then the lone entry that is not 1,
-    # which carries the cyclic coordinate.
-    return group, cokernel_coordinates(snf, vec)[snf.invariant_factors.count(1)]
+    # which carries the cyclic coordinate; only that one is computed.
+    (cls,) = cokernel_coordinates(snf, vec, (snf.invariant_factors.count(1),))
+    return group, cls
 
 
 def h1_of_filling(fl: FramedLink) -> AbelianGroup:

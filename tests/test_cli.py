@@ -6,6 +6,7 @@ import subprocess
 import sys
 from fractions import Fraction
 from itertools import islice, product
+from math import prod
 from types import SimpleNamespace
 
 import pytest
@@ -379,6 +380,9 @@ class TestSweep:
              "all cabling parameters must be >= 2"),
             (["stab", "--p", "2:9", "--q", "1:1", "--k", "1:1"], "p >= 2q(k+4) fails"),
             (["boundary-kernel", "--p", "4:4", "--q", "2:2", "--w", "0:3"], "coprime"),
+            # Every (p, q) block is rejected whole: the reason is LensSpace's.
+            (["boundary-kernel", "--p", "5:6", "--q", "6:7", "--w", "0:3"],
+             "error: need p > q >= 1, got (p, q) = (5, 6)\n"),
             (["cable", "--p", "7:7", "--q", "2:2", "--m", "2:2", "--n", "2:2"],
              "hypothesis p - qmn >= 1 fails: p - qmn = -1"),
             (["iterated", "--p", "8:8", "--q", "1:1", "--ms", "3,3"],
@@ -505,12 +509,14 @@ class TestSweep:
         assert pids == [pids[k % 3] for k in range(10)]
         assert_no_child_left()
 
+    # Each failing point has an admissible (p, q): the sweep never hands
+    # the evaluator a (p, q) that LensSpace rejects.
     @pytest.mark.parametrize("indices, first", [
-        ([5], 5),  # in the parent's share
+        ([2], 2),  # in the parent's share
         ([20], 20),  # in the child's share
         # Both fail: the earliest point's error is the one a serial run prints.
-        ([20, 40], 20),
-        ([5, 20], 5),
+        ([20, 37], 20),
+        ([2, 20], 2),
     ])
     def test_failing_point_exits_3_and_leaves_no_child(self, capsys, monkeypatch, slab_log,
                                                        indices, first):
@@ -909,6 +915,106 @@ class TestCommandTable:
             main(argv)
         assert exc.value.code == 0
         assert "usage: lensgenus" in capsys.readouterr().out
+
+
+#: Flag values after ``p, q`` for each command whose flags begin with them,
+#: every one invalid on its own: a class out of range, m = 1, n = 0, an
+#: ``ms`` entry below 2, k = 0, w = -1.
+INVALID_REST = {
+    "simple-knot": [(9,), (-1,)],
+    "theta": [(9,), (-1,)],
+    "cable": [(1, 2), (2, 0)],
+    "iterated": [(1,), (2, 1)],
+    "stab": [(0,)],
+    "boundary-kernel": [(-1,)],
+}
+
+#: Grids with rejected (p, q) blocks (q >= p, or gcd(p, q) > 1), as sweep
+#: flags with their axes.
+BLOCK_GRIDS = [
+    ("boundary-kernel", ["--p", "2:12", "--q", "1:11", "--w", "0:4"],
+     [range(2, 13), range(1, 12), range(0, 5)]),
+    ("cable", ["--p", "7:20", "--q", "1:4", "--m", "2:3", "--n", "2:3"],
+     [range(7, 21), range(1, 5), range(2, 4), range(2, 4)]),
+]
+
+
+def lens_rejects(p, q):
+    try:
+        LensSpace(p, q)
+    except DomainError:
+        return True
+    return False
+
+
+def mismatch_every_third(real):
+    """``real`` that exits 3 where the point's sum is a multiple of 3."""
+    def evaluate(*values):
+        verdict, code = real(*values)
+        return verdict, (3 if sum(values) % 3 == 0 else code)
+    return evaluate
+
+
+class TestLensBlocks:
+    """A sweep skips a (p, q) that LensSpace rejects once for its whole block."""
+
+    def test_every_pq_command_has_cases(self):
+        pq = {name for name, cmd in cli.COMMANDS.items() if cmd.flags[:2] == ("p", "q")}
+        assert pq == set(INVALID_REST)
+
+    @pytest.mark.parametrize("name, rest", [(n, r) for n, rs in INVALID_REST.items() for r in rs])
+    @pytest.mark.parametrize("p, q", [(6, 4), (5, 7), (1, 1)])
+    def test_evaluator_rejects_pq_first(self, name, rest, p, q):
+        # The invariant the block skip rests on: LensSpace's own error, first.
+        with pytest.raises(DomainError) as lens:
+            LensSpace(p, q)
+        with pytest.raises(DomainError) as got:
+            cli.COMMANDS[name].evaluate(p, q, *rest)
+        assert str(got.value) == str(lens.value)
+
+    @pytest.mark.parametrize("target, grid, axes", BLOCK_GRIDS)
+    def test_skipping_blocks_changes_no_result(self, capsys, monkeypatch, target, grid, axes):
+        command = cli.COMMANDS[target]
+        marked = mismatch_every_third(command.evaluate)
+        # The reference: every candidate through the real evaluator, in grid order.
+        mismatches, verdicts = [], []
+        for point in product(*axes):
+            try:
+                verdict, code = marked(*point)
+            except DomainError:
+                continue
+            verdicts.append(verdict)
+            if code == 3:
+                mismatches.append({"params": list(point), **command.report(verdict)["results"]})
+        expected = json.loads(canonical_json(command.summary(iter(verdicts), mismatches)))
+        assert mismatches
+
+        def evaluate(*values):
+            if lens_rejects(*values[:2]):
+                raise AssertionError(f"evaluator received {list(values)}")
+            return marked(*values)
+
+        monkeypatch.setitem(cli.COMMANDS, target, command._replace(evaluate=evaluate))
+        spans, real_runner = [], cli._run_slabs
+
+        def runner(worker, slab_spans, workers):
+            spans.extend(slab_spans)
+            return real_runner(worker, slab_spans, workers)
+
+        monkeypatch.setattr(cli, "_run_slabs", runner)
+        usable_cpus(monkeypatch, 3)
+        outs = []
+        for jobs in ("1", "2", "3"):
+            code, out, err = run(capsys, "sweep", target, *grid, "--jobs", jobs, "--json")
+            assert (code, err) == (3, "")
+            assert json.loads(out)["results"] == expected
+            outs.append(out)
+        assert outs[0] == outs[1] == outs[2]
+        # Some slab starts inside a rejected block.
+        block = prod(len(axis) for axis in axes[2:])
+        pairs = list(product(*axes[:2]))
+        assert any(s.start % block and lens_rejects(*pairs[s.start // block]) for s in spans)
+        assert_no_child_left()
 
 
 #: One call of each single command, as in the README.

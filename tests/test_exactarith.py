@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 from itertools import combinations
 from math import gcd
 
@@ -138,6 +139,17 @@ class TestCokernel:
             assert set(cokernel_coordinates(snf, tuple(row))) == {0}
         assert set(cokernel_coordinates(snf, (1, 0, 0, 0))) != {0}
 
+    def test_selected_coordinates_are_those_of_the_full_tuple(self):
+        rng = random.Random(7)
+        for _ in range(200):
+            m, n = rng.randint(1, 4), rng.randint(1, 4)
+            snf = smith_normal_form(IntMatrix.from_rows(
+                [[rng.randint(-9, 9) for _ in range(n)] for _ in range(m)]))
+            vec = tuple(rng.randint(-9, 9) for _ in range(n))
+            full = cokernel_coordinates(snf, vec)
+            cols = tuple(rng.randrange(n) for _ in range(rng.randint(0, n)))
+            assert cokernel_coordinates(snf, vec, cols) == tuple(full[j] for j in cols)
+
 
 class TestPeripheralKernel:
     @pytest.mark.parametrize(
@@ -265,3 +277,8 @@ class TestIntMatrix:
             IntMatrix(2, 2, (1, 2, 3))
         with pytest.raises(ValueError):
             IntMatrix.from_rows([[1, 2], [3]])
+
+    @pytest.mark.parametrize("entry", [1.0, "1", None, Fraction(1)])
+    def test_entries_must_be_integers(self, entry):
+        with pytest.raises(ValueError, match="entries must be integers"):
+            IntMatrix(1, 2, (0, entry))
