@@ -1,5 +1,8 @@
 """Command-line front end: one subcommand per certifying operation.
 
+Parsing is table-driven: ``parse_args`` reads the grammar, the usage lines
+and the help from ``COMMANDS``, ``_LIST_FLAGS`` and ``_OPTIONS``.
+
 Every number in the output is an exact rational (``a/b`` in tables,
 ``{"num": a, "den": b}`` in JSON); nothing is ever rendered as a float.
 Exit codes: 0 success, 1 invalid input (a ``DomainError``), 2 valid input
@@ -9,8 +12,6 @@ exception: a cross-check disagreed, or a bug such as a zero divisor).
 
 from __future__ import annotations
 
-import argparse
-import json
 import os
 import sys
 from fractions import Fraction
@@ -39,6 +40,8 @@ def rat(x: Fraction | int) -> dict[str, int]:
 
 def canonical_json(obj: Any) -> str:
     """Canonical JSON text: sorted keys, two-space indent, no floats."""
+    import json  # only a call that prints JSON pays for it
+
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
@@ -410,40 +413,30 @@ COMMANDS: dict[str, Command] = {
                                _boundary_kernel_report, partial(_passed_summary, "agreements")),
 }
 
-#: Flags that take a comma-separated list of integers, with their help.
-_LIST_FLAGS = {"ms": "comma-separated m1,m2,..."}
+#: Flags that take a comma-separated list of integers, with their metavar.
+_LIST_FLAGS = {"ms": "M1,M2,..."}
 
-#: Options of single commands that are not grid coordinates; each is passed
-#: to the evaluator by keyword.
-_OPTIONS: dict[str, dict[str, dict[str, Any]]] = {
-    "twist": {
-        "export": {"help": "write the spec line here"},
-        "sidecar": {"help": "write a JSON sidecar here"},
-    },
-    "boundary-kernel": {
-        "oracle": {"action": "store_true", "help": "verify against the exact kernel oracle"},
-    },
+#: Options of single commands that are not grid coordinates, by kind: a
+#: ``str`` option takes a value and a ``bool`` one is a switch.  Each is
+#: passed to the evaluator by keyword.
+_OPTIONS: dict[str, dict[str, type]] = {
+    "twist": {"export": str, "sidecar": str},
+    "boundary-kernel": {"oracle": bool},
 }
 
 
 def _int_list(text: str) -> list[int]:
-    try:
-        return [int(s) for s in text.split(",")]
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected comma-separated integers like 2,2,2, got {text!r}"
-        ) from None
+    return [int(s) for s in text.split(",")]
 
 
-def _run_command(args: argparse.Namespace) -> tuple[dict, int]:
+def _run_command(name: str, args: dict[str, Any]) -> tuple[dict, int]:
     """The envelope of one single command; a failed cross-check is an internal failure."""
-    name = args.command
     cmd = COMMANDS[name]
-    inputs = {flag: getattr(args, flag) for flag in cmd.flags}
+    inputs = {flag: args[flag] for flag in cmd.flags}
     values: list[int] = []
     for flag, value in inputs.items():
         values += value if flag in _LIST_FLAGS else [value]
-    options = {opt: getattr(args, opt) for opt in _OPTIONS.get(name, ())}
+    options = {opt: args[opt] for opt in _OPTIONS.get(name, ())}
     verdict, code = cmd.evaluate(*values, **options)
     sections = cmd.report(verdict)
     inputs.update(sections.pop("inputs", {}))
@@ -595,14 +588,14 @@ def _parse_range(text: str, flag: str) -> range:
     return axis
 
 
-def cmd_sweep(args: argparse.Namespace) -> tuple[dict, int]:
-    if args.jobs < 1:
-        raise DomainError(f"--jobs must be >= 1, got {args.jobs}")
-    cmd = COMMANDS[args.target]
-    inputs: dict[str, Any] = {"target": args.target}
+def cmd_sweep(target: str, args: dict[str, Any]) -> tuple[dict, int]:
+    if args["jobs"] < 1:
+        raise DomainError(f"--jobs must be >= 1, got {args['jobs']}")
+    cmd = COMMANDS[target]
+    inputs: dict[str, Any] = {"target": target}
     axes: list[range] = []
     for flag in cmd.flags:
-        inputs[flag] = value = getattr(args, flag)
+        inputs[flag] = value = args[flag]
         # A range spans one axis; a list pins one single-valued axis per entry.
         axes += ([range(v, v + 1) for v in value] if flag in _LIST_FLAGS
                  else [_parse_range(value, flag)])
@@ -618,13 +611,13 @@ def cmd_sweep(args: argparse.Namespace) -> tuple[dict, int]:
     # mismatches in grid order, and only slab summaries cross a pipe.  The
     # workers are capped at the CPUs this process may run on; without fork,
     # the parent works alone.
-    workers = (min(args.jobs, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+    workers = (min(args["jobs"], len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
                    else os.cpu_count() or 1)
                if hasattr(os, "fork") else 1)
     slabs = workers * SLABS_PER_WORKER if workers > 1 else 1
     bounds = [size * i // slabs for i in range(slabs + 1)]
     spans = list(map(range, bounds, bounds[1:]))
-    results = reduce(_merge, _run_slabs(partial(_sweep_slab, args.target, axes), spans, workers))
+    results = reduce(_merge, _run_slabs(partial(_sweep_slab, target, axes), spans, workers))
     if not results["points"]:
         # Nothing admissible: evaluate the first point uncaught so the
         # sweep fails with its reason.
@@ -638,49 +631,82 @@ def cmd_sweep(args: argparse.Namespace) -> tuple[dict, int]:
 # parser
 
 
-class _Parser(argparse.ArgumentParser):
-    """A usage error is invalid input (exit 1); argparse would exit 2, "not certified".
+def _help(usage: str, about: str) -> NoReturn:
+    sys.stdout.write(f"{usage}\n\n{about}\n")
+    raise SystemExit(0)
 
-    Flags must be spelled in full: with prefix matching, ``--m`` would pass
-    for ``--ms`` and ``--jo`` for ``--jobs``.
+
+def parse_args(argv: list[str]) -> tuple[str, bool, dict[str, Any]]:
+    """``(command, is_sweep, values)`` from ``argv``; ``values`` holds every flag of the command.
+
+    The first word names a command, or ``sweep`` and then a target.  The
+    command's flags follow in any order, all required, then its options
+    (``--jobs`` for a sweep) and ``--json``; an absent option takes its
+    default.  A value follows its flag as the next word or after ``=``.  A
+    next word that starts with ``-`` is a value only when it is an integer,
+    so ``--n -5:5`` is refused where ``--n=-5:5`` is not.  Flags are spelled
+    in full, a repeated flag keeps its last value, and ``-h``/``--help``
+    prints the usage and exits 0.
     """
-
-    def __init__(self, **kwargs: Any) -> None:
-        super().__init__(allow_abbrev=False, **kwargs)
-
-    def error(self, message: str) -> NoReturn:
-        raise DomainError(f"{message}\n{self.format_usage().rstrip()}")
-
-
-def _add_flags(p: argparse.ArgumentParser, flags: Iterable[str], kind: Callable,
-               help: str | None = None) -> None:
-    for flag in flags:
-        listed = flag in _LIST_FLAGS
-        p.add_argument(f"--{flag}", type=_int_list if listed else kind, required=True,
-                       help=_LIST_FLAGS.get(flag, help))
-
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
-        prog="lensgenus",
-        description="Exact rational-genus certificates for knots in lens spaces.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, cmd in COMMANDS.items():
-        p = sub.add_parser(name, help=cmd.help)
-        _add_flags(p, cmd.flags, int)
-        for opt, kwargs in _OPTIONS.get(name, {}).items():
-            p.add_argument(f"--{opt}", **kwargs)
-        p.add_argument("--json", action="store_true", help="emit a JSON report")
-    sweep = sub.add_parser("sweep", help="grid runs with exact-equality summaries")
-    targets = sweep.add_subparsers(dest="target", required=True)
-    for name, cmd in COMMANDS.items():
-        if cmd.summary is not None:
-            p = targets.add_parser(name, help=cmd.help)
-            _add_flags(p, cmd.flags, str, "range lo:hi")
-            p.add_argument("--jobs", type=int, default=1, help="parallel worker processes")
-            p.add_argument("--json", action="store_true", help="emit a JSON report")
-    return parser
+    words = iter(argv)
+    prog, about = "lensgenus", "Exact rational-genus certificates for knots in lens spaces."
+    choices = {name: cmd.help for name, cmd in COMMANDS.items()}
+    choices["sweep"] = "grid runs with exact-equality summaries"
+    for what in ("command", "target"):
+        usage = f"usage: {prog} [-h] {{{','.join(choices)}}} ..."
+        name = next(words, None)
+        if name in ("-h", "--help"):
+            width = max(map(len, choices)) + 2
+            _help(usage, about + "\n" + "".join(f"\n  {c:{width}}{h}" for c, h in choices.items()))
+        if name not in choices:
+            raise DomainError((f"the following arguments are required: {what}" if name is None else
+                               f"argument {what}: invalid choice: {name!r} (choose from "
+                               f"{', '.join(choices)})") + f"\n{usage}")
+        prog, about = f"{prog} {name}", choices[name]
+        if name != "sweep":
+            break
+        choices = {target: choices[target] for target, cmd in COMMANDS.items() if cmd.summary}
+    sweep, cmd = what == "target", COMMANDS[name]  # a sweep names its target second
+    kinds = {flag: _int_list if flag in _LIST_FLAGS else str if sweep else int
+             for flag in cmd.flags}
+    kinds.update({"jobs": int} if sweep else _OPTIONS.get(name, {}), json=bool)
+    values: dict[str, Any] = {flag: False if kind is bool else None for flag, kind in kinds.items()}
+    if sweep:
+        values["jobs"] = 1
+    usage = f"usage: {prog} [-h] " + " ".join(
+        f"--{flag} {_LIST_FLAGS.get(flag, 'LO:HI' if sweep else flag.upper())}" if flag in cmd.flags
+        else f"[--{flag}]" if kind is bool else f"[--{flag} {flag.upper()}]"
+        for flag, kind in kinds.items())
+    extras: list[str] = []
+    for word in words:
+        if word in ("-h", "--help"):
+            _help(usage, about)
+        flag, eq, text = word.partition("=")
+        kind = kinds.get(flag[2:]) if flag.startswith("--") else None
+        if kind is None:
+            extras.append(word)
+            continue
+        if kind is bool:
+            if eq:
+                raise DomainError(f"argument {flag}: ignored explicit argument {text!r}\n{usage}")
+            values[flag[2:]] = True
+            continue
+        if not eq:
+            text = next(words, "-")  # no word left reads as a flag: no value
+            if text.startswith("-") and not text[1:].isdecimal():
+                raise DomainError(f"argument {flag}: expected one argument\n{usage}")
+        try:
+            values[flag[2:]] = kind(text)
+        except ValueError:
+            expected = ("invalid int value:" if kind is int
+                        else "expected comma-separated integers like 2,2,2, got")
+            raise DomainError(f"argument {flag}: {expected} {text!r}\n{usage}") from None
+    missing = [f"--{flag}" for flag in cmd.flags if values[flag] is None]
+    if missing:
+        raise DomainError(f"the following arguments are required: {', '.join(missing)}\n{usage}")
+    if extras:
+        raise DomainError(f"unrecognized arguments: {' '.join(extras)}\n{usage}")
+    return name, sweep, values
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -689,10 +715,10 @@ def main(argv: list[str] | None = None) -> int:
     if hasattr(sys, "set_int_max_str_digits"):
         sys.set_int_max_str_digits(0)
     try:
-        args = build_parser().parse_args(argv)
-        env, code = cmd_sweep(args) if args.command == "sweep" else _run_command(args)
+        name, sweep, args = parse_args(sys.argv[1:] if argv is None else argv)
+        env, code = (cmd_sweep if sweep else _run_command)(name, args)
         # Rendered before anything is written: a report that fails to render prints nothing.
-        text = print_report(env, args.json)
+        text = print_report(env, args["json"])
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID

@@ -10,6 +10,8 @@ from math import prod
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from lensgenus import cables, cli, complement, exactarith, stabilization, twistfamily
 from lensgenus.cables import CableParams, IteratedCableParams
@@ -1282,3 +1284,112 @@ class TestArgumentValidation:
         )
         assert code == 1
         assert "requires --export" in err
+
+
+def flag_pairs(words):
+    """``[flag, value]`` for each flag of a valid argv, value None for a switch."""
+    pairs = []
+    for word in words:
+        if word.startswith("--"):
+            flag, eq, value = word.partition("=")
+            pairs.append([flag, value if eq else None])
+        else:
+            pairs[-1][1] = word
+    return pairs
+
+
+#: Every single command and sweep target, as its command words and its flags;
+#: the twist sweep has a negative bound.
+PARSE_CASES = [(single[:1], flag_pairs([*single[1:], "--json"])) for single in SINGLE_COMMANDS] + [
+    (["sweep", target], flag_pairs([*grid, "--jobs", "1", "--json"]))
+    for target, grid, _, _ in TABLE_CASES if target != "twist"
+]
+PARSE_CASES.append(
+    (["sweep", "twist"], flag_pairs(["--a", "1:2", "--b", "1:1", "--n=-2:2", "--jobs", "1", "--json"])))
+
+PARSE_IDS = [" ".join(command) for command, _ in PARSE_CASES]
+
+
+def spelled(data, pairs):
+    """``pairs`` in a drawn order, each as ``--flag value`` or ``--flag=value``, as word groups.
+
+    A negative integer is always a word of its own; a value that starts with
+    ``-`` and is no integer always follows ``=``.
+    """
+    groups = []
+    for flag, value in data.draw(st.permutations(pairs)):
+        if value is None:
+            groups.append([flag])
+        elif value.startswith("-"):
+            groups.append([flag, value] if value[1:].isdecimal() else [f"{flag}={value}"])
+        else:
+            groups.append([flag, value] if data.draw(st.booleans()) else [f"{flag}={value}"])
+    return groups
+
+
+class TestParser:
+    """Any spelling argparse took means what its canonical argv means."""
+
+    @settings(max_examples=20, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    @pytest.mark.parametrize("command, pairs", PARSE_CASES, ids=PARSE_IDS)
+    def test_any_spelling_prints_the_canonical_bytes(self, capsys, command, pairs, data):
+        pairs = [list(pair) for pair in pairs]
+        valued = [pair for pair in pairs if pair[1] is not None]
+        if command[0] != "sweep" and data.draw(st.booleans()):
+            # A single command's integer made negative: its family may refuse it.
+            pair = data.draw(st.sampled_from([p for p in valued if p[1].isdecimal()]))
+            pair[1] = str(data.draw(st.integers(max_value=-1)))
+        canonical = [*command,
+                     *(flag if value is None else f"{flag}={value}" for flag, value in pairs)]
+        groups = spelled(data, pairs)
+        # An earlier value of one flag, which the last one overrides.
+        flag, value = data.draw(st.sampled_from(valued))
+        earlier = ("5,7" if "," in value else "9:3" if ":" in value
+                   else str(data.draw(st.integers())))
+        last = next(i for i, group in enumerate(groups) if group[0].partition("=")[0] == flag)
+        [overridden] = spelled(data, [[flag, earlier]])
+        groups.insert(data.draw(st.integers(0, last)), overridden)
+        words = [word for group in groups for word in group]
+        assert run(capsys, *command, *words) == run(capsys, *canonical)
+
+    @settings(max_examples=20, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    @pytest.mark.parametrize("command, pairs", PARSE_CASES, ids=PARSE_IDS)
+    def test_usage_error_anywhere(self, capsys, command, pairs, data):
+        groups = spelled(data, pairs)
+        flag = data.draw(st.sampled_from([flag for flag, value in pairs if value is not None]))
+        dashed = data.draw(st.sampled_from(["-5:5", "-x", "-", "-1.5", "-2,3", "--json"]))
+        bad, message = data.draw(st.sampled_from([
+            (["--json=x"], "argument --json: ignored explicit argument 'x'"),
+            # Before another flag, or at the end of argv.
+            ([flag], f"argument {flag}: expected one argument"),
+            ([flag, dashed], f"argument {flag}: expected one argument"),
+        ]))
+        groups.insert(data.draw(st.integers(0, len(groups))), bad)
+        code, out, err = run(capsys, *command, *(word for group in groups for word in group))
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: {message}\nusage: lensgenus {' '.join(command)} [-h] ")
+        assert err.count("\n") == 2
+
+    @pytest.mark.parametrize("argv", [[], ["sweep"]])
+    def test_help_lists_the_table(self, capsys, argv):
+        with pytest.raises(SystemExit):
+            main([*argv, "--help"])
+        out = capsys.readouterr().out
+        for name, cmd in cli.COMMANDS.items():
+            assert (f"  {name} " in out and cmd.help in out) == (not argv or bool(cmd.summary))
+
+    @pytest.mark.parametrize("name, argv", [
+        ("cable", ["cable", "-h"]),
+        ("iterated", ["sweep", "iterated", "--p", "1:2", "--help"]),
+    ])
+    def test_command_help_names_its_flags(self, capsys, name, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        out = capsys.readouterr().out
+        assert exc.value.code == 0
+        assert cli.COMMANDS[name].help in out
+        assert all(f"--{flag} " in out for flag in cli.COMMANDS[name].flags)

@@ -1,7 +1,8 @@
 """Module-level checks: what each entry point loads, and what the source may use.
 
 The start-up checks count modules, never time: a single command loads only
-its family's modules and never ``dataclasses`` or ``inspect``, no sweep loads
+its family's modules and never ``dataclasses``, ``inspect``, ``argparse``
+or ``gettext``, a text report loads no ``json``, no sweep loads
 ``concurrent.futures`` or ``multiprocessing`` (``--jobs N`` forks, and only
 a sweep that forks loads ``pickle``), and ``import lensgenus`` loads no
 submodule.  The source checks keep floating point out of the library and
@@ -46,8 +47,9 @@ def test_package_import_loads_no_submodule():
 
 
 #: Stdlib modules no command needs: ``dataclasses`` loads ``inspect``,
-#: ``ast``, ``dis`` and ``tokenize`` before the first line of arithmetic.
-NEVER_LOADED = {"dataclasses", "inspect"}
+#: ``ast``, ``dis`` and ``tokenize`` before the first line of arithmetic, and
+#: ``argparse`` loads ``gettext``; the command table is the parser.
+NEVER_LOADED = {"dataclasses", "inspect", "argparse", "gettext"}
 
 
 def test_cli_import_loads_no_pool_and_no_family():
@@ -73,6 +75,12 @@ def test_command_loads_only_its_family(argv, family):
     assert "pickle" not in modules
     assert modules & NEVER_LOADED == set()
     assert package_modules(modules) == {"cli", "errors", "lens"} | family
+
+
+@pytest.mark.parametrize("argv", [["cable", "--p", "8", "--q", "1", "--m", "2", "--n", "2"],
+                                  ["sweep", "stab", "--p", "10:12", "--q", "1:1", "--k", "1:1"]])
+def test_text_report_loads_no_json(argv):
+    assert "json" not in loaded_after(f"from lensgenus.cli import main\nmain({argv!r})")
 
 
 def test_parallel_sweep_loads_no_pool():
