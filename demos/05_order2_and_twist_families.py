@@ -11,12 +11,11 @@ from lensgenus import (
     LensSpace,
     TwistParams,
     build_twist_diagram,
+    filling_homology,
     filling_spec_export,
     h1_of_complement,
-    h1_of_filling,
     nonorientable_genus,
     twist_framings,
-    unfilled_class,
     uniqueness_check,
 )
 
@@ -38,16 +37,17 @@ for a, b, n in [(1, 1, 1), (1, 3, 2), (2, 2, -5)]:
     t = TwistParams(a, b, n)
     fl = build_twist_diagram(t)
     line = filling_spec_export(t)
+    h1, knot_class = filling_homology(fl, "gamma")
     print(f"  (a,b,n) = ({a},{b},{n}), k = {t.k}:")
     print(f"    alpha framings: {twist_framings(n)}")
-    print(f"    filled H1: {h1_of_filling(fl)}, knot class: {unfilled_class(fl, 'gamma')}")
+    print(f"    filled H1: {h1}, knot class: {knot_class}")
     print(f"    complement H1: {h1_of_complement(fl)}")
     print(f"    export: {line}")
 
 # Twisting is a homeomorphism, so the class never moves with n.
 t_values = [-4, -2, -1, 1, 2, 4]
 classes = {
-    n: unfilled_class(build_twist_diagram(TwistParams(1, 3, n)), "gamma")
+    n: filling_homology(build_twist_diagram(TwistParams(1, 3, n)), "gamma")[1]
     for n in t_values
 }
 print(f"\nclass of K(1,3,n) for n in {t_values}: {sorted(set(classes.values()))}")

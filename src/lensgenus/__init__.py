@@ -36,7 +36,7 @@ _EXPORTS = {
     "lens": ("H1Class", "LensSpace", "simple_knot_class", "simple_knot_in_class"),
     "norm": (
         "NormSummand", "PeripheralClass", "SeifertPiece", "graph_norm",
-        "orbifold_euler_char", "orbifold_euler_parts", "torus_pairing",
+        "orbifold_euler_parts", "torus_pairing",
     ),
     "order2": (
         "UniquenessReport", "nonorientable_genus", "nonorientable_genus_to_theta",
@@ -49,8 +49,8 @@ _EXPORTS = {
     ),
     "twistfamily": (
         "UNFILLED", "FramedLink", "LinkComponent", "TwistParams",
-        "build_twist_diagram", "export_filling_specs", "filling_spec_export",
-        "h1_of_complement", "h1_of_filling", "twist_framings", "unfilled_class",
+        "build_twist_diagram", "export_filling_specs", "filling_homology",
+        "filling_spec_export", "h1_of_complement", "twist_framings",
     ),
 }
 

@@ -189,26 +189,26 @@ def iterated_verdict(ic: IteratedCableParams) -> IteratedVerdict:
     Certification threshold: p >= q m_1^2 ... m_{k-1}^2 m_k.  Above it the
     norms must agree exactly; a disagreement is reported as ``norms_equal``
     False with the minimizer uncertified, and the CLI exits 3.  ``theta`` is
-    the class's, from the torus-knot route, as ``cable_verdict`` reports it.
+    the class's, from the torus-knot route, and a solid torus dropped on
+    either route is warned about, as ``cable_verdict`` does.
     """
     p, q = ic.ambient.p, ic.ambient.q
     ms = ic.ms
-    summands = iterated_summands(ic)
-    norm_it, _, dropped = graph_norm(summands)
-    torus_report = torus_knot_theta(ic.ambient, ic.total_winding)
+    norm_it, _, dropped = graph_norm(iterated_summands(ic))
+    norm_torus, _, dropped_torus = graph_norm([torus_fiber_summand(ic.ambient, ic.total_winding)])
     bound = q * prod(m * m for m in ms[:-1]) * ms[-1]
     threshold = p >= bound
-    equal = norm_it == torus_report.chi_minus
+    equal = norm_it == norm_torus
     return IteratedVerdict(
         params=ic,
         norm_iterated=norm_it,
-        norm_torus_side=torus_report.chi_minus,
+        norm_torus_side=norm_torus,
         threshold_met=threshold,
         norms_equal=equal,
         certified_minimizer=threshold and equal,
         homology_class=ic.total_winding % p,
-        theta=torus_report.theta,
-        warnings=_solid_torus_warnings(dropped),
+        theta=Fraction(norm_torus.numerator, norm_torus.denominator * p),
+        warnings=_solid_torus_warnings(dropped + dropped_torus),
     )
 
 

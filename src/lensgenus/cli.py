@@ -3,8 +3,9 @@
 Parsing is table-driven: ``parse_args`` reads the grammar, the usage lines
 and the help from ``COMMANDS``, ``_LIST_FLAGS`` and ``_OPTIONS``.
 
-Every number in the output is an exact rational (``a/b`` in tables,
-``{"num": a, "den": b}`` in JSON); nothing is ever rendered as a float.
+Report halves put the verdicts' own values in ``results``: a rational
+stays a ``Fraction``, written as ``a/b`` in text and as ``{"num": a, "den": b}``
+by the one JSON hook; nothing is ever rendered as a float.
 Exit codes: 0 success, 1 invalid input (a ``DomainError``), 2 valid input
 but the certification condition is not met, 3 internal failure (any other
 exception: a cross-check disagreed, or a bug such as a zero divisor).
@@ -14,7 +15,6 @@ from __future__ import annotations
 
 import os
 import sys
-from fractions import Fraction
 from functools import partial, reduce
 from itertools import groupby, islice, product
 from math import prod
@@ -34,15 +34,20 @@ EXIT_INCONSISTENT = 3
 # report plumbing
 
 
-def rat(x: Fraction | int) -> dict[str, int]:
-    return {"num": x.numerator, "den": x.denominator}
+def _rational(value: Any) -> dict[str, int]:
+    """The ``default=`` hook of ``canonical_json``: a ``Fraction`` as ``{"num": n, "den": d}``."""
+    from fractions import Fraction  # already loaded wherever a Fraction exists
+
+    if not isinstance(value, Fraction):
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+    return {"num": value.numerator, "den": value.denominator}
 
 
 def canonical_json(obj: Any) -> str:
     """Canonical JSON text: sorted keys, two-space indent, no floats."""
     import json  # only a call that prints JSON pays for it
 
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    return json.dumps(obj, sort_keys=True, indent=2, default=_rational) + "\n"
 
 
 def envelope(
@@ -61,13 +66,16 @@ def envelope(
     }
 
 
-def _fmt(value: Any) -> str:
-    if isinstance(value, dict) and set(value) == {"num", "den"}:
-        return str(Fraction(value["num"], value["den"]))
+def _fmt(value: Any, nested: bool = False) -> str:
+    """A result value as text, a rational as ``a/b``; a record (a dict) reads as its repr would."""
+    if isinstance(value, dict):
+        return "{" + ", ".join(f"{k!r}: {_fmt(v, True)}" for k, v in value.items()) + "}"
+    if isinstance(value, list):
+        return "[" + ", ".join(_fmt(v, nested) for v in value) + "]"
+    if nested and isinstance(value, (bool, str)):
+        return repr(value)
     if isinstance(value, bool):
         return "yes" if value else "no"
-    if isinstance(value, list):
-        return "[" + ", ".join(_fmt(v) for v in value) + "]"
     return str(value)
 
 
@@ -133,12 +141,14 @@ def _theta(p: int, q: int, c: int) -> tuple[Any, int]:
 def _theta_report(r: Any) -> dict:
     """``r`` is the torus knot's ``GenusReport``, or None for class 0."""
     if r is None:
-        results = {"theta": rat(0), "chi_minus": rat(0), "label": "EXACT"}
+        from fractions import Fraction  # the one rational a report builds
+
+        results = {"theta": Fraction(0), "chi_minus": Fraction(0), "label": "EXACT"}
         criterion = "class 0 is the unknot, which bounds a disk"
     else:
         results = {
-            "theta": rat(r.theta),
-            "chi_minus": rat(r.chi_minus),
+            "theta": r.theta,
+            "chi_minus": r.chi_minus,
             "mu_pairing": r.mu_pairing,
             "fibered": r.fibered,
             "label": "EXACT",
@@ -166,11 +176,11 @@ def _cable(p: int, q: int, m: int, n: int) -> tuple[Any, int]:
 def _cable_report(v: Any) -> dict:
     return {
         "results": {
-            "norm_torus_side": rat(v.norm_torus_side),
-            "norm_cable_side": rat(v.norm_cable_side),
+            "norm_torus_side": v.norm_torus_side,
+            "norm_cable_side": v.norm_cable_side,
             "norms_equal": v.norms_equal,
             "homology_class": v.homology_class,
-            "theta": rat(v.theta),
+            "theta": v.theta,
             "threshold_met": v.threshold_met,
         },
         "certifications": {
@@ -196,11 +206,11 @@ def _iterated(p: int, q: int, *ms: int) -> tuple[Any, int]:
 def _iterated_report(v: Any) -> dict:
     return {
         "results": {
-            "norm_iterated": rat(v.norm_iterated),
-            "norm_torus_side": rat(v.norm_torus_side),
+            "norm_iterated": v.norm_iterated,
+            "norm_torus_side": v.norm_torus_side,
             "norms_equal": v.norms_equal,
             "homology_class": v.homology_class,
-            "theta": rat(v.theta),
+            "theta": v.theta,
             "threshold_met": v.threshold_met,
         },
         "certifications": {
@@ -228,9 +238,9 @@ def _stab_report(v: Any) -> dict:
             "coefficients": list(stabilization.stab_coefficients(v.family)),
             "chi_surface": v.norms.chi_Fk,
             "chi_capped": v.norms.chi_capped,
-            "torus_knot_chi": rat(v.torus_chi),
+            "torus_knot_chi": v.torus_chi,
             "homology_class": v.homology_class,
-            "theta": rat(v.theta),
+            "theta": v.theta,
         },
         "certifications": {
             "minimizer": {"holds": v.certified_minimizer,
@@ -254,7 +264,7 @@ def _order2_report(rep: Any) -> dict:
         "inputs": {"p": space.p, "q": space.q},
         "results": {
             "nonorientable_genus": rep.nonorientable_genus,
-            "theta": rat(rep.theta),
+            "theta": rep.theta,
             "order2_class": space.p // 2,
         },
         "certifications": {
@@ -445,7 +455,7 @@ def _run_command(name: str, args: dict[str, Any]) -> tuple[dict, int]:
         failed = [k for k, c in env["certifications"].items() if not c["holds"]]
         raise ConsistencyError(
             f"{name} at {env['inputs']}: {', '.join(failed)} check failed; "
-            f"results {env['results']}"
+            f"results {_fmt(env['results'])}"
         )
     return env, code
 

@@ -13,7 +13,8 @@ each piece's characteristic once.
 The arithmetic is on integers: ``orbifold_euler_parts`` gives a piece's
 characteristic as a numerator over the lcm of its cone orders, the total
 is an integer numerator and denominator, and only each result is built as
-a ``Fraction`` (``orbifold_euler_char`` is the characteristic as one).
+a ``Fraction`` (``Fraction(*orbifold_euler_parts(piece))`` is the
+characteristic itself, in lowest terms).
 """
 
 from __future__ import annotations
@@ -60,11 +61,6 @@ def orbifold_euler_parts(piece: SeifertPiece) -> tuple[int, int]:
     for a in cones:
         num += denom // a
     return num, denom
-
-
-def orbifold_euler_char(piece: SeifertPiece) -> Fraction:
-    """The same characteristic as a ``Fraction``, in lowest terms."""
-    return Fraction(*orbifold_euler_parts(piece))
 
 
 def torus_pairing(x: PeripheralClass, y: PeripheralClass) -> int:

@@ -18,11 +18,7 @@ a and b must change nothing.  Any edit that fails that grid is wrong.
 
 from __future__ import annotations
 
-import errno
-import json
-import os
 from collections import namedtuple
-from contextlib import suppress
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -165,8 +161,8 @@ def _relation_matrix(fl: FramedLink, generators: Sequence[int]) -> IntMatrix:
     return IntMatrix.from_rows(rows)
 
 
-def _filling_homology(fl: FramedLink, label: str | None) -> tuple[AbelianGroup, int | None]:
-    """H1 of the filled manifold and the class of the unfilled ``label``.
+def filling_homology(fl: FramedLink, label: str | None = None) -> tuple[AbelianGroup, int | None]:
+    """H1 of the filled manifold and the class of the unfilled ``label`` in it.
 
     One Smith form of the filled relations gives both.  The unfilled
     component is homologous to the sum of its linking numbers times the
@@ -196,26 +192,9 @@ def _filling_homology(fl: FramedLink, label: str | None) -> tuple[AbelianGroup, 
     return group, cls
 
 
-def h1_of_filling(fl: FramedLink) -> AbelianGroup:
-    """First homology of the closed manifold given by the filled components.
-
-    Unfilled components are ignored entirely; use ``unfilled_class`` to
-    track where such a component lands.
-    """
-    return _filling_homology(fl, None)[0]
-
-
 def h1_of_complement(fl: FramedLink) -> AbelianGroup:
     """First homology of the filled manifold minus the unfilled components."""
     return cokernel_invariants(_relation_matrix(fl, range(len(fl.components))))
-
-
-def unfilled_class(fl: FramedLink, label: str) -> int:
-    """Homology class of an unfilled component in the filled manifold.
-
-    The filled manifold's first homology must be cyclic.
-    """
-    return _filling_homology(fl, label)[1]
 
 
 #: Homology check of K(a,b,n): the filling has H1 = Z/2k, gamma in class k.
@@ -230,7 +209,7 @@ def twist_verdict(t: TwistParams) -> TwistVerdict:
     the orientation of gamma.
     """
     fl = build_twist_diagram(t)
-    group, cls = _filling_homology(fl, "gamma")
+    group, cls = filling_homology(fl, "gamma")
     order = 2 * t.k
     return TwistVerdict(t, fl, group, cls, group.order() == order and cls % order == t.k)
 
@@ -258,6 +237,8 @@ def export_filling_specs(
     order of the filled manifold's first homology, the class of the
     unfilled component, and the spec line, all read from the verdict.
     """
+    import json  # only a call that exports pays for it
+
     lines = []
     records = []
     for v in verdicts:
@@ -292,6 +273,10 @@ def _write_all_or_none(files: Sequence[tuple[str, str]]) -> None:
     before any temporary file is written.  An ``OSError`` names the target
     path, never the temporary one.
     """
+    import errno
+    import os
+    from contextlib import suppress
+
     for target, _ in files:
         if not target or os.path.isdir(target):
             code = errno.EISDIR if target else errno.ENOENT

@@ -46,9 +46,8 @@ from lensgenus.stabilization import StabFamily, stab_norms, stab_verdict
 from lensgenus.twistfamily import (
     TwistParams,
     build_twist_diagram,
+    filling_homology,
     filling_spec_export,
-    h1_of_filling,
-    unfilled_class,
 )
 
 from _oracles import exact_det, mat_mul, minors_invariant_factors
@@ -314,15 +313,14 @@ def test_criterion_7_twist_family_grid():
                 t = TwistParams(a, b, n)
                 fl = build_twist_diagram(t)
                 k = t.k
-                if h1_of_filling(fl) != AbelianGroup(0, (2 * k,)):
+                if filling_homology(fl)[0] != AbelianGroup(0, (2 * k,)):
                     failures.append(("h1", a, b, n))
-                cls = unfilled_class(fl, "gamma")
+                cls = filling_homology(fl, "gamma")[1]
                 if cls % (2 * k) not in (k, (-k) % (2 * k)):
                     failures.append(("class", a, b, n))
                 swapped = build_twist_diagram(TwistParams(b, a, n))
-                if h1_of_filling(swapped) != h1_of_filling(fl) or unfilled_class(
-                    swapped, "gamma"
-                ) != cls:
+                if (filling_homology(swapped)[0] != filling_homology(fl)[0]
+                        or filling_homology(swapped, "gamma")[1] != cls):
                     failures.append(("swap", a, b, n))
     line = filling_spec_export(TwistParams(1, 1, 1))
     if line != "M((-1,1),(-1,1),(6,1),(0,1),(2,1),inf)":

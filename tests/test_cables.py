@@ -18,7 +18,7 @@ from lensgenus.cables import (
 from lensgenus.complement import torus_knot_theta
 from lensgenus.errors import DomainError
 from lensgenus.lens import LensSpace
-from lensgenus.norm import graph_norm, orbifold_euler_char
+from lensgenus.norm import graph_norm, orbifold_euler_parts
 
 
 def params(p, q, m, n):
@@ -152,7 +152,7 @@ class TestIteratedCables:
         assert len(summands) == 3
         values = []
         for s in summands:
-            chi = orbifold_euler_char(s.piece)
+            chi = Fraction(*orbifold_euler_parts(s.piece))
             values.append(abs(s.fiber_pairing) * max(Fraction(0), -chi))
         assert values == [112, 48, 0]
         assert iterated_norm(ic) == 160
@@ -289,3 +289,8 @@ class TestExplicitSurfaceCheck:
         for m in range(2, 7):
             for n in range(2, 7):
                 assert explicit_surface_check(m, n).all_hold, (m, n)
+
+    @pytest.mark.parametrize("m, n", [(1, 2), (2, 1), (0, 0)])
+    def test_parameters_below_two_rejected(self, m, n):
+        with pytest.raises(ValueError, match="surface check requires m, n >= 2"):
+            explicit_surface_check(m, n)

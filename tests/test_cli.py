@@ -138,6 +138,25 @@ class TestInternalFailureExits3:
         assert len(slab_log.forks) == int(jobs) - 1
         assert_no_child_left()
 
+    def test_wrong_stab_catalogue_exits_3(self, capsys, monkeypatch, slab_log):
+        # A catalogue whose F0 claims one unit of complexity too many.  F0
+        # enters the surface from p = 11 on, so the sweep fails at its second
+        # point, and with --jobs 2 the serial replay prints the same line.
+        f0 = stabilization.BASE_SURFACES[0]
+        monkeypatch.setattr(stabilization, "BASE_SURFACES",
+                            (f0._replace(chi_minus=5),) + stabilization.BASE_SURFACES[1:])
+        line = ("internal consistency failure: assembled chi 31 != closed form 30 "
+                "at (p,q,k)=(11,1,1)\n")
+        code, out, err = run(capsys, "stab", "--p", "11", "--q", "1", "--k", "1")
+        assert (code, out, err) == (3, "", line)
+        usable_cpus(monkeypatch, 2)
+        for jobs in ("1", "2"):
+            code, out, err = run(capsys, "sweep", "stab", "--p", "10:12", "--q", "1:1",
+                                 "--k", "1:1", "--jobs", jobs)
+            assert (code, out, err) == (3, "", line), jobs
+        assert len(slab_log.forks) == 1
+        assert_no_child_left()
+
     @pytest.mark.parametrize("exc, line", [
         (IndexError("list index out of range"), "IndexError: list index out of range"),
         (TypeError("unsupported operand"), "TypeError: unsupported operand"),
@@ -428,8 +447,8 @@ class TestSweep:
 
     def test_failed_twist_homology_exits_3(self, capsys, monkeypatch):
         # Move gamma to class 1 on the one homology path the verdict reads.
-        real = twistfamily._filling_homology
-        monkeypatch.setattr(twistfamily, "_filling_homology",
+        real = twistfamily.filling_homology
+        monkeypatch.setattr(twistfamily, "filling_homology",
                             lambda fl, label: (real(fl, label)[0], 1))
         code, payload, _ = run_json(
             capsys, "sweep", "twist", "--a", "1:1", "--b", "1:1", "--n", "1:2"
@@ -748,8 +767,16 @@ def doubled_torus_norm(real, point):
     return route
 
 
+def doubled_fiber_pairing(real, point):
+    """``torus_fiber_summand`` with twice the fiber pairing in L(p, q), p = point[0]."""
+    def route(space, k):
+        s = real(space, k)
+        return s._replace(fiber_pairing=2 * s.fiber_pairing) if space.p == point[0] else s
+    return route
+
+
 def moved_gamma(real, point):
-    """``_filling_homology`` with gamma one class further on where a = point[0]."""
+    """``filling_homology`` with gamma one class further on where a = point[0]."""
     def route(fl, label):
         group, cls = real(fl, label)
         # The Acircle component is framed -1/a.
@@ -791,14 +818,14 @@ PERTURBED_ROUTES = [
     ("cable", cables, "cable_side_summands", doubled_summands,
      ("norms_equal_above_threshold", "threshold_met"), "minimizer",
      cable_certifies),
-    ("iterated", cables, "torus_knot_theta", doubled_torus_norm,
+    ("iterated", cables, "torus_fiber_summand", doubled_fiber_pairing,
      ("norms_equal_above_threshold", "threshold_met"), "minimizer",
      lambda p, q, *ms: cables.iterated_verdict(
          IteratedCableParams(LensSpace(p, q), ms)).certified_minimizer),
     ("stab", stabilization, "torus_knot_theta", doubled_torus_norm, ("certified", "points"),
      "minimizer", lambda p, q, k: stabilization.stab_verdict(
          StabFamily(LensSpace(p, q), k)).certified_minimizer),
-    ("twist", twistfamily, "_filling_homology", moved_gamma,
+    ("twist", twistfamily, "filling_homology", moved_gamma,
      ("homology_checks_passed", "points"), "homology",
      lambda a, b, n: twistfamily.twist_verdict(TwistParams(a, b, n)).holds),
     ("boundary-kernel", exactarith, "peripheral_kernel", doubled_kernel,
@@ -857,7 +884,8 @@ class TestCommandTable:
         assert code == 3
         results = payload["results"]
         mismatches = results.get("mismatches", results.get("mismatches_above_threshold"))
-        assert mismatches == [{"params": point, **env["results"]}]
+        # The report half keeps rationals as Fractions; compare the JSON both print.
+        assert canonical_json(mismatches) == canonical_json([{"params": point, **env["results"]}])
         certified, of = counts
         assert results[certified] == results[of] - 1
         usable_cpus(monkeypatch, 2)
@@ -1179,6 +1207,51 @@ class TestThetaEdgeCases:
         assert record["params"] == [11, 1, 1]
         _, theta, _ = run_json(capsys, "theta", "--p", "11", "--q", "1", "--class", "5")
         assert record["theta"] == theta["results"]["theta"]
+
+    def test_text_records_print_rationals_as_fractions(self, capsys, monkeypatch):
+        # A text mismatch record and the exit-3 line spell a rational a/b, as
+        # a report line does; only JSON spells it {"num": a, "den": b}.
+        real = stabilization.stab_norms
+
+        def doubled_at_11(s):
+            norms = real(s)
+            return norms._replace(chi_capped=2 * norms.chi_capped) if s.ambient.p == 11 else norms
+
+        monkeypatch.setattr(stabilization, "stab_norms", doubled_at_11)
+        record = "'chi_capped': 38, 'torus_knot_chi': 19, 'homology_class': 5, 'theta': 19/11}"
+        code, out, _ = run(capsys, "sweep", "stab", "--p", "10:12", "--q", "1:1", "--k", "1:1")
+        assert code == 3
+        assert f"{record}]\n" in out
+        code, out, err = run(capsys, "stab", "--p", "11", "--q", "1", "--k", "1")
+        assert (code, out) == (3, "")
+        assert err.endswith(f"minimizer check failed; results {{'coefficients': [1, 6, 5], "
+                            f"'chi_surface': 30, {record}\n")
+
+
+class TestCableIsATwoLevelIteratedCable:
+    def test_same_results_and_warnings(self):
+        # cable (m, n) and iterated --ms m,n are one knot: they agree on the
+        # exit code, every result field both report, and the warnings, also
+        # where p - qmn = 1 makes the torus-knot complement a solid torus.
+        cable, iterated = cli.COMMANDS["cable"], cli.COMMANDS["iterated"]
+        solid_torus = 0
+        for point in product(range(5, 80), range(1, 4), range(2, 4), range(2, 5)):
+            try:
+                one, code = cable.evaluate(*point)
+            except DomainError:  # outside the family, for both commands
+                continue
+            two, code_two = iterated.evaluate(*point)
+            one, two = cable.report(one), iterated.report(two)
+            shared = one["results"].keys() & two["results"].keys()
+            assert shared == {"norm_torus_side", "norms_equal", "homology_class", "theta",
+                              "threshold_met"}
+            assert code == code_two, point
+            assert {k: one["results"][k] for k in shared} == {
+                k: two["results"][k] for k in shared}, point
+            assert one["warnings"] == two["warnings"], point
+            p, q, m, n = point
+            solid_torus += p - q * m * n == 1
+        assert solid_torus
 
 
 # Unwritable export and sidecar paths, relative to the test's directory ("" is

@@ -150,6 +150,12 @@ class TestCokernel:
             cols = tuple(rng.randrange(n) for _ in range(rng.randint(0, n)))
             assert cokernel_coordinates(snf, vec, cols) == tuple(full[j] for j in cols)
 
+    @pytest.mark.parametrize("vec", [(1, 0, 0), (1, 0, 0, 0, 0)])
+    def test_coordinates_need_one_entry_per_generator(self, vec):
+        snf = smith_normal_form(IntMatrix.from_rows(LEMMA_MATRIX_814))
+        with pytest.raises(ValueError, match="vector length does not match generator count"):
+            cokernel_coordinates(snf, vec)
+
 
 class TestPeripheralKernel:
     @pytest.mark.parametrize(

@@ -2,7 +2,8 @@
 
 The start-up checks count modules, never time: a single command loads only
 its family's modules and never ``dataclasses``, ``inspect``, ``argparse``
-or ``gettext``, a text report loads no ``json``, no sweep loads
+or ``gettext``, a text report loads no ``json``, the CLI itself loads no
+``fractions`` (nor the ``decimal`` and ``numbers`` it pulls in), no sweep loads
 ``concurrent.futures`` or ``multiprocessing`` (``--jobs N`` forks, and only
 a sweep that forks loads ``pickle``), and ``import lensgenus`` loads no
 submodule.  The source checks keep floating point out of the library and
@@ -78,9 +79,24 @@ def test_command_loads_only_its_family(argv, family):
 
 
 @pytest.mark.parametrize("argv", [["cable", "--p", "8", "--q", "1", "--m", "2", "--n", "2"],
-                                  ["sweep", "stab", "--p", "10:12", "--q", "1:1", "--k", "1:1"]])
+                                  ["sweep", "stab", "--p", "10:12", "--q", "1:1", "--k", "1:1"],
+                                  ["twist", "--a", "1", "--b", "1", "--n", "1"]])
 def test_text_report_loads_no_json(argv):
     assert "json" not in loaded_after(f"from lensgenus.cli import main\nmain({argv!r})")
+
+
+#: What ``fractions`` loads: the CLI writes a rational without it, so only a
+#: family that computes one pays for it.
+RATIONALS = {"fractions", "decimal", "_decimal", "numbers"}
+
+
+@pytest.mark.parametrize("code", [
+    "import lensgenus.cli",
+    "from lensgenus.cli import main\n"
+    "main(['simple-knot', '--p', '8', '--q', '1', '--class', '4', '--json'])",
+], ids=["import", "simple-knot-json"])
+def test_cli_loads_no_rationals_of_its_own(code):
+    assert loaded_after(code) & RATIONALS == set()
 
 
 def test_parallel_sweep_loads_no_pool():

@@ -2,7 +2,9 @@ from fractions import Fraction
 
 import pytest
 
+from lensgenus import order2
 from lensgenus.complement import torus_knot_theta
+from lensgenus.errors import ConsistencyError
 from lensgenus.lens import LensSpace
 from lensgenus.order2 import (
     nonorientable_genus,
@@ -44,6 +46,24 @@ class TestNonorientableGenus:
         for k in range(2, 51):
             theta = torus_knot_theta(LensSpace(2 * k, 1), k).theta
             assert nonorientable_genus(k) == 2 * theta + 2
+
+    def test_disagreeing_torus_route_aborts(self, monkeypatch):
+        # A torus route one more than the class's theta: 2*theta + 2 = k + 2.
+        real = order2.torus_knot_theta
+
+        def off_by_one(space, k):
+            r = real(space, k)
+            return r._replace(theta=r.theta + 1)
+
+        monkeypatch.setattr(order2, "torus_knot_theta", off_by_one)
+        with pytest.raises(ConsistencyError,
+                           match=r"N\(2k,1\) = 4 disagrees with 2\*theta\+2 = 6 at k=4"):
+            nonorientable_genus(4)
+
+    @pytest.mark.parametrize("k", [0, -3])
+    def test_k_below_one_rejected(self, k):
+        with pytest.raises(ValueError, match="k must be >= 1"):
+            nonorientable_genus(k)
 
 
 class TestUniqueness:

@@ -3,7 +3,9 @@ from math import gcd
 
 import pytest
 
+from lensgenus import stabilization
 from lensgenus.complement import torus_knot_theta
+from lensgenus.errors import ConsistencyError
 from lensgenus.lens import LensSpace
 from lensgenus.norm import PeripheralClass
 from lensgenus.stabilization import (
@@ -92,6 +94,24 @@ class TestNorms:
                         continue
                     norms = stab_norms(family(p, q, k))
                     assert norms.chi_Fk == p * (k + 4) - q * (k + 4) ** 2
+
+    def test_wrong_catalogue_complexity_aborts(self, monkeypatch):
+        f0 = BASE_SURFACES[0]
+        monkeypatch.setattr(stabilization, "BASE_SURFACES",
+                            (f0._replace(chi_minus=5),) + BASE_SURFACES[1:])
+        # At p = 11 the braid disk F0 enters once (at p = 10 it does not).
+        with pytest.raises(ConsistencyError,
+                           match=r"assembled chi 31 != closed form 30 at \(p,q,k\)=\(11,1,1\)"):
+            stab_norms(family(11, 1, 1))
+
+    def test_wrong_catalogue_boundary_aborts(self, monkeypatch):
+        # The complexity still matches, so only the boundary check can see it.
+        f0 = BASE_SURFACES[0]
+        moved = f0.boundary._replace(on_gamma=PeripheralClass(1, 0))
+        monkeypatch.setattr(stabilization, "BASE_SURFACES",
+                            (f0._replace(boundary=moved),) + BASE_SURFACES[1:])
+        with pytest.raises(ConsistencyError, match=r"assembled boundary .* != displayed"):
+            stab_norms(family(11, 1, 1))
 
 
 class TestVerdict:

@@ -16,12 +16,11 @@ from lensgenus.twistfamily import (
     TwistParams,
     build_twist_diagram,
     export_filling_specs,
+    filling_homology,
     filling_spec_export,
     h1_of_complement,
-    h1_of_filling,
     twist_framings,
     twist_verdict,
-    unfilled_class,
 )
 
 TWIST_GRID = [
@@ -105,7 +104,7 @@ class TestFillingHomology:
             components=(LinkComponent("u", Fraction(8)),),
             linking=((0,),),
         )
-        assert h1_of_filling(fl) == AbelianGroup(0, (8,))
+        assert filling_homology(fl)[0] == AbelianGroup(0, (8,))
 
     def test_hopf_link_surgery_description(self):
         # p/q on one component, the other unfilled: the filled manifold is
@@ -118,31 +117,40 @@ class TestFillingHomology:
                 ),
                 linking=((0, 1), (1, 0)),
             )
-            assert h1_of_filling(fl) == AbelianGroup(0, (p,))
-            assert unfilled_class(fl, "L1") == 1 % p
+            assert filling_homology(fl)[0] == AbelianGroup(0, (p,))
+            assert filling_homology(fl, "L1")[1] == 1 % p
 
     def test_no_filled_component_is_s3(self):
         fl = FramedLink(components=(LinkComponent("K", UNFILLED),), linking=((0,),))
-        assert h1_of_filling(fl) == AbelianGroup(0, ())
-        assert unfilled_class(fl, "K") == 0
+        assert filling_homology(fl)[0] == AbelianGroup(0, ())
+        assert filling_homology(fl, "K")[1] == 0
 
     def test_unknot_framed_one_is_s3(self):
         fl = FramedLink(
             components=(LinkComponent("U", Fraction(1)), LinkComponent("K", UNFILLED)),
             linking=((0, 1), (1, 0)),
         )
-        assert h1_of_filling(fl) == AbelianGroup(0, ())
-        assert unfilled_class(fl, "K") == 0
+        assert filling_homology(fl)[0] == AbelianGroup(0, ())
+        assert filling_homology(fl, "K")[1] == 0
 
     def test_twist_diagram_gives_order_two_k(self):
         fl = build_twist_diagram(TwistParams(1, 1, 1))
-        assert h1_of_filling(fl) == AbelianGroup(0, (8,))
+        assert filling_homology(fl)[0] == AbelianGroup(0, (8,))
 
     def test_grid(self):
         for a, b, n in TWIST_GRID:
             t = TwistParams(a, b, n)
             fl = build_twist_diagram(t)
-            assert h1_of_filling(fl) == AbelianGroup(0, (2 * t.k,)), (a, b, n)
+            assert filling_homology(fl)[0] == AbelianGroup(0, (2 * t.k,)), (a, b, n)
+
+    def test_complement_of_unfilled_link_is_free(self):
+        # No filled component gives no relation: H1 of the complement of a
+        # link in S^3 is free on its meridians.
+        fl = FramedLink(
+            components=(LinkComponent("K", UNFILLED), LinkComponent("J", UNFILLED)),
+            linking=((0, 3), (3, 0)),
+        )
+        assert h1_of_complement(fl) == AbelianGroup(2, ())
 
     def test_complement_matches_winding_presentation(self):
         # The knot has winding number k in the Heegaard solid torus, so the
@@ -159,12 +167,12 @@ class TestFillingHomology:
 class TestUnfilledClass:
     def test_first_example(self):
         fl = build_twist_diagram(TwistParams(1, 1, 1))
-        assert unfilled_class(fl, "gamma") == 4
+        assert filling_homology(fl, "gamma")[1] == 4
 
     def test_independent_of_n(self):
         for a, b in [(1, 3), (2, 2), (4, 5)]:
             values = {
-                unfilled_class(build_twist_diagram(TwistParams(a, b, n)), "gamma")
+                filling_homology(build_twist_diagram(TwistParams(a, b, n)), "gamma")[1]
                 for n in [-5, -2, -1, 1, 2, 3, 5]
             }
             assert len(values) == 1
@@ -172,23 +180,23 @@ class TestUnfilledClass:
             assert values.pop() % (2 * k) in (k, (-k) % (2 * k))
 
     def test_specific_values(self):
-        assert unfilled_class(build_twist_diagram(TwistParams(1, 3, 2)), "gamma") == 6
-        assert unfilled_class(build_twist_diagram(TwistParams(2, 2, 5)), "gamma") == 6
+        assert filling_homology(build_twist_diagram(TwistParams(1, 3, 2)), "gamma")[1] == 6
+        assert filling_homology(build_twist_diagram(TwistParams(2, 2, 5)), "gamma")[1] == 6
 
     def test_swap_symmetry(self):
         for a, b, n in [(1, 3, 2), (2, 5, -4), (4, 1, 3)]:
             one = build_twist_diagram(TwistParams(a, b, n))
             two = build_twist_diagram(TwistParams(b, a, n))
-            assert h1_of_filling(one) == h1_of_filling(two)
-            assert unfilled_class(one, "gamma") == unfilled_class(two, "gamma")
+            assert filling_homology(one)[0] == filling_homology(two)[0]
+            assert filling_homology(one, "gamma")[1] == filling_homology(two, "gamma")[1]
 
     def test_verdict_on_grid(self):
         for a, b, n in TWIST_GRID:
             t = TwistParams(a, b, n)
             v = twist_verdict(t)
             assert v.holds, (a, b, n)
-            assert v.h1 == h1_of_filling(v.diagram) == AbelianGroup(0, (2 * t.k,))
-            assert v.gamma_class == unfilled_class(v.diagram, "gamma")
+            assert v.h1 == filling_homology(v.diagram)[0] == AbelianGroup(0, (2 * t.k,))
+            assert v.gamma_class == filling_homology(v.diagram, "gamma")[1]
 
     def test_verdict_runs_one_smith_form(self, monkeypatch):
         calls = []
@@ -215,12 +223,12 @@ class TestUnfilledClass:
     def test_filled_component_rejected(self):
         fl = build_twist_diagram(TwistParams(1, 1, 1))
         with pytest.raises(ValueError, match="filled"):
-            unfilled_class(fl, "dF")
+            filling_homology(fl, "dF")
 
     def test_unknown_label_rejected(self):
         fl = build_twist_diagram(TwistParams(1, 1, 1))
         with pytest.raises(ValueError, match="no component labelled 'delta'"):
-            unfilled_class(fl, "delta")
+            filling_homology(fl, "delta")
 
     def test_non_cyclic_homology_rejected(self):
         # Two unlinked 0-framed unknots fill to H1 = Z^2.
@@ -230,7 +238,7 @@ class TestUnfilledClass:
             linking=((0, 0, 1), (0, 0, 0), (1, 0, 0)),
         )
         with pytest.raises(ValueError, match="not cyclic"):
-            unfilled_class(fl, "K")
+            filling_homology(fl, "K")
 
 
 def cusps(line):
