@@ -2,9 +2,9 @@
 
 Closed forms in the library are never trusted alone: the peripheral class
 that bounds in a knot complement has both a one-line formula and an
-independent derivation from a presentation matrix, by the row (Hermite)
-half of the Smith reduction.  This demo shows the machinery and the
-agreement sweep.
+independent derivation from a presentation matrix: the lattice of its
+rows cut by the (mu, lambda) coordinate plane.  This demo shows the
+machinery and the agreement sweep.
 """
 
 from math import gcd
@@ -31,8 +31,8 @@ print("cokernel:", cokernel_invariants(a))  # Z + Z/4
 
 # That matrix presents the first homology of the complement of a
 # winding-number-4 knot in the solid torus inside L(8,1).  The kernel of
-# the peripheral map, a left kernel found by row reduction alone, picks
-# out the class that bounds.
+# the peripheral map, the combinations of rows that vanish off the mu and
+# lambda columns, picks out the class that bounds.
 print("\nperipheral kernel (mu, lambda):", peripheral_kernel(a, 0, 1))
 
 # The closed form gives the same answer without any linear algebra.

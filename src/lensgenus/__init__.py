@@ -4,7 +4,7 @@ The package computes and certifies norm data for torsion homology classes
 in lens spaces: torus-knot and cable-knot norms, stabilized-braid and
 annulus-twist families of non-simple genus minimizers, the order-2
 nonorientable-genus dictionary, and exact integer linear-algebra
-oracles (Smith normal form, and its row half for kernels) that
+oracles (Smith normal form, and a lattice intersection for kernels) that
 cross-check every closed form.  All arithmetic is exact.
 
 ``import lensgenus`` loads none of the submodules.  Each public name below

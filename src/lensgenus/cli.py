@@ -338,8 +338,9 @@ def _boundary_kernel_report(verdict: tuple) -> dict:
     if mat is not None:
         results["oracle_mu_coeff"], results["oracle_lambda_coeff"] = found
         results["presentation_rows"] = mat.to_lists()
-        # The criterion text is part of the canonical output; the oracle is
-        # the row (Hermite) half of the Smith reduction.
+        # The criterion text is part of the canonical output, so it stays
+        # as it is; the oracle cuts the presentation's row lattice with the
+        # (mu, lambda) plane and runs no Smith form.
         certs["oracle_agreement"] = {
             "holds": found == tuple(closed),
             "criterion": "closed form equals the Smith-normal-form kernel of "

@@ -1,21 +1,22 @@
 """Exact integer matrices, Smith normal form, and abelian-group invariants.
 
 Everything in this module works over arbitrary-precision Python integers;
-there is no floating point anywhere.  Two reductions do the work:
+there is no floating point anywhere.  Two computations do the work:
 
 - Smith normal form, by row and column operations, gives cokernels of
   presentation matrices, hence first homology and cokernel coordinates.
-- The peripheral kernel (the boundary classes that bound) is a left
-  kernel, so it needs only the row half of that reduction: a row-only
-  (Hermite) echelon form on plain lists that carries just the two columns
-  of the row transform it projects to.
+  Its pivot is the minimal nonzero absolute value, ties broken by
+  smallest row index then smallest column index, so transforms are
+  reproducible across platforms.
+- The peripheral kernel (the boundary classes that bound) is the
+  relation lattice, the row space of the presentation, cut by the
+  (mu, lambda) coordinate plane.  Its answer is the normalized generator
+  of a rank-1 lattice in Z^2, so no pivot rule shows in it.
 
-Both pick as pivot the minimal nonzero absolute value, ties broken by
-smallest row index then smallest column index, so transforms are
-reproducible across platforms.  Inputs are validated as ``IntMatrix`` at
-the public functions; the reductions themselves run on plain lists, and a
-Smith form's D, U and V are those lists' own rows, as int tuples: integer
-row and column operations keep the shape and the entries integral.
+Inputs are validated as ``IntMatrix`` at the public functions; the reductions
+themselves run on plain lists, and a Smith form's D, U and V are those lists'
+own rows, as int tuples: integer row and column operations keep the shape and
+the entries integral.
 """
 
 from __future__ import annotations
@@ -265,63 +266,17 @@ def _lattice_generator(pairs: list[tuple[int, int]]) -> tuple[int, int] | None:
     return c * dx, c * dy
 
 
-def _left_kernel_heads(d: list[list[int]]) -> list[tuple[int, int]]:
-    """First two coordinates of a basis of the left kernel of ``d``.
-
-    Row-only (Hermite) echelon reduction, done in place on ``d``: unimodular
-    row operations bring it to echelon form, column by column, with the
-    pivot chosen as the minimal nonzero absolute value (smallest row index
-    on ties).  The rows of the transform U that land on zero rows of the
-    echelon form span the left kernel; only U's first two columns are
-    carried, since those are all the projection reads.
-
-    Each step reads every row below the pivot once: it reduces the row and
-    looks for the next pivot among the remainders, which are smaller than
-    the pivot, so the pivot row itself never wins the next search.  Rows
-    are swapped only when the pivot row moves.
-    """
-    m, n = len(d), len(d[0])
-    u = [(0, 0)] * m
-    u[0], u[1] = (1, 0), (0, 1)
-    t = 0
-    for j in range(n):
-        piv, best = -1, 0
-        for i in range(t, m):
-            e = d[i][j]
-            if e:
-                a = e if e > 0 else -e
-                if piv < 0 or a < best:
-                    piv, best = i, a
-        while piv >= 0:
-            if piv != t:
-                d[t], d[piv] = d[piv], d[t]
-                u[t], u[piv] = u[piv], u[t]
-            top = d[t]
-            pivot = top[j]
-            ux, uy = u[t]
-            piv, best = -1, 0
-            for i in range(t + 1, m):
-                row = d[i]
-                e = row[j]
-                if e:
-                    q = e // pivot
-                    d[i] = [x - q * y for x, y in zip(row, top)]
-                    ui = u[i]
-                    u[i] = (ui[0] - q * ux, ui[1] - q * uy)
-                    e -= q * pivot
-                    if e:
-                        a = e if e > 0 else -e
-                        if piv < 0 or a < best:
-                            piv, best = i, a
-            if piv < 0:
-                t += 1
-    return u[t:]
-
-
 def peripheral_kernel(a: IntMatrix, mu_col: int, lambda_col: int) -> tuple[int, int]:
     """Generator of the kernel of Z^2 -> coker(a), (1,0) -> [mu], (0,1) -> [lambda].
 
-    Works purely through an exact row (Hermite) reduction of the
+    (x, y) dies exactly when x*e_mu + y*e_lambda lies in the row space of
+    ``a``, so the kernel is that lattice cut by the (mu, lambda) plane.
+    Each other column is cleared in turn: the rows nonzero there are
+    folded into one pivot row, two at a time, by a 2x2 unimodular step
+    from an extended gcd, and the pivot row is set aside: the other rows
+    are zero in that column, so a combination that vanishes there leaves
+    the pivot out.  The rows left are zero off (mu, lambda), and their
+    (mu, lambda) entries span the kernel.  This reads only the
     presentation, independent of any closed-form answer, so it can serve
     as an oracle.  The generator is normalized to have y >= 0, and x >= 0
     when y = 0.
@@ -334,15 +289,29 @@ def peripheral_kernel(a: IntMatrix, mu_col: int, lambda_col: int) -> tuple[int, 
     if mu_col == lambda_col:
         raise ValueError("mu and lambda columns must differ")
 
-    # (x, y, c) with x*e_mu + y*e_lambda + c*A = 0 is exactly the left kernel
-    # of A with e_mu, e_lambda stacked on top; project it to (x, y).
-    e_mu = [0] * a.cols
-    e_mu[mu_col] = 1
-    e_lam = [0] * a.cols
-    e_lam[lambda_col] = 1
-    pairs = _left_kernel_heads([e_mu, e_lam] + a.to_lists())
+    rows = a.to_lists()
+    for j in range(a.cols):
+        if j == mu_col or j == lambda_col:
+            continue
+        hits = [r for r in rows if r[j]]
+        if not hits:
+            continue
+        rows = [r for r in rows if not r[j]]
+        top = hits[0]
+        for k, row in enumerate(hits[1:], 2):
+            # With t*s + e*c = g = gcd(t, e), the step [[s, c], [e/g, -t/g]]
+            # has determinant -1: the new pivot holds g at j, the other row
+            # 0.  The last pivot is only set aside, so it is never formed.
+            t, e = top[j], row[j]
+            g = gcd(t, e)
+            x, y = e // g, t // g
+            rows.append([x * u - y * v for u, v in zip(top, row)])
+            if k < len(hits):
+                s = pow(y, -1, abs(x))
+                c = (g - s * t) // e
+                top = [s * u + c * v for u, v in zip(top, row)]
     try:
-        generator = _lattice_generator(pairs)
+        generator = _lattice_generator([(r[mu_col], r[lambda_col]) for r in rows])
     except ValueError:
         raise ValueError("peripheral kernel is not cyclic of rank 1 (rank 2)")
     if generator is None:

@@ -176,7 +176,7 @@ def filling_homology(fl: FramedLink, label: str | None = None) -> tuple[AbelianG
             raise ValueError(f"component {label!r} is filled")
     filled = fl.filled_indices()
     if not filled:  # nothing filled: the manifold is S^3, H1 = 0
-        return AbelianGroup(0, ()), 0
+        return AbelianGroup(0, ()), None if label is None else 0
     snf = smith_normal_form(_relation_matrix(fl, filled))
     group = snf.cokernel()
     if label is None:

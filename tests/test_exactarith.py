@@ -164,6 +164,11 @@ class TestPeripheralKernel:
             ([[4, 0, 0, -1], [0, 1, -4, 0], [0, 0, 8, 1]], (4, 2)),
             ([[0, 0, 0, -1], [0, 1, 0, 0], [0, 0, 8, 1]], (0, 1)),
             ([[2, 0, 0, -1], [0, 1, -2, 0], [0, 0, 8, 1]], (2, 4)),
+            # p = 10**29 + 57, q = 7, w = 10**29 - 1: gcd(w, p) = 1, so (w^2 q, p).
+            (
+                [[10**29 - 1, 0, 0, -1], [0, 1, -(10**29 - 1), 0], [0, 0, 10**29 + 57, 7]],
+                ((10**29 - 1) ** 2 * 7, 10**29 + 57),
+            ),
         ],
     )
     def test_winding_presentations(self, rows, expected):
@@ -192,9 +197,9 @@ class TestPeripheralKernel:
         with pytest.raises(ValueError, match="not cyclic"):
             peripheral_kernel(a, 0, 1)
 
-    def test_trivial_kernel_rejected(self):
-        # Free cokernel Z^2: only (0,0) dies.
-        a = IntMatrix.from_rows([[0, 0]])
+    @pytest.mark.parametrize("a", [IntMatrix.from_rows([[0, 0]]), IntMatrix.zero_rows(4)])
+    def test_trivial_kernel_rejected(self, a):
+        # Free cokernel on mu and lambda: only (0,0) dies.
         with pytest.raises(ValueError, match="not cyclic"):
             peripheral_kernel(a, 0, 1)
 
@@ -268,6 +273,17 @@ class TestRowKernelAgainstSmithForm:
     @example(([[1, 0], [0, 1]], [0, 1]))  # rank-2 kernel
     @example(([[0, 0]], [0, 1]))  # trivial kernel
     @example((LEMMA_MATRIX_814, [0, 1, 2, 3]))
+    @example(  # wide and big: column 2 is all zero, mu and lambda come last
+        (
+            [
+                [10**25, -(10**25), 0, 3, 7, -(10**25)],
+                [-(10**25), 2, 0, 10**25, 0, 5],
+                [1, 10**25 + 1, 0, -4, -(10**25), 0],
+                [0, 6, 0, 10**25, 9, 10**25],
+            ],
+            [4, 5, 0, 1, 2, 3],
+        )
+    )
     def test_same_generator_or_both_reject(self, case):
         rows, order = case
         a = IntMatrix.from_rows(rows)

@@ -125,6 +125,16 @@ class TestFillingHomology:
         assert filling_homology(fl)[0] == AbelianGroup(0, ())
         assert filling_homology(fl, "K")[1] == 0
 
+    def test_no_label_reads_no_class(self):
+        # With no label the class is None, whether or not anything is filled.
+        s3 = FramedLink(components=(LinkComponent("K", UNFILLED),), linking=((0,),))
+        lens = FramedLink(
+            components=(LinkComponent("L2", Fraction(5, 2)), LinkComponent("L1", UNFILLED)),
+            linking=((0, 1), (1, 0)),
+        )
+        assert filling_homology(s3) == (AbelianGroup(0, ()), None)
+        assert filling_homology(lens) == (AbelianGroup(0, (5,)), None)
+
     def test_unknot_framed_one_is_s3(self):
         fl = FramedLink(
             components=(LinkComponent("U", Fraction(1)), LinkComponent("K", UNFILLED)),
