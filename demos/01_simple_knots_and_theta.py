@@ -34,7 +34,7 @@ if k * space.q < space.p + space.q:
 # so theta = 1 (rational genus 1/2).
 report = torus_knot_theta(space, 4)
 print(
-    f"chi_minus = {report.chi_minus}, mu-pairing = {report.mu_pairing}, "
+    f"chi_minus = {report.chi_minus}, mu-pairing = {report.p}, "
     f"theta = {report.theta}, fibered = {report.fibered}"
 )
 

@@ -19,7 +19,7 @@ from collections import namedtuple
 from fractions import Fraction
 from math import prod
 
-from .complement import torus_fiber_summand, torus_knot_theta
+from .complement import torus_knot_theta
 from .errors import DomainError
 from .lens import LensSpace
 from .norm import NormSummand, SeifertPiece, graph_norm
@@ -128,28 +128,28 @@ def cable_verdict(c: CableParams) -> CableVerdict:
 
     The torus side is |pmn - q(mn)^2| (1 - 1/(mn) - 1/(p - qmn)) and the
     cable side |pn - q(mn)^2| (1 - 1/n) + |pmn - qm^2 n| (1 - 1/m - 1/(p-qm)),
-    each term clamped at zero through the solid-torus extension.
-    Certification requires p >= q m^2 n and the two norms to agree; above
-    the threshold they always do, so a disagreement there is reported as
-    ``norms_equal`` False with nothing certified, and the CLI exits 3.  For
-    q = m non-simplicity is left uncertified (not refuted).
+    each term clamped at zero; the torus side and ``theta`` are class mn's
+    ``torus_knot_theta``.  Certification requires p >= q m^2 n and the two
+    norms to agree; above the threshold they always do, so a disagreement
+    there is reported as ``norms_equal`` False with nothing certified, and
+    the CLI exits 3.  For q = m non-simplicity is left uncertified (not refuted).
     """
     p, q, m, n = c.ambient.p, c.ambient.q, c.m, c.n
-    n21, _, dropped_torus = graph_norm([torus_fiber_summand(c.ambient, m * n)])
+    torus = torus_knot_theta(c.ambient, m * n)
     n22, _, dropped_cable = graph_norm(cable_side_summands(c))
     threshold = p >= q * m * m * n
-    equal = n21 == n22
+    equal = torus.chi_minus == n22
     return CableVerdict(
         params=c,
-        norm_torus_side=n21,
+        norm_torus_side=torus.chi_minus,
         norm_cable_side=n22,
         threshold_met=threshold,
         norms_equal=equal,
         certified_minimizer=threshold and equal,
         certified_nonsimple=threshold and equal and q != m,
         homology_class=(m * n) % p,
-        theta=Fraction(n21.numerator, n21.denominator * p),
-        warnings=_solid_torus_warnings(dropped_cable + dropped_torus),
+        theta=torus.theta,
+        warnings=_solid_torus_warnings(dropped_cable + torus.dropped),
     )
 
 
@@ -188,27 +188,27 @@ def iterated_verdict(ic: IteratedCableParams) -> IteratedVerdict:
 
     Certification threshold: p >= q m_1^2 ... m_{k-1}^2 m_k.  Above it the
     norms must agree exactly; a disagreement is reported as ``norms_equal``
-    False with the minimizer uncertified, and the CLI exits 3.  ``theta`` is
-    the class's, from the torus-knot route, and a solid torus dropped on
-    either route is warned about, as ``cable_verdict`` does.
+    False with the minimizer uncertified, and the CLI exits 3.  The torus
+    side and ``theta`` are class W's ``torus_knot_theta``; a solid torus
+    dropped on either route is warned about, as ``cable_verdict`` does.
     """
     p, q = ic.ambient.p, ic.ambient.q
     ms = ic.ms
     norm_it, _, dropped = graph_norm(iterated_summands(ic))
-    norm_torus, _, dropped_torus = graph_norm([torus_fiber_summand(ic.ambient, ic.total_winding)])
+    torus = torus_knot_theta(ic.ambient, ic.total_winding)
     bound = q * prod(m * m for m in ms[:-1]) * ms[-1]
     threshold = p >= bound
-    equal = norm_it == norm_torus
+    equal = norm_it == torus.chi_minus
     return IteratedVerdict(
         params=ic,
         norm_iterated=norm_it,
-        norm_torus_side=norm_torus,
+        norm_torus_side=torus.chi_minus,
         threshold_met=threshold,
         norms_equal=equal,
         certified_minimizer=threshold and equal,
         homology_class=ic.total_winding % p,
-        theta=Fraction(norm_torus.numerator, norm_torus.denominator * p),
-        warnings=_solid_torus_warnings(dropped + dropped_torus),
+        theta=torus.theta,
+        warnings=_solid_torus_warnings(dropped + torus.dropped),
     )
 
 

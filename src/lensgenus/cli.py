@@ -130,16 +130,12 @@ def _theta(p: int, q: int, c: int) -> tuple[Any, int]:
     H1Class(c, space)  # rejects a class outside [0, p-1]
     if c == 0:
         return None, EXIT_OK
-    if p - q * c < 1:
-        raise DomainError(
-            f"no torus-knot route for class {c}: cone order p - qc = {p - q * c} < 1"
-        )
-    # p - qc >= 1 gives qc < p + q, so the torus-knot criterion holds.
+    # The route refuses a class outside its domain p - qc >= 1.
     return complement.torus_knot_theta(space, c), EXIT_OK
 
 
 def _theta_report(r: Any) -> dict:
-    """``r`` is the torus knot's ``GenusReport``, or None for class 0."""
+    """``r`` is the torus knot's ``GenusReport`` (``mu_pairing`` is its p), or None for class 0."""
     if r is None:
         from fractions import Fraction  # the one rational a report builds
 
@@ -149,7 +145,7 @@ def _theta_report(r: Any) -> dict:
         results = {
             "theta": r.theta,
             "chi_minus": r.chi_minus,
-            "mu_pairing": r.mu_pairing,
+            "mu_pairing": r.p,
             "fibered": r.fibered,
             "label": "EXACT",
         }

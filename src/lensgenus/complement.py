@@ -5,6 +5,10 @@ H1(L(p,q)), the class on the boundary torus that bounds in the complement
 is (w^2 q / d) [mu] + (p / d) [lambda] with d = gcd(w, p).  The closed form
 and the presentation-matrix route are kept as two independent paths; tests
 sweep them against each other.
+
+``torus_knot_theta`` is the one route to the norm of the (1,k)-torus knot,
+the simple knot of class k whenever p - qk >= 1.  Every verdict that
+compares a knot with the simple knot in its class reads that norm here.
 """
 
 from __future__ import annotations
@@ -16,13 +20,7 @@ from math import gcd
 from .errors import DomainError
 from .exactarith import IntMatrix
 from .lens import LensSpace
-from .norm import (
-    NormSummand,
-    PeripheralClass,
-    SeifertPiece,
-    graph_norm,
-    torus_pairing,
-)
+from .norm import NormSummand, PeripheralClass, SeifertPiece, graph_norm
 
 
 class WindingData(namedtuple("WindingData", "ambient w")):
@@ -36,30 +34,11 @@ class WindingData(namedtuple("WindingData", "ambient w")):
         return super().__new__(cls, ambient, w)
 
 
-class GenusReport(
-    namedtuple("GenusReport", "chi_minus mu_pairing theta boundary_class fibered")
-):
-    """Certified norm data for one boundary class.
-
-    ``theta`` is chi_minus divided by the meridian pairing: twice the
-    rational genus of the certified surface.  Whether it is the exact
-    minimum for the homology class, or only an upper bound, is the
-    caller's bookkeeping.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, chi_minus: Fraction, mu_pairing: int, theta: Fraction,
-                boundary_class: PeripheralClass, fibered: bool) -> GenusReport:
-        if chi_minus < 0:
-            raise ValueError("chi_minus must be >= 0")
-        if mu_pairing < 1:
-            raise ValueError("mu_pairing must be a positive integer")
-        # theta == chi_minus / mu_pairing, cross-multiplied in integers.
-        chi = chi_minus
-        if theta.numerator * chi.denominator * mu_pairing != chi.numerator * theta.denominator:
-            raise ValueError("theta must equal chi_minus / mu_pairing")
-        return super().__new__(cls, chi_minus, mu_pairing, theta, boundary_class, fibered)
+#: Norm data of the (1,k)-torus knot's class (k^2 q, p).  Its meridian
+#: pairing is p, so ``theta = chi_minus / p``: twice the rational genus of
+#: the certified surface.  ``dropped`` is ``graph_norm``'s count of
+#: solid-torus pieces, 1 exactly when k = 1 or p - qk = 1.
+GenusReport = namedtuple("GenusReport", "chi_minus p theta fibered dropped")
 
 
 def boundary_kernel(data: WindingData) -> PeripheralClass:
@@ -87,33 +66,26 @@ def torus_fiber_summand(space: LensSpace, k: int) -> NormSummand:
     """The single Seifert piece carrying the (1,k)-torus-knot class.
 
     The complement fibers over a disk with cone points of order k and
-    p - qk; the class (k^2 q, p) pairs with the fiber class (k, 1).  The
-    caller passes k >= 1 with p - qk >= 1, as every family's constructor
-    ensures; otherwise ``SeifertPiece`` refuses a cone order below 1.
+    p - qk; the class (k^2 q, p) pairs with the fiber class (k, 1) as
+    k^2 q - pk.  ``torus_knot_theta`` refuses p - qk < 1; below k = 1
+    ``SeifertPiece`` refuses the cone order.
     """
-    boundary = PeripheralClass(k * k * space.q, space.p)
-    fiber = PeripheralClass(k, 1)
     piece = SeifertPiece(base_euler=1, cone_orders=(k, space.p - space.q * k))
-    return NormSummand(piece=piece, fiber_pairing=torus_pairing(boundary, fiber))
+    return NormSummand(piece=piece, fiber_pairing=k * (k * space.q - space.p))
 
 
 def torus_knot_theta(space: LensSpace, k: int) -> GenusReport:
     """Norm report for the (1,k)-torus knot's bounding class.
 
-    The meridian pairing of the class (k^2 q, p) is p, so theta is the norm
-    divided by p.  When the cone order p - qk equals 1 the complement is a
-    solid torus and the class costs nothing.  The report certifies the
-    exact minimum for homology class k only when the torus-knot criterion
-    holds.
+    The route's domain is p - qk >= 1, which gives qk < p + q: there the
+    (1,k)-torus knot is the simple knot in class k, so the report is the
+    exact minimum for the class; outside it the route raises
+    ``DomainError``.  When the cone order p - qk equals 1 the complement is
+    a solid torus and the class costs nothing.
     """
-    summand = torus_fiber_summand(space, k)
-    chi, fibered, _ = graph_norm([summand])
-    boundary = PeripheralClass(k * k * space.q, space.p)
-    mu = abs(torus_pairing(boundary, PeripheralClass(1, 0)))
-    return GenusReport(
-        chi_minus=chi,
-        mu_pairing=mu,
-        theta=Fraction(chi.numerator, chi.denominator * mu),
-        boundary_class=boundary,
-        fibered=fibered,
-    )
+    p = space.p
+    cone = p - space.q * k
+    if cone < 1:
+        raise DomainError(f"no torus-knot route for class {k}: cone order p - qc = {cone} < 1")
+    chi, fibered, dropped = graph_norm([torus_fiber_summand(space, k)])
+    return GenusReport(chi, p, Fraction(chi.numerator, chi.denominator * p), fibered, dropped)

@@ -767,14 +767,6 @@ def doubled_torus_norm(real, point):
     return route
 
 
-def doubled_fiber_pairing(real, point):
-    """``torus_fiber_summand`` with twice the fiber pairing in L(p, q), p = point[0]."""
-    def route(space, k):
-        s = real(space, k)
-        return s._replace(fiber_pairing=2 * s.fiber_pairing) if space.p == point[0] else s
-    return route
-
-
 def moved_gamma(real, point):
     """``filling_homology`` with gamma one class further on where a = point[0]."""
     def route(fl, label):
@@ -810,27 +802,31 @@ def bk_agrees(p, q, w):
     return found == tuple(complement.boundary_kernel(data))
 
 
-# One route of a verdict, perturbed at the point of that target's TABLE_CASES
-# entry: the module attribute the verdict reads, how to perturb it, the
-# sweep counts (certified, out of), the certification that fails, and
-# whether the library certifies a point.
-PERTURBED_ROUTES = [
-    ("cable", cables, "cable_side_summands", doubled_summands,
-     ("norms_equal_above_threshold", "threshold_met"), "minimizer",
-     cable_certifies),
-    ("iterated", cables, "torus_fiber_summand", doubled_fiber_pairing,
-     ("norms_equal_above_threshold", "threshold_met"), "minimizer",
-     lambda p, q, *ms: cables.iterated_verdict(
-         IteratedCableParams(LensSpace(p, q), ms)).certified_minimizer),
-    ("stab", stabilization, "torus_knot_theta", doubled_torus_norm, ("certified", "points"),
-     "minimizer", lambda p, q, k: stabilization.stab_verdict(
-         StabFamily(LensSpace(p, q), k)).certified_minimizer),
-    ("twist", twistfamily, "filling_homology", moved_gamma,
-     ("homology_checks_passed", "points"), "homology",
-     lambda a, b, n: twistfamily.twist_verdict(TwistParams(a, b, n)).holds),
-    ("boundary-kernel", exactarith, "peripheral_kernel", doubled_kernel,
-     ("agreements", "points"), "oracle_agreement", bk_agrees),
-]
+# One route of a verdict, by test id, perturbed at the point of that target's
+# TABLE_CASES entry: the target, the module attribute the verdict reads, how
+# to perturb it, the sweep counts (certified, out of), the certification that
+# fails, and whether the library certifies a point.
+PERTURBED_ROUTES = {
+    "cable": ("cable", cables, "cable_side_summands", doubled_summands,
+              ("norms_equal_above_threshold", "threshold_met"), "minimizer",
+              cable_certifies),
+    "cable-torus-route": ("cable", cables, "torus_knot_theta", doubled_torus_norm,
+                          ("norms_equal_above_threshold", "threshold_met"), "minimizer",
+                          cable_certifies),
+    "iterated": ("iterated", cables, "torus_knot_theta", doubled_torus_norm,
+                 ("norms_equal_above_threshold", "threshold_met"), "minimizer",
+                 lambda p, q, *ms: cables.iterated_verdict(
+                     IteratedCableParams(LensSpace(p, q), ms)).certified_minimizer),
+    "stab": ("stab", stabilization, "torus_knot_theta", doubled_torus_norm,
+             ("certified", "points"), "minimizer",
+             lambda p, q, k: stabilization.stab_verdict(
+                 StabFamily(LensSpace(p, q), k)).certified_minimizer),
+    "twist": ("twist", twistfamily, "filling_homology", moved_gamma,
+              ("homology_checks_passed", "points"), "homology",
+              lambda a, b, n: twistfamily.twist_verdict(TwistParams(a, b, n)).holds),
+    "boundary-kernel": ("boundary-kernel", exactarith, "peripheral_kernel", doubled_kernel,
+                        ("agreements", "points"), "oracle_agreement", bk_agrees),
+}
 
 
 class TestCommandTable:
@@ -868,7 +864,7 @@ class TestCommandTable:
         assert (reports, envelopes) == ([], ["sweep"])
 
     @pytest.mark.parametrize("target, module, route, perturb, counts, check, certifies",
-                             PERTURBED_ROUTES, ids=[r[0] for r in PERTURBED_ROUTES])
+                             list(PERTURBED_ROUTES.values()), ids=list(PERTURBED_ROUTES))
     def test_disagreeing_routes_are_a_mismatch(self, capsys, monkeypatch, slab_log,
                                                target, module, route, perturb, counts,
                                                check, certifies):
@@ -1164,9 +1160,10 @@ class TestIntegersOfAnySize:
 class TestThetaEdgeCases:
     def test_class_beyond_torus_route(self, capsys):
         # L(5,2), class 3: cone order 5 - 6 < 1, no formula applies.
-        code, _, err = run(capsys, "theta", "--p", "5", "--q", "2", "--class", "3")
-        assert code == 1
-        assert "no torus-knot route" in err
+        # The route refuses it, and the CLI reports the refusal as bad input.
+        code, out, err = run(capsys, "theta", "--p", "5", "--q", "2", "--class", "3")
+        assert (code, out) == (1, "")
+        assert err == "error: no torus-knot route for class 3: cone order p - qc = -1 < 1\n"
 
     @pytest.mark.parametrize("command, axes", [
         ("cable", [range(5, 60), range(1, 4), range(2, 4), range(2, 4)]),

@@ -2,21 +2,27 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from _oracles import graph_norm_reference
+from lensgenus import cables, stabilization
+from lensgenus.cables import CableParams, IteratedCableParams
 from lensgenus.complement import (
-    GenusReport,
     WindingData,
     boundary_kernel,
     presentation_matrix,
+    torus_fiber_summand,
     torus_knot_theta,
 )
+from lensgenus.errors import DomainError
 from lensgenus.exactarith import (
     cokernel_coordinates,
     peripheral_kernel,
     smith_normal_form,
 )
 from lensgenus.lens import LensSpace
-from lensgenus.norm import PeripheralClass
+from lensgenus.stabilization import StabFamily
 
 
 class TestBoundaryKernel:
@@ -78,7 +84,7 @@ class TestTorusKnotTheta:
         report = torus_knot_theta(LensSpace(8, 1), 4)
         assert report.chi_minus == 8
         assert report.theta == 1
-        assert report.mu_pairing == 8
+        assert report.p == 8
         assert report.fibered
 
     def test_inner_torus_knot_in_l81(self):
@@ -93,14 +99,6 @@ class TestTorusKnotTheta:
         for k in range(2, 12):
             assert torus_knot_theta(LensSpace(2 * k, 1), k).theta == Fraction(k - 2, 2)
 
-    def test_mu_pairing_is_p(self):
-        for p, q, k in [(8, 1, 4), (17, 2, 6), (45, 4, 11)]:
-            assert torus_knot_theta(LensSpace(p, q), k).mu_pairing == p
-
-    def test_boundary_class(self):
-        report = torus_knot_theta(LensSpace(8, 1), 4)
-        assert report.boundary_class == PeripheralClass(16, 8)
-
     def test_degenerate_cone_orders(self):
         # chi_orb = 0: the class bounds vertical annuli
         assert torus_knot_theta(LensSpace(4, 1), 2).theta == 0
@@ -108,30 +106,91 @@ class TestTorusKnotTheta:
         assert torus_knot_theta(LensSpace(5, 2), 2).theta == 0
 
     def test_out_of_range(self):
-        # Outside every family the piece itself refuses: p - qk = 0, then k = 0.
-        with pytest.raises(ValueError, match="cone order 0 < 1"):
+        # The route refuses p - qk < 1 with the CLI's message; at k = 0 the
+        # cone order p passes and the piece itself refuses the cone order 0.
+        with pytest.raises(DomainError, match=r"no torus-knot route for class 8: "
+                           r"cone order p - qc = 0 < 1$"):
             torus_knot_theta(LensSpace(8, 1), 8)
-        with pytest.raises(ValueError, match="cone order 0 < 1"):
+        with pytest.raises(ValueError, match="cone order 0 < 1") as info:
             torus_knot_theta(LensSpace(8, 1), 0)
+        assert type(info.value) is ValueError
 
 
-class TestGenusReport:
-    def test_invariant_enforced(self):
-        with pytest.raises(ValueError):
-            GenusReport(
-                chi_minus=Fraction(8),
-                mu_pairing=8,
-                theta=Fraction(2),
-                boundary_class=PeripheralClass(16, 8),
-                fibered=True,
-            )
+def oracle_pieces(summands):
+    """``summands`` as the (base_euler, cone_orders, pairing) triples of the oracle."""
+    return [(s.piece.base_euler, s.piece.cone_orders, s.fiber_pairing) for s in summands]
 
-    def test_negative_chi_rejected(self):
-        with pytest.raises(ValueError):
-            GenusReport(
-                chi_minus=Fraction(-1),
-                mu_pairing=1,
-                theta=Fraction(-1),
-                boundary_class=PeripheralClass(0, 1),
-                fibered=False,
-            )
+
+@st.composite
+def route_points(draw):
+    """(p, q, k): coprime p > q >= 1 and k >= 1 with p - qk >= 1."""
+    p = draw(st.integers(2, 300))
+    q = draw(st.integers(1, p - 1).filter(lambda q: gcd(p, q) == 1))
+    k = draw(st.integers(1, (p - 1) // q))
+    return p, q, k
+
+
+class TestTorusKnotRoute:
+    """The one route's report, checked against its definition and the oracle."""
+
+    @given(route_points())
+    @settings(max_examples=300, deadline=None)
+    def test_report_against_oracle(self, point):
+        p, q, k = point
+        space = LensSpace(p, q)
+        r = torus_knot_theta(space, k)
+        # A disk with cones k and p - qk; the class (k^2 q, p) meets the
+        # fiber (k, 1) as k^2 q - pk.
+        piece = (1, (k, p - q * k), k * k * q - p * k)
+        assert oracle_pieces([torus_fiber_summand(space, k)]) == [piece]
+        chi, fibered, dropped = graph_norm_reference([piece])
+        assert r.chi_minus >= 0
+        assert r.p == p
+        assert r.theta * p == r.chi_minus
+        assert (r.chi_minus, r.fibered, r.dropped) == (chi, fibered, dropped)
+        # The disk piece with cones k and p - qk is a solid torus exactly
+        # when one of them is 1.
+        assert (r.dropped == 1) == (k == 1 or p - q * k == 1)
+
+    def test_family_verdicts_read_the_route(self):
+        # Every cable, iterated and stab point with p < 40: the verdict's
+        # theta is the route's, and it warns exactly when the route or its
+        # own decomposition dropped a solid torus (stab has no warnings, and
+        # its route never drops one).
+        def points(space):
+            for m in range(2, 7):
+                for n in range(2, 7):
+                    yield CableParams, (space, m, n)
+            for ms in [(2,), (3,), (2, 2), (2, 3), (3, 2), (2, 4), (2, 2, 2)]:
+                yield IteratedCableParams, (space, ms)
+            for k in range(1, 5):
+                yield StabFamily, (space, k)
+
+        warned = set()
+        for p in range(2, 40):
+            for q in (q for q in range(1, p) if gcd(p, q) == 1):
+                space = LensSpace(p, q)
+                for family, args in points(space):
+                    try:
+                        params = family(*args)
+                    except DomainError:
+                        continue
+                    if family is StabFamily:
+                        v = stabilization.stab_verdict(params)
+                        route = torus_knot_theta(space, params.k + 4)
+                        assert (v.theta, v.torus_chi, route.dropped) == (
+                            route.theta, route.chi_minus, 0), args
+                        continue
+                    if family is CableParams:
+                        v = cables.cable_verdict(params)
+                        k, own = params.m * params.n, cables.cable_side_summands(params)
+                    else:
+                        v = cables.iterated_verdict(params)
+                        k, own = params.total_winding, cables.iterated_summands(params)
+                    route = torus_knot_theta(space, k)
+                    dropped = route.dropped + graph_norm_reference(oracle_pieces(own))[2]
+                    assert (v.theta, v.norm_torus_side) == (route.theta, route.chi_minus), args
+                    assert bool(v.warnings) == (dropped > 0), args
+                    warned.add((family, bool(v.warnings)))
+        # The grid reaches both outcomes for both cable families.
+        assert len(warned) == 4

@@ -6,8 +6,9 @@ or ``gettext``, a text report loads no ``json``, the CLI itself loads no
 ``fractions`` (nor the ``decimal`` and ``numbers`` it pulls in), no sweep loads
 ``concurrent.futures`` or ``multiprocessing`` (``--jobs N`` forks, and only
 a sweep that forks loads ``pickle``), and ``import lensgenus`` loads no
-submodule.  The source checks keep floating point out of the library and
-``DomainError`` in the constructors of the input types.
+submodule.  The source checks keep floating point out of the library,
+``DomainError`` in the constructors of the input types and the one route
+that owns its domain, and the torus-knot norm in ``complement``.
 """
 
 import ast
@@ -143,19 +144,48 @@ def raises_domain_error(node: ast.Raise) -> bool:
     return getattr(exc, "id", getattr(exc, "attr", None)) == "DomainError"
 
 
+#: Functions that refuse input outside a constructor, by module.  The
+#: torus-knot route owns its domain p - qk >= 1: the ``theta`` command
+#: reaches it with a bare class, and every family's constructor already
+#: keeps its own points inside it.
+ROUTE_DOMAINS = {"complement.py": {"torus_knot_theta"}}
+
+
 @pytest.mark.parametrize("path", [p for p in LIBRARY if p.name != "cli.py"],
                          ids=lambda path: path.name)
 def test_domain_error_only_in_constructors(path):
     # A family's hypotheses are checked once, where its input type is built,
     # so a sweep skips exactly the points a constructor refuses.  Only the
-    # CLI also refuses arguments that no type takes in.
+    # CLI and the routes in ROUTE_DOMAINS also refuse arguments that no type
+    # takes in.
     tree = ast.parse(path.read_text(), str(path))
-    in_new = {
-        id(node)
-        for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
-        for fn in cls.body if isinstance(fn, ast.FunctionDef) and fn.name == "__new__"
-        for node in ast.walk(fn)
-    }
+    scopes = [fn for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+              for fn in cls.body if isinstance(fn, ast.FunctionDef) and fn.name == "__new__"]
+    scopes += [fn for fn in tree.body if isinstance(fn, ast.FunctionDef)
+               and fn.name in ROUTE_DOMAINS.get(path.name, ())]
+    allowed = {id(node) for fn in scopes for node in ast.walk(fn)}
     hits = [node.lineno for node in ast.walk(tree)
-            if isinstance(node, ast.Raise) and raises_domain_error(node) and id(node) not in in_new]
+            if isinstance(node, ast.Raise) and raises_domain_error(node) and id(node) not in allowed]
     assert hits == [], f"{path.name}: DomainError raised outside __new__ at lines {hits}"
+
+
+def names_used(tree: ast.AST) -> set[str]:
+    """Every name a module reads, imports or looks up as an attribute."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.update(filter(None, (node.name, node.asname)))
+    return names
+
+
+@pytest.mark.parametrize("path", [p for p in LIBRARY if p.name != "complement.py"],
+                         ids=lambda path: path.name)
+def test_one_torus_knot_route(path):
+    # complement.torus_knot_theta is the one function that turns the torus
+    # knot's summand into a norm; a module that names the summand is
+    # computing that norm a second time.
+    assert "torus_fiber_summand" not in names_used(ast.parse(path.read_text(), str(path)))

@@ -10,11 +10,11 @@ from fractions import Fraction
 import pytest
 
 from lensgenus.cables import CableParams, IteratedCableParams
-from lensgenus.complement import GenusReport, WindingData
+from lensgenus.complement import WindingData
 from lensgenus.errors import DomainError
 from lensgenus.exactarith import AbelianGroup, IntMatrix
 from lensgenus.lens import H1Class, LensSpace
-from lensgenus.norm import PeripheralClass, SeifertPiece
+from lensgenus.norm import SeifertPiece
 from lensgenus.stabilization import StabFamily
 from lensgenus.twistfamily import FramedLink, LinkComponent, TwistParams
 
@@ -33,7 +33,6 @@ VALID = [
     (FramedLink, ((A, B), ((0, 1), (1, 0)))),
     (SeifertPiece, (1, (2, 3))),
     (IntMatrix, (2, 2, (1, 2, 3, 4))),
-    (GenusReport, (Fraction(3), 2, Fraction(3, 2), PeripheralClass(0, 1), True)),
     (AbelianGroup, (1, (2, 4))),
 ]
 
@@ -64,12 +63,6 @@ INVALID = [
     (IntMatrix, (0, 0, ()), ValueError, "bad shape"),
     (IntMatrix, (2, 2, (1, 2, 3)), ValueError, "entry count"),
     (IntMatrix, (1, 2, (1, Fraction(1, 2))), ValueError, "integers"),
-    (GenusReport, (Fraction(-1), 1, Fraction(-1), PeripheralClass(0, 1), True),
-     ValueError, "chi_minus"),
-    (GenusReport, (Fraction(3), 0, Fraction(3), PeripheralClass(0, 1), True),
-     ValueError, "mu_pairing"),
-    (GenusReport, (Fraction(3), 2, Fraction(3), PeripheralClass(0, 1), True),
-     ValueError, "theta must equal"),
     (AbelianGroup, (-1, ()), ValueError, "negative free rank"),
     (AbelianGroup, (0, (1,)), ValueError, "coefficient 1 < 2"),
     (AbelianGroup, (0, (2, 3)), ValueError, "2 does not divide 3"),
