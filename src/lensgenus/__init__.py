@@ -30,7 +30,7 @@ _EXPORTS = {
     ),
     "errors": ("ConsistencyError",),
     "exactarith": (
-        "AbelianGroup", "IntMatrix", "SNFResult", "cokernel_invariants",
+        "AbelianGroup", "IntMatrix", "SNFResult", "cokernel_invariants", "fold_columns",
         "peripheral_kernel", "smith_normal_form",
     ),
     "lens": ("H1Class", "LensSpace", "simple_knot_class", "simple_knot_in_class"),
@@ -50,7 +50,7 @@ _EXPORTS = {
     "twistfamily": (
         "UNFILLED", "FramedLink", "LinkComponent", "TwistParams",
         "build_twist_diagram", "export_filling_specs", "filling_homology",
-        "filling_spec_export", "h1_of_complement", "twist_framings",
+        "filling_spec_export", "h1_of_complement", "twist_framings", "twist_homology",
     ),
 }
 

@@ -19,7 +19,7 @@ from collections import namedtuple
 from fractions import Fraction
 from math import prod
 
-from .complement import torus_knot_theta
+from .complement import solid_torus_warnings, torus_knot_theta
 from .errors import DomainError
 from .lens import LensSpace
 from .norm import NormSummand, SeifertPiece, graph_norm
@@ -93,15 +93,6 @@ class SurfaceCheck(namedtuple(
         )
 
 
-def _solid_torus_warnings(dropped: int) -> tuple[str, ...]:
-    if dropped == 0:
-        return ()
-    return (
-        "degenerate cone order 1: a decomposition piece is a solid torus "
-        "and contributes zero",
-    )
-
-
 def cable_side_summands(c: CableParams) -> list[NormSummand]:
     """The two pieces seen by the cable decomposition.
 
@@ -149,7 +140,7 @@ def cable_verdict(c: CableParams) -> CableVerdict:
         certified_nonsimple=threshold and equal and q != m,
         homology_class=(m * n) % p,
         theta=torus.theta,
-        warnings=_solid_torus_warnings(dropped_cable + torus.dropped),
+        warnings=solid_torus_warnings(dropped_cable + torus.dropped),
     )
 
 
@@ -208,7 +199,7 @@ def iterated_verdict(ic: IteratedCableParams) -> IteratedVerdict:
         certified_minimizer=threshold and equal,
         homology_class=ic.total_winding % p,
         theta=torus.theta,
-        warnings=_solid_torus_warnings(dropped + torus.dropped),
+        warnings=solid_torus_warnings(dropped + torus.dropped),
     )
 
 

@@ -136,12 +136,16 @@ def _theta(p: int, q: int, c: int) -> tuple[Any, int]:
 
 def _theta_report(r: Any) -> dict:
     """``r`` is the torus knot's ``GenusReport`` (``mu_pairing`` is its p), or None for class 0."""
+    import lensgenus.complement as complement
+
+    warnings: tuple[str, ...] = ()
     if r is None:
         from fractions import Fraction  # the one rational a report builds
 
         results = {"theta": Fraction(0), "chi_minus": Fraction(0), "label": "EXACT"}
         criterion = "class 0 is the unknot, which bounds a disk"
     else:
+        warnings = complement.solid_torus_warnings(r.dropped)
         results = {
             "theta": r.theta,
             "chi_minus": r.chi_minus,
@@ -152,7 +156,8 @@ def _theta_report(r: Any) -> dict:
         criterion = ("simple knot in this class is the (1,k)-torus knot "
                      "(holds iff k*q < p + q)")
     return {"results": results,
-            "certifications": {"exact": {"holds": True, "criterion": criterion}}}
+            "certifications": {"exact": {"holds": True, "criterion": criterion}},
+            "warnings": warnings}
 
 
 def _norm_code(v: Any) -> int:

@@ -41,6 +41,16 @@ class WindingData(namedtuple("WindingData", "ambient w")):
 GenusReport = namedtuple("GenusReport", "chi_minus p theta fibered dropped")
 
 
+def solid_torus_warnings(dropped: int) -> tuple[str, ...]:
+    """The warning of a report or verdict that dropped ``dropped`` solid-torus pieces."""
+    if dropped == 0:
+        return ()
+    return (
+        "degenerate cone order 1: a decomposition piece is a solid torus "
+        "and contributes zero",
+    )
+
+
 def boundary_kernel(data: WindingData) -> PeripheralClass:
     """Peripheral class that bounds in the complement: (w^2 q/d, p/d)."""
     p, q, w = data.ambient.p, data.ambient.q, data.w

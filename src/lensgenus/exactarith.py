@@ -11,7 +11,9 @@ there is no floating point anywhere.  Two computations do the work:
 - The peripheral kernel (the boundary classes that bound) is the
   relation lattice, the row space of the presentation, cut by the
   (mu, lambda) coordinate plane.  Its answer is the normalized generator
-  of a rank-1 lattice in Z^2, so no pivot rule shows in it.
+  of a rank-1 lattice in Z^2, so no pivot rule shows in it.  It clears
+  columns with ``fold_columns``, the 2x2 gcd step that also reads the
+  twist family's homology.
 
 Inputs are validated as ``IntMatrix`` at the public functions; the reductions
 themselves run on plain lists, and a Smith form's D, U and V are those lists'
@@ -266,20 +268,56 @@ def _lattice_generator(pairs: list[tuple[int, int]]) -> tuple[int, int] | None:
     return c * dx, c * dy
 
 
+def fold_columns(
+    rows: list[list[int]], cols: list[int], pivots: bool = True
+) -> tuple[list[list[int] | None], list[list[int]]]:
+    """Clear ``cols`` of ``rows`` in turn: the pivot rows set aside, and the rows left.
+
+    For each column the rows nonzero there are folded into one pivot row,
+    two at a time, by a 2x2 unimodular step from an extended gcd, and the
+    pivot is set aside; the rows left are zero in every cleared column, and
+    with the pivots they span the lattice ``rows`` did.  A pivot holds its
+    column's gcd there up to sign and is zero in the columns cleared before
+    it; a zero column sets aside None.  With ``pivots`` False no pivot is
+    kept and the last step of each column, which only forms it, is skipped.
+    """
+    set_aside: list[list[int] | None] = []
+    for j in cols:
+        hits = [r for r in rows if r[j]]
+        if not hits:
+            if pivots:
+                set_aside.append(None)
+            continue
+        rows = [r for r in rows if not r[j]]
+        top = hits[0]
+        for k, row in enumerate(hits[1:], 2):
+            # With t*s + e*c = g = gcd(t, e), the step [[s, c], [e/g, -t/g]]
+            # has determinant -1: the new pivot holds g at j, the other row 0.
+            t, e = top[j], row[j]
+            g = gcd(t, e)
+            x, y = e // g, t // g
+            rows.append([x * u - y * v for u, v in zip(top, row)])
+            if pivots or k < len(hits):
+                s = pow(y, -1, abs(x))
+                c = (g - s * t) // e
+                top = [s * u + c * v for u, v in zip(top, row)]
+        if pivots:
+            set_aside.append(top)
+    return set_aside, rows
+
+
 def peripheral_kernel(a: IntMatrix, mu_col: int, lambda_col: int) -> tuple[int, int]:
     """Generator of the kernel of Z^2 -> coker(a), (1,0) -> [mu], (0,1) -> [lambda].
 
     (x, y) dies exactly when x*e_mu + y*e_lambda lies in the row space of
     ``a``, so the kernel is that lattice cut by the (mu, lambda) plane.
-    Each other column is cleared in turn: the rows nonzero there are
-    folded into one pivot row, two at a time, by a 2x2 unimodular step
-    from an extended gcd, and the pivot row is set aside: the other rows
-    are zero in that column, so a combination that vanishes there leaves
-    the pivot out.  The rows left are zero off (mu, lambda), and their
-    (mu, lambda) entries span the kernel.  This reads only the
-    presentation, independent of any closed-form answer, so it can serve
-    as an oracle.  The generator is normalized to have y >= 0, and x >= 0
-    when y = 0.
+    Each other column is cleared in turn by ``fold_columns``, and its
+    pivot row is set aside: the other rows are zero in that column, so a
+    combination that vanishes there leaves the pivot out.  The rows left
+    are zero off (mu, lambda), and their (mu, lambda) entries span the
+    kernel.  This reads only the presentation, independent of any
+    closed-form answer, so it can serve as an oracle.  The generator is
+    normalized to have y >= 0, and x >= 0 when y = 0.
 
     Raises ValueError when the kernel is not infinite cyclic, which signals
     a malformed presentation.
@@ -289,27 +327,11 @@ def peripheral_kernel(a: IntMatrix, mu_col: int, lambda_col: int) -> tuple[int, 
     if mu_col == lambda_col:
         raise ValueError("mu and lambda columns must differ")
 
-    rows = a.to_lists()
-    for j in range(a.cols):
-        if j == mu_col or j == lambda_col:
-            continue
-        hits = [r for r in rows if r[j]]
-        if not hits:
-            continue
-        rows = [r for r in rows if not r[j]]
-        top = hits[0]
-        for k, row in enumerate(hits[1:], 2):
-            # With t*s + e*c = g = gcd(t, e), the step [[s, c], [e/g, -t/g]]
-            # has determinant -1: the new pivot holds g at j, the other row
-            # 0.  The last pivot is only set aside, so it is never formed.
-            t, e = top[j], row[j]
-            g = gcd(t, e)
-            x, y = e // g, t // g
-            rows.append([x * u - y * v for u, v in zip(top, row)])
-            if k < len(hits):
-                s = pow(y, -1, abs(x))
-                c = (g - s * t) // e
-                top = [s * u + c * v for u, v in zip(top, row)]
+    others = list(range(a.cols))
+    others.remove(mu_col)
+    others.remove(lambda_col)
+    # The pivots are only set aside, so they are never formed.
+    _, rows = fold_columns(a.to_lists(), others, pivots=False)
     try:
         generator = _lattice_generator([(r[mu_col], r[lambda_col]) for r in rows])
     except ValueError:

@@ -5,9 +5,18 @@ spanning surface made of a disk with k positively half-twisted bands, a
 curve gamma through every band, and a co-orientable curve alpha through
 two bands, whose push-offs are resurgered to twist gamma.  The deliverable
 here is the six-component framed link of that construction, exact first
-homology of its fillings and the class of the unfilled component (both
-read off one Smith normal form of the filled relations), and an export
-line for external geometry software.
+homology of its fillings and the class of the unfilled component, and an
+export line for external geometry software.
+
+Block identity: for every (a, b, n) the filled relations, over the
+meridians (dF, A, B, alpha0, alpha1), have a unimodular block on
+(A, B, alpha0, alpha1), and (A, B, alpha0, alpha1, gamma) =
+(a, b, 2n, -2n, k) * dF in homology.  Every relation but dF's vanishes on
+that substitution and dF's reads 2k * dF, so H1 = Z/2k, generated by dF,
+with gamma in class k.  ``twist_verdict`` reads both by ``twist_homology``,
+a fold of 2x2 gcd steps over the relation rows that raises on any pivot
+other than 1 or -1, and runs no Smith form; ``filling_homology``, the Smith
+form of any framed link's filling, stays the general route and the oracle.
 
 The linking numbers are not all forced by the text; the free ones were
 derived from the band picture and are locked by the homology grid: every
@@ -20,14 +29,16 @@ from __future__ import annotations
 
 from collections import namedtuple
 from fractions import Fraction
+from math import gcd
 from typing import Iterable, Sequence
 
-from .errors import DomainError
+from .errors import ConsistencyError, DomainError
 from .exactarith import (
     AbelianGroup,
     IntMatrix,
     cokernel_coordinates,
     cokernel_invariants,
+    fold_columns,
     smith_normal_form,
 )
 
@@ -139,8 +150,8 @@ def build_twist_diagram(t: TwistParams) -> FramedLink:
     return FramedLink(components=components, linking=linking)
 
 
-def _relation_matrix(fl: FramedLink, generators: Sequence[int]) -> IntMatrix:
-    """Surgery relations over the meridians listed in ``generators``.
+def _relation_rows(fl: FramedLink, generators: Sequence[int]) -> list[list[int]]:
+    """Surgery relations over the meridians listed in ``generators``, as int rows.
 
     Filling component i by p/q imposes p*mu_i + q * sum lk(i,j) mu_j = 0.
     Only filled components among ``generators`` contribute a relation,
@@ -151,14 +162,15 @@ def _relation_matrix(fl: FramedLink, generators: Sequence[int]) -> IntMatrix:
         fr = fl.components[i].framing
         if fr is None:
             continue
-        row = [
-            fr.numerator if j == i else fr.denominator * fl.linking[i][j]
-            for j in generators
-        ]
-        rows.append(row)
-    if not rows:
-        return IntMatrix.zero_rows(len(generators))
-    return IntMatrix.from_rows(rows)
+        num, den, lk = fr.numerator, fr.denominator, fl.linking[i]
+        rows.append([num if j == i else den * lk[j] for j in generators])
+    return rows
+
+
+def _relation_matrix(fl: FramedLink, generators: Sequence[int]) -> IntMatrix:
+    """``_relation_rows`` as a matrix: no rows when nothing listed is filled."""
+    rows = _relation_rows(fl, generators)
+    return IntMatrix.from_rows(rows) if rows else IntMatrix.zero_rows(len(generators))
 
 
 def filling_homology(fl: FramedLink, label: str | None = None) -> tuple[AbelianGroup, int | None]:
@@ -197,6 +209,45 @@ def h1_of_complement(fl: FramedLink) -> AbelianGroup:
     return cokernel_invariants(_relation_matrix(fl, range(len(fl.components))))
 
 
+def twist_homology(fl: FramedLink) -> tuple[AbelianGroup, int]:
+    """H1 of the filled twist diagram and gamma's class, by a unimodular fold.
+
+    The filled relations are read from the diagram's framings and linking
+    numbers.  Each meridian column but dF's is cleared by ``fold_columns``,
+    and each pivot set aside must be 1 or -1: the relations then have a
+    unimodular block off dF, so H1 is cyclic on [dF], of order the gcd of
+    the dF entries left over.  Gamma is the sum of its linking numbers times
+    the filled meridians; that vector, reduced by the pivots in the order
+    they were set aside, is a multiple of [dF], and its dF entry is the
+    class: a residue, or an integer when H1 is infinite cyclic.
+
+    Raises ``ConsistencyError`` on any other pivot: the block identity of
+    the module docstring fails, so the diagram is wrong.  There is no
+    fallback to the Smith form.
+    """
+    filled = fl.filled_indices()
+    gamma = fl.linking[fl.index_of("gamma")]
+    vec = [gamma[j] for j in filled]
+    keep = filled.index(fl.index_of("dF"))
+    cols = [j for j in range(len(filled)) if j != keep]
+    pivots, rows = fold_columns(_relation_rows(fl, filled), cols)
+    for j, pivot in zip(cols, pivots):
+        unit = pivot[j] if pivot else 0
+        if unit != 1 and unit != -1:
+            label = fl.components[filled[j]].label
+            raise ConsistencyError(
+                f"twist diagram pivot {unit} on the {label} meridian is not 1 or -1: "
+                "the filled relations have no unimodular block"
+            )
+        c = vec[j] * unit
+        if c:
+            vec = [x - c * y for x, y in zip(vec, pivot)]
+    order = gcd(*(r[keep] for r in rows))
+    if order == 0:
+        return AbelianGroup(1, ()), vec[keep]
+    return AbelianGroup(0, (order,) if order > 1 else ()), vec[keep] % order
+
+
 #: Homology check of K(a,b,n): the filling has H1 = Z/2k, gamma in class k.
 TwistVerdict = namedtuple("TwistVerdict", "params diagram h1 gamma_class holds")
 
@@ -204,12 +255,15 @@ TwistVerdict = namedtuple("TwistVerdict", "params diagram h1 gamma_class holds")
 def twist_verdict(t: TwistParams) -> TwistVerdict:
     """Build the diagram of K(a,b,n) and check its filling homology.
 
-    One Smith form of the filled relations gives both H1 and gamma's class.
-    Class k is its own negative mod 2k, so the check does not depend on
-    the orientation of gamma.
+    ``twist_homology`` folds the diagram's filled relations and runs no
+    Smith form: the block on (A, B, alpha0, alpha1) is unimodular, and
+    (A, B, alpha0, alpha1, gamma) = (a, b, 2n, -2n, k) * dF turns every
+    relation but dF's into 0 and dF's into 2k * dF, so H1 = Z/2k with
+    gamma in class k.  Class k is its own negative mod 2k, so the check
+    does not depend on the orientation of gamma.
     """
     fl = build_twist_diagram(t)
-    group, cls = filling_homology(fl, "gamma")
+    group, cls = twist_homology(fl)
     order = 2 * t.k
     return TwistVerdict(t, fl, group, cls, group.order() == order and cls % order == t.k)
 

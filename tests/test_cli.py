@@ -138,6 +138,32 @@ class TestInternalFailureExits3:
         assert len(slab_log.forks) == int(jobs) - 1
         assert_no_child_left()
 
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_twist_diagram_without_unimodular_block(self, capsys, monkeypatch, slab_log, jobs):
+        # lk(Acircle, Bcircle) = 1 leaves a pivot of -2: the fold raises, with
+        # no fallback to the Smith form, and nothing reaches stdout.
+        real = twistfamily.build_twist_diagram
+
+        def relinked(t):
+            fl = real(t)
+            linking = [list(row) for row in fl.linking]
+            linking[1][2] = linking[2][1] = 1
+            return twistfamily.FramedLink(fl.components, tuple(map(tuple, linking)))
+
+        monkeypatch.setattr(twistfamily, "build_twist_diagram", relinked)
+        for module in (exactarith, twistfamily):
+            monkeypatch.setattr(module, "smith_normal_form", None)
+        code, out, err = run(capsys, "twist", "--a", "1", "--b", "1", "--n", "1", "--json")
+        assert (code, out) == (3, "")
+        assert err.startswith("internal consistency failure: twist diagram pivot -2 ")
+        usable_cpus(monkeypatch, 2)
+        code, out, err = run(capsys, "sweep", "twist", "--a", "1:2", "--b", "1:2",
+                             "--n=-2:2", "--jobs", jobs, "--json")
+        assert (code, out) == (3, "")
+        assert "twist diagram pivot" in err
+        assert len(slab_log.forks) == int(jobs) - 1
+        assert_no_child_left()
+
     def test_wrong_stab_catalogue_exits_3(self, capsys, monkeypatch, slab_log):
         # A catalogue whose F0 claims one unit of complexity too many.  F0
         # enters the surface from p = 11 on, so the sweep fails at its second
@@ -447,9 +473,8 @@ class TestSweep:
 
     def test_failed_twist_homology_exits_3(self, capsys, monkeypatch):
         # Move gamma to class 1 on the one homology path the verdict reads.
-        real = twistfamily.filling_homology
-        monkeypatch.setattr(twistfamily, "filling_homology",
-                            lambda fl, label: (real(fl, label)[0], 1))
+        real = twistfamily.twist_homology
+        monkeypatch.setattr(twistfamily, "twist_homology", lambda fl: (real(fl)[0], 1))
         code, payload, _ = run_json(
             capsys, "sweep", "twist", "--a", "1:1", "--b", "1:1", "--n", "1:2"
         )
@@ -768,9 +793,9 @@ def doubled_torus_norm(real, point):
 
 
 def moved_gamma(real, point):
-    """``filling_homology`` with gamma one class further on where a = point[0]."""
-    def route(fl, label):
-        group, cls = real(fl, label)
+    """``twist_homology`` with gamma one class further on where a = point[0]."""
+    def route(fl):
+        group, cls = real(fl)
         # The Acircle component is framed -1/a.
         return group, cls + (fl.components[1].framing == Fraction(-1, point[0]))
     return route
@@ -821,7 +846,7 @@ PERTURBED_ROUTES = {
              ("certified", "points"), "minimizer",
              lambda p, q, k: stabilization.stab_verdict(
                  StabFamily(LensSpace(p, q), k)).certified_minimizer),
-    "twist": ("twist", twistfamily, "filling_homology", moved_gamma,
+    "twist": ("twist", twistfamily, "twist_homology", moved_gamma,
               ("homology_checks_passed", "points"), "homology",
               lambda a, b, n: twistfamily.twist_verdict(TwistParams(a, b, n)).holds),
     "boundary-kernel": ("boundary-kernel", exactarith, "peripheral_kernel", doubled_kernel,
@@ -1164,6 +1189,37 @@ class TestThetaEdgeCases:
         code, out, err = run(capsys, "theta", "--p", "5", "--q", "2", "--class", "3")
         assert (code, out) == (1, "")
         assert err == "error: no torus-knot route for class 3: cone order p - qc = -1 < 1\n"
+
+    @pytest.mark.parametrize("p, q, c, warned", [
+        (7, 3, 2, True),  # cone order p - qc = 1: the complement is a solid torus
+        (8, 1, 1, True),  # cone order c = 1
+        (8, 1, 4, False),
+        (8, 1, 0, False),  # the unknot: no torus-knot route runs
+    ])
+    def test_solid_torus_warning(self, capsys, p, q, c, warned):
+        # theta warns as cable does for the same piece, and still exits 0.
+        code, payload, _ = run_json(capsys, "theta", "--p", str(p), "--q", str(q),
+                                    "--class", str(c))
+        assert code == 0
+        solid = ["degenerate cone order 1: a decomposition piece is a solid torus "
+                 "and contributes zero"]
+        assert payload["warnings"] == (solid if warned else [])
+        _, cable, _ = run_json(capsys, "cable", "--p", "17", "--q", "2", "--m", "2", "--n", "4")
+        assert cable["warnings"] == solid
+
+    def test_family_warns_as_its_class_theta(self):
+        # A family verdict warns when its class's route dropped a solid torus.
+        warned = 0
+        for point in product(range(5, 40), range(1, 4), range(2, 4), range(2, 4)):
+            try:
+                verdict, _ = cli.COMMANDS["cable"].evaluate(*point)
+            except DomainError:
+                continue
+            genus, _ = cli.COMMANDS["theta"].evaluate(*point[:2], verdict.homology_class)
+            if cli.COMMANDS["theta"].report(genus)["warnings"]:
+                assert verdict.warnings, point
+                warned += 1
+        assert warned
 
     @pytest.mark.parametrize("command, axes", [
         ("cable", [range(5, 60), range(1, 4), range(2, 4), range(2, 4)]),

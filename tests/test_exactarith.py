@@ -12,6 +12,7 @@ from lensgenus.exactarith import (
     IntMatrix,
     cokernel_coordinates,
     cokernel_invariants,
+    fold_columns,
     peripheral_kernel,
     smith_normal_form,
 )
@@ -220,6 +221,54 @@ class TestPeripheralKernel:
             peripheral_kernel(a, 0, 4)
         with pytest.raises(ValueError):
             peripheral_kernel(a, 1, 1)
+
+
+def in_row_space(rows, vec):
+    """Whether ``vec`` is an integer combination of ``rows``, read off a Smith form."""
+    if not rows:
+        return not any(vec)
+    snf = smith_normal_form(IntMatrix.from_rows(rows))
+    return not any(cokernel_coordinates(snf, tuple(vec)))
+
+
+class TestFoldColumns:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.integers(min_value=1, max_value=5).flatmap(
+            lambda n: st.tuples(
+                st.lists(
+                    st.lists(st.integers(min_value=-12, max_value=12), min_size=n, max_size=n),
+                    min_size=1,
+                    max_size=5,
+                ),
+                st.permutations(range(n)).flatmap(
+                    lambda order: st.integers(0, n).map(lambda c: order[:c])),
+            )
+        )
+    )
+    @example(([[10**25, 3, 0], [-(10**25) - 1, 0, 7], [1, 10**25, 2]], [0, 2]))
+    @example(([[0, 1], [0, 2]], [0, 1]))  # a zero column sets aside None
+    def test_same_lattice_cleared_columns(self, case):
+        rows, cols = case
+        pivots, rest = fold_columns([list(r) for r in rows], cols)
+        assert len(pivots) == len(cols)
+        for i, (j, pivot) in enumerate(zip(cols, pivots)):
+            column = [r[j] for r in rows]
+            if pivot is None:  # the column is zero once those before it are cleared
+                assert i or not any(column)
+                continue
+            # A pivot is zero in the columns cleared before it.
+            assert all(pivot[c] == 0 for c in cols[:i])
+            assert pivot[j] != 0
+            if i == 0:
+                assert abs(pivot[j]) == gcd(*column)
+        assert all(r[j] == 0 for r in rest for j in cols)
+        kept = [p for p in pivots if p is not None] + rest
+        assert all(in_row_space(kept, r) for r in rows)
+        assert all(in_row_space(rows, r) for r in kept)
+        # Without pivots the last step of each column is skipped and the
+        # rows left are the same.
+        assert fold_columns([list(r) for r in rows], cols, pivots=False) == ([], rest)
 
 
 def snf_kernel(a, mu_col, lambda_col):

@@ -4,9 +4,12 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from lensgenus import exactarith, twistfamily
 from lensgenus.complement import WindingData, presentation_matrix
+from lensgenus.errors import ConsistencyError
 from lensgenus.exactarith import AbelianGroup, cokernel_invariants
 from lensgenus.lens import LensSpace
 from lensgenus.twistfamily import (
@@ -20,6 +23,7 @@ from lensgenus.twistfamily import (
     filling_spec_export,
     h1_of_complement,
     twist_framings,
+    twist_homology,
     twist_verdict,
 )
 
@@ -29,6 +33,22 @@ TWIST_GRID = [
     for b in range(1, 6)
     for n in [-5, -3, -1, 1, 2, 4, 5]
 ]
+
+#: The grid of the CI sweep ``sweep twist --a 1:5 --b 1:5 --n=-5:5``.
+CI_TWIST_GRID = [(a, b, n) for a in range(1, 6) for b in range(1, 6) for n in range(-5, 6) if n]
+
+#: Band counts of any size: small ones, Hypothesis's own unbounded draw, and 30 digits.
+band_counts = st.one_of(st.integers(1, 20), st.integers(min_value=1),
+                        st.integers(10**29, 10**30 - 1))
+twist_counts = st.one_of(band_counts, band_counts.map(lambda x: -x))
+
+
+def relinked(fl, i, j, delta):
+    """``fl`` with the linking number of components i and j moved by ``delta``."""
+    linking = [list(row) for row in fl.linking]
+    linking[i][j] += delta
+    linking[j][i] += delta
+    return FramedLink(fl.components, tuple(map(tuple, linking)))
 
 
 class TestTwistFramings:
@@ -208,7 +228,7 @@ class TestUnfilledClass:
             assert v.h1 == filling_homology(v.diagram)[0] == AbelianGroup(0, (2 * t.k,))
             assert v.gamma_class == filling_homology(v.diagram, "gamma")[1]
 
-    def test_verdict_runs_one_smith_form(self, monkeypatch):
+    def test_verdict_runs_no_smith_form(self, monkeypatch):
         calls = []
         real = exactarith.smith_normal_form
         # Count it under every name a caller can reach it by.
@@ -216,19 +236,31 @@ class TestUnfilledClass:
             monkeypatch.setattr(module, "smith_normal_form",
                                 lambda a: calls.append(a.rows) or real(a))
         for a, b, n in [(1, 1, 1), (2, 5, -4)]:
-            calls.clear()
             v = twist_verdict(TwistParams(a, b, n))
             assert v.holds
-            assert calls == [5]  # the 5x5 filled relations, once
+        assert calls == []
 
-    def test_verdict_validates_one_matrix(self, monkeypatch):
-        # The relation matrix is the Smith form's input; its results stay plain rows.
-        calls = []
-        real = exactarith.IntMatrix.__post_init__
+    def test_verdict_validates_four_pivots(self, monkeypatch):
+        # The relation rows stay plain int lists: no matrix is validated.  The
+        # fold sets aside one pivot per meridian but dF's, each 1 or -1.
+        matrices, folds = [], []
+        real_post_init = exactarith.IntMatrix.__post_init__
         monkeypatch.setattr(exactarith.IntMatrix, "__post_init__",
-                            lambda m: calls.append((m.rows, m.cols)) or real(m))
+                            lambda m: matrices.append((m.rows, m.cols)) or real_post_init(m))
+        real_fold = twistfamily.fold_columns
+
+        def fold(rows, cols, *args):
+            cols = list(cols)
+            pivots, rest = real_fold(rows, cols, *args)
+            folds.append((len(rows), cols, [p[j] for j, p in zip(cols, pivots)], len(rest)))
+            return pivots, rest
+
+        monkeypatch.setattr(twistfamily, "fold_columns", fold)
         assert twist_verdict(TwistParams(1, 1, 1)).holds
-        assert calls == [(5, 5)]
+        assert matrices == []
+        [(rows, cols, units, left)] = folds
+        assert (rows, cols, left) == (5, [1, 2, 3, 4], 1)
+        assert all(u in (1, -1) for u in units)
 
     def test_filled_component_rejected(self):
         fl = build_twist_diagram(TwistParams(1, 1, 1))
@@ -249,6 +281,60 @@ class TestUnfilledClass:
         )
         with pytest.raises(ValueError, match="not cyclic"):
             filling_homology(fl, "K")
+
+
+class TestTwistHomology:
+    def test_agrees_with_smith_form_on_ci_grid(self):
+        for a, b, n in CI_TWIST_GRID:
+            fl = build_twist_diagram(TwistParams(a, b, n))
+            assert twist_homology(fl) == filling_homology(fl, "gamma"), (a, b, n)
+
+    @given(band_counts, band_counts, twist_counts)
+    @example(10**30 + 1, 7, -(10**20))
+    @example(1, 1, 1)
+    @settings(max_examples=200, deadline=None)
+    def test_agrees_with_smith_form_unbounded(self, a, b, n):
+        t = TwistParams(a, b, n)
+        fl = build_twist_diagram(t)
+        assert twist_homology(fl) == filling_homology(fl, "gamma")
+        assert twist_homology(fl) == (AbelianGroup(0, (2 * t.k,)), t.k)
+
+    @given(band_counts, band_counts, twist_counts)
+    @example(10**30 + 1, 7, -(10**20))
+    @settings(max_examples=200, deadline=None)
+    def test_block_identity_in_closed_form(self, a, b, n):
+        # (dF, A, B, alpha0, alpha1) = (1, a, b, 2n, -2n) * dF kills every
+        # relation but dF's, which reads 2k * dF, and gamma reads k * dF.
+        t = TwistParams(a, b, n)
+        fl = build_twist_diagram(t)
+        filled = fl.filled_indices()
+        assert [fl.components[i].label for i in filled] == [
+            "dF", "Acircle", "Bcircle", "alpha0", "alpha1"]
+        dF = (1, a, b, 2 * n, -2 * n)
+        rows = twistfamily._relation_rows(fl, filled)
+        assert [sum(x * y for x, y in zip(row, dF)) for row in rows] == [2 * t.k, 0, 0, 0, 0]
+        gamma = fl.linking[fl.index_of("gamma")]
+        assert sum(gamma[j] * y for j, y in zip(filled, dF)) == t.k
+
+    @pytest.mark.parametrize("n", [1, 2, -3])
+    def test_relinked_diagram_has_no_unimodular_block(self, n):
+        # lk(Acircle, Bcircle) = 1 leaves the Bcircle pivot -2, and the Smith
+        # form agrees that the diagram no longer gives Z/2k.
+        fl = relinked(build_twist_diagram(TwistParams(1, 1, n)), 1, 2, 1)
+        with pytest.raises(ConsistencyError, match="pivot -2 on the Bcircle meridian"):
+            twist_homology(fl)
+        assert filling_homology(fl)[0] != AbelianGroup(0, (8,))
+
+    def test_relinked_diagram_with_infinite_homology(self):
+        # lk(dF, alpha1) = 4 keeps every pivot a unit but fills to H1 = Z;
+        # gamma's class is then an integer, as the Smith form reads it.
+        fl = relinked(build_twist_diagram(TwistParams(1, 1, 1)), 0, 4, 2)
+        assert twist_homology(fl) == filling_homology(fl, "gamma") == (AbelianGroup(1, ()), 2)
+
+    def test_zero_column_is_no_unit(self):
+        fl = relinked(build_twist_diagram(TwistParams(1, 1, 1)), 1, 2, -1)
+        with pytest.raises(ConsistencyError, match="pivot 0 on the Bcircle meridian"):
+            twist_homology(fl)
 
 
 def cusps(line):
