@@ -49,8 +49,8 @@ _EXPORTS = {
     ),
     "twistfamily": (
         "UNFILLED", "FramedLink", "LinkComponent", "TwistParams",
-        "build_twist_diagram", "export_filling_specs", "filling_homology",
-        "filling_spec_export", "h1_of_complement", "twist_framings", "twist_homology",
+        "build_twist_diagram", "filling_homology", "filling_spec_export",
+        "h1_of_complement", "twist_framings", "twist_homology",
     ),
 }
 

@@ -276,22 +276,10 @@ def _order2_report(rep: Any) -> dict:
     }
 
 
-def _twist(
-    a: int, b: int, n: int, export: str | None = None, sidecar: str | None = None
-) -> tuple[Any, int]:
+def _twist(a: int, b: int, n: int) -> tuple[Any, int]:
     import lensgenus.twistfamily as twistfamily
 
-    if sidecar is not None and export is None:
-        raise DomainError("--sidecar requires --export")
-    # realpath maps "" and "." alike to the working directory: compare nonempty paths.
-    if sidecar and export and os.path.realpath(sidecar) == os.path.realpath(export):
-        raise DomainError("--export and --sidecar name the same file")
     v = twistfamily.twist_verdict(twistfamily.TwistParams(a, b, n))
-    if v.holds and export is not None:
-        try:
-            twistfamily.export_filling_specs([v], export, sidecar)
-        except OSError as exc:
-            raise DomainError(f"cannot write {exc.filename!r}: {exc.strerror}") from exc
     return v, EXIT_OK if v.holds else EXIT_INCONSISTENT
 
 
@@ -317,16 +305,13 @@ def _twist_report(v: Any) -> dict:
     }
 
 
-def _boundary_kernel(p: int, q: int, w: int, oracle: bool = True) -> tuple[tuple, int]:
+def _boundary_kernel(p: int, q: int, w: int) -> tuple[tuple, int]:
     import lensgenus.complement as complement
     import lensgenus.exactarith as exactarith
 
-    # The verdict is the closed form, the presentation and the oracle's kernel
-    # (None without the oracle; a sweep passes no options, so runs it).
+    # The verdict is the closed form, the presentation and the oracle's kernel.
     data = complement.WindingData(LensSpace(p, q), w)
     closed = complement.boundary_kernel(data)
-    if not oracle:
-        return (closed, None, None), EXIT_OK
     mat = complement.presentation_matrix(data)
     found = exactarith.peripheral_kernel(mat, 0, 1)
     return (closed, mat, found), EXIT_OK if found == tuple(closed) else EXIT_INCONSISTENT
@@ -334,20 +319,16 @@ def _boundary_kernel(p: int, q: int, w: int, oracle: bool = True) -> tuple[tuple
 
 def _boundary_kernel_report(verdict: tuple) -> dict:
     closed, mat, found = verdict
-    results: dict[str, Any] = {"mu_coeff": closed.mu_coeff, "lambda_coeff": closed.lambda_coeff}
-    certs: dict[str, dict[str, Any]] = {}
-    if mat is not None:
-        results["oracle_mu_coeff"], results["oracle_lambda_coeff"] = found
-        results["presentation_rows"] = mat.to_lists()
-        # The criterion text is part of the canonical output, so it stays
-        # as it is; the oracle cuts the presentation's row lattice with the
-        # (mu, lambda) plane and runs no Smith form.
-        certs["oracle_agreement"] = {
-            "holds": found == tuple(closed),
-            "criterion": "closed form equals the Smith-normal-form kernel of "
-            "the presentation matrix",
-        }
-    return {"results": results, "certifications": certs}
+    results = {"mu_coeff": closed.mu_coeff, "lambda_coeff": closed.lambda_coeff,
+               "oracle_mu_coeff": found[0], "oracle_lambda_coeff": found[1],
+               "presentation_rows": mat.to_lists()}
+    # The criterion text is part of the canonical output, so it stays as it
+    # is; the oracle cuts the presentation's row lattice with the (mu, lambda)
+    # plane and runs no Smith form.
+    agreement = {"holds": found == tuple(closed),
+                 "criterion": "closed form equals the Smith-normal-form kernel of "
+                 "the presentation matrix"}
+    return {"results": results, "certifications": {"oracle_agreement": agreement}}
 
 
 # ---------------------------------------------------------------------------
@@ -429,8 +410,10 @@ COMMANDS: dict[str, Command] = {
 _LIST_FLAGS = {"ms": "M1,M2,..."}
 
 #: Options of single commands that are not grid coordinates, by kind: a
-#: ``str`` option takes a value and a ``bool`` one is a switch.  Each is
-#: passed to the evaluator by keyword.
+#: ``str`` option takes a value and a ``bool`` one is a switch.  No evaluator
+#: sees one: ``main`` reads twist's paths after the report renders, and
+#: ``--oracle`` stays only so that existing command lines still parse; nothing
+#: reads it, since the oracle always runs.
 _OPTIONS: dict[str, dict[str, type]] = {
     "twist": {"export": str, "sidecar": str},
     "boundary-kernel": {"oracle": bool},
@@ -448,8 +431,7 @@ def _run_command(name: str, args: dict[str, Any]) -> tuple[dict, int]:
     values: list[int] = []
     for flag, value in inputs.items():
         values += value if flag in _LIST_FLAGS else [value]
-    options = {opt: args[opt] for opt in _OPTIONS.get(name, ())}
-    verdict, code = cmd.evaluate(*values, **options)
+    verdict, code = cmd.evaluate(*values)
     sections = cmd.report(verdict)
     inputs.update(sections.pop("inputs", {}))
     env = envelope(name, inputs, **sections)
@@ -607,10 +589,15 @@ def cmd_sweep(target: str, args: dict[str, Any]) -> tuple[dict, int]:
     inputs: dict[str, Any] = {"target": target}
     axes: list[range] = []
     for flag in cmd.flags:
-        inputs[flag] = value = args[flag]
-        # A range spans one axis; a list pins one single-valued axis per entry.
-        axes += ([range(v, v + 1) for v in value] if flag in _LIST_FLAGS
-                 else [_parse_range(value, flag)])
+        value = args[flag]
+        if flag in _LIST_FLAGS:
+            # A list pins one single-valued axis per entry.
+            axes += [range(v, v + 1) for v in value]
+        else:
+            # A range spans one axis, and echoes as parsed, not as typed.
+            axes.append(_parse_range(value, flag))
+            value = f"{axes[-1].start}:{axes[-1].stop - 1}"
+        inputs[flag] = value
     # stop - start, since len() of a range beyond sys.maxsize overflows.
     size = prod(axis.stop - axis.start for axis in axes)
     if size > MAX_GRID_POINTS:
@@ -637,6 +624,67 @@ def cmd_sweep(target: str, args: dict[str, Any]) -> tuple[dict, int]:
     # Every list in a summary is a mismatch list.
     failed = any(isinstance(v, list) and v for v in results.values())
     return envelope("sweep", inputs, results), EXIT_INCONSISTENT if failed else EXIT_OK
+
+
+# ---------------------------------------------------------------------------
+# the write stage: the one place that writes a file
+
+
+def _write_all_or_none(files: list[tuple[str, str]]) -> None:
+    """Write each ``(path, text)``, or leave every existing file as it was.
+
+    Every text first goes to a temporary file beside its target, and the
+    targets are replaced only once all of them are written, so a missing
+    directory or a denied write changes no file.  An empty path or an
+    existing directory, which would fail only at its rename, is refused
+    before any temporary file is written.  An ``OSError`` names the target
+    path, never the temporary one.
+    """
+    import errno
+    from contextlib import suppress
+
+    for target, _ in files:
+        if not target or os.path.isdir(target):
+            code = errno.EISDIR if target else errno.ENOENT
+            raise OSError(code, os.strerror(code), target)
+    temps: list[tuple[str, str]] = []
+    try:
+        for target, text in files:
+            tmp = f"{target}.{os.getpid()}.tmp"
+            with open(tmp, "x", encoding="ascii") as fh:
+                temps.append((tmp, target))
+                fh.write(text)
+        for tmp, target in temps:
+            os.replace(tmp, target)
+    except OSError as exc:
+        raise type(exc)(exc.errno, exc.strerror, target) from exc
+    finally:
+        for tmp, _ in temps:
+            with suppress(FileNotFoundError):
+                os.remove(tmp)
+
+
+def _export_files(args: dict[str, Any], env: dict[str, Any]) -> list[tuple[str, str]]:
+    """The ``(path, text)`` pairs that ``twist --export`` and ``--sidecar`` ask for.
+
+    Both texts come from the rendered envelope: the export is the spec line
+    and the sidecar its one record.  Any other command asks for none.
+    """
+    export, sidecar = args.get("export"), args.get("sidecar")
+    if sidecar is not None and export is None:
+        raise DomainError("--sidecar requires --export")
+    if export is None:
+        return []
+    # realpath maps "" and "." alike to the working directory: compare nonempty paths.
+    if sidecar and export and os.path.realpath(sidecar) == os.path.realpath(export):
+        raise DomainError("--export and --sidecar name the same file")
+    inputs, results = env["inputs"], env["results"]
+    files = [(export, results["spec"] + "\n")]
+    if sidecar is not None:
+        record = {key: inputs[key] for key in ("a", "b", "n")}
+        record.update({key: results[key] for key in ("k", "h1_order", "gamma_class", "spec")})
+        files.append((sidecar, canonical_json([record])))
+    return files
 
 
 # ---------------------------------------------------------------------------
@@ -729,8 +777,13 @@ def main(argv: list[str] | None = None) -> int:
     try:
         name, sweep, args = parse_args(sys.argv[1:] if argv is None else argv)
         env, code = (cmd_sweep if sweep else _run_command)(name, args)
-        # Rendered before anything is written: a report that fails to render prints nothing.
+        # Rendered before anything is written: a report that fails to render
+        # prints nothing and writes no file.
         text = print_report(env, args["json"])
+        try:
+            _write_all_or_none(_export_files(args, env))
+        except OSError as exc:
+            raise DomainError(f"cannot write {exc.filename!r}: {exc.strerror}") from exc
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID

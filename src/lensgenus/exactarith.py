@@ -228,10 +228,8 @@ def cokernel_invariants(a: IntMatrix) -> AbelianGroup:
     return smith_normal_form(a).cokernel()
 
 
-def cokernel_coordinates(
-    snf: SNFResult, vec: tuple[int, ...], cols: tuple[int, ...] | None = None
-) -> tuple[int, ...]:
-    """Coordinates of ``vec`` in the cokernel's diagonal basis; with ``cols``, only those.
+def cokernel_coordinates(snf: SNFResult, vec: tuple[int, ...]) -> tuple[int, ...]:
+    """Coordinates of ``vec`` in the cokernel's diagonal basis.
 
     Coordinate j lives in Z/d_j (reduced to [0, d_j)) when d_j > 0 and in Z
     when d_j = 0.  The zero tuple means ``vec`` lies in the row space.
@@ -240,7 +238,7 @@ def cokernel_coordinates(
     if len(vec) != n:
         raise ValueError("vector length does not match generator count")
     coords = []
-    for j in range(n) if cols is None else cols:
+    for j in range(n):
         c = sum(x * row[j] for x, row in zip(vec, snf.V))
         dj = snf.D[j][j] if j < len(snf.D) else 0
         coords.append(c % dj if dj else c)

@@ -6,7 +6,8 @@ curve gamma through every band, and a co-orientable curve alpha through
 two bands, whose push-offs are resurgered to twist gamma.  The deliverable
 here is the six-component framed link of that construction, exact first
 homology of its fillings and the class of the unfilled component, and an
-export line for external geometry software.
+export line for external geometry software.  The module writes no file:
+``lensgenus.cli`` writes the line where a command asks for it.
 
 Block identity: for every (a, b, n) the filled relations, over the
 meridians (dF, A, B, alpha0, alpha1), have a unimodular block on
@@ -30,7 +31,7 @@ from __future__ import annotations
 from collections import namedtuple
 from fractions import Fraction
 from math import gcd
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .errors import ConsistencyError, DomainError
 from .exactarith import (
@@ -199,9 +200,8 @@ def filling_homology(fl: FramedLink, label: str | None = None) -> tuple[AbelianG
         return group, 0
     vec = tuple(fl.linking[idx][j] for j in filled)
     # The diagonal runs 1, ..., 1 and then the lone entry that is not 1,
-    # which carries the cyclic coordinate; only that one is computed.
-    (cls,) = cokernel_coordinates(snf, vec, (snf.invariant_factors.count(1),))
-    return group, cls
+    # which carries the cyclic coordinate.
+    return group, cokernel_coordinates(snf, vec)[snf.invariant_factors.count(1)]
 
 
 def h1_of_complement(fl: FramedLink) -> AbelianGroup:
@@ -278,75 +278,3 @@ def filling_spec_export(t: TwistParams) -> str:
     """
     n = t.n
     return f"M((-1,{t.a}),(-1,{t.b}),({t.k + 2},1),({n - 1},{n}),({n + 1},{n}),inf)"
-
-
-def export_filling_specs(
-    verdicts: Iterable[TwistVerdict],
-    path: str,
-    sidecar_path: str | None = None,
-) -> int:
-    """Write one canonical spec line per verdict's triple; returns the count.
-
-    The optional JSON sidecar records, per triple, the parameters, the
-    order of the filled manifold's first homology, the class of the
-    unfilled component, and the spec line, all read from the verdict.
-    """
-    import json  # only a call that exports pays for it
-
-    lines = []
-    records = []
-    for v in verdicts:
-        t = v.params
-        text = filling_spec_export(t)
-        lines.append(text)
-        records.append(
-            {
-                "a": t.a,
-                "b": t.b,
-                "n": t.n,
-                "k": t.k,
-                "h1_order": v.h1.order(),
-                "gamma_class": v.gamma_class,
-                "spec": text,
-            }
-        )
-    files = [(path, "\n".join(lines) + ("\n" if lines else ""))]
-    if sidecar_path is not None:
-        files.append((sidecar_path, json.dumps(records, indent=2, sort_keys=True) + "\n"))
-    _write_all_or_none(files)
-    return len(lines)
-
-
-def _write_all_or_none(files: Sequence[tuple[str, str]]) -> None:
-    """Write each ``(path, text)``, or leave every existing file as it was.
-
-    Every text first goes to a temporary file beside its target, and the
-    targets are replaced only once all of them are written, so a missing
-    directory or a denied write changes no file.  An empty path or an
-    existing directory, which would fail only at its rename, is refused
-    before any temporary file is written.  An ``OSError`` names the target
-    path, never the temporary one.
-    """
-    import errno
-    import os
-    from contextlib import suppress
-
-    for target, _ in files:
-        if not target or os.path.isdir(target):
-            code = errno.EISDIR if target else errno.ENOENT
-            raise OSError(code, os.strerror(code), target)
-    temps: list[tuple[str, str]] = []
-    try:
-        for target, text in files:
-            tmp = f"{target}.{os.getpid()}.tmp"
-            with open(tmp, "x", encoding="ascii") as fh:
-                temps.append((tmp, target))
-                fh.write(text)
-        for tmp, target in temps:
-            os.replace(tmp, target)
-    except OSError as exc:
-        raise type(exc)(exc.errno, exc.strerror, target) from exc
-    finally:
-        for tmp, _ in temps:
-            with suppress(FileNotFoundError):
-                os.remove(tmp)

@@ -127,6 +127,16 @@ class TestInternalFailureExits3:
         assert err == ("internal consistency failure: ValueError: "
                        "peripheral kernel is not cyclic of rank 1 (rank 2)\n")
 
+    @pytest.mark.parametrize("kernel", [not_cyclic, lambda mat, mu, lam: (0, 0)],
+                             ids=["raises", "disagrees"])
+    @pytest.mark.parametrize("mode", [[], ["--json"]], ids=["text", "json"])
+    def test_plain_boundary_kernel_runs_its_oracle(self, capsys, monkeypatch, kernel, mode):
+        # Without --oracle the oracle runs too, so a broken one exits 3.
+        monkeypatch.setattr(exactarith, "peripheral_kernel", kernel)
+        code, out, err = run(capsys, "boundary-kernel", "--p", "8", "--q", "1", "--w", "4", *mode)
+        assert (code, out) == (3, "")
+        assert err.startswith("internal consistency failure: ")
+
     @pytest.mark.parametrize("jobs", ["1", "2"])
     def test_library_value_error_in_sweep(self, capsys, monkeypatch, slab_log, jobs):
         monkeypatch.setattr(exactarith, "peripheral_kernel", not_cyclic)
@@ -290,6 +300,19 @@ class TestSubcommands:
             '    "k": 4,\n    "n": 1,\n    "spec": "' + spec + '"\n  }\n]\n'
         ).encode()
 
+    def test_export_waits_for_the_report(self, capsys, monkeypatch, tmp_path):
+        # main writes the export after the report renders: no report, no file.
+        def unrenderable(env, as_json):
+            raise ValueError("this report cannot be rendered")
+
+        monkeypatch.setattr(cli, "print_report", unrenderable)
+        code, out, err = run(capsys, "twist", "--a", "1", "--b", "1", "--n", "1",
+                             "--export", str(tmp_path / "s.txt"),
+                             "--sidecar", str(tmp_path / "s.json"))
+        assert (code, out) == (3, "")
+        assert err == "internal consistency failure: ValueError: this report cannot be rendered\n"
+        assert list(tmp_path.iterdir()) == []
+
     def test_boundary_kernel_oracle(self, capsys):
         code, payload, _ = run_json(
             capsys, "boundary-kernel", "--p", "8", "--q", "1", "--w", "4", "--oracle"
@@ -317,13 +340,13 @@ class TestSubcommands:
         assert out == ""
         assert "oracle_agreement check failed" in err
 
-    def test_oracle_flag_does_not_change_results(self, capsys):
-        _, plain, _ = run_json(capsys, "boundary-kernel", "--p", "15", "--q", "4", "--w", "6")
-        _, oracled, _ = run_json(
-            capsys, "boundary-kernel", "--p", "15", "--q", "4", "--w", "6", "--oracle"
-        )
-        for key in ("mu_coeff", "lambda_coeff"):
-            assert plain["results"][key] == oracled["results"][key]
+    @pytest.mark.parametrize("mode", [[], ["--json"]], ids=["text", "json"])
+    def test_oracle_flag_does_not_change_results(self, capsys, mode):
+        # The oracle always runs; --oracle still parses and changes no byte.
+        argv = ["boundary-kernel", "--p", "15", "--q", "4", "--w", "6", *mode]
+        plain = run(capsys, *argv)
+        assert plain == run(capsys, *argv, "--oracle")
+        assert plain[0] == 0 and "oracle_agreement" in plain[1]
 
 
 class TestSweep:
@@ -338,6 +361,15 @@ class TestSweep:
         assert res["points"] > 0
         assert res["norms_equal_above_threshold"] == res["threshold_met"]
         assert res["mismatches_above_threshold"] == []
+
+    @pytest.mark.parametrize("mode", [[], ["--json"]], ids=["text", "json"])
+    @pytest.mark.parametrize("spelling", ["\u0668:9", "08:9", "+8:9", "8:+9", "8:0_9"])
+    def test_ranges_echo_as_parsed(self, capsys, spelling, mode):
+        # A range echoes as the integers it parsed to, as a single command's flags do.
+        grid = ["--q", "1:1", "--m", "2:2", "--n", "2:2", *mode]
+        canonical = run(capsys, "sweep", "cable", "--p", "8:9", *grid)
+        assert canonical[0] == 0 and "8:9" in canonical[1]
+        assert run(capsys, "sweep", "cable", "--p", spelling, *grid) == canonical
 
     def test_parallel_matches_serial(self, capsys):
         args = ["sweep", "boundary-kernel", "--p", "2:20", "--q", "1:19", "--w", "0:10"]
@@ -1077,7 +1109,7 @@ SINGLE_COMMANDS = [
     ["stab", "--p", "10", "--q", "1", "--k", "1"],
     ["order2", "--k", "4"],
     ["twist", "--a", "1", "--b", "1", "--n", "1"],
-    ["boundary-kernel", "--p", "8", "--q", "1", "--w", "4", "--oracle"],
+    ["boundary-kernel", "--p", "8", "--q", "1", "--w", "4"],
 ]
 
 
@@ -1097,8 +1129,8 @@ class TestOneReportShape:
         for name, *flags in SINGLE_COMMANDS:
             command, verdicts, reported, envelopes = cli.COMMANDS[name], [], [], []
 
-            def evaluate(*values, **options):
-                verdicts.append(command.evaluate(*values, **options))
+            def evaluate(*values):
+                verdicts.append(command.evaluate(*values))
                 return verdicts[-1]
 
             def report(verdict):
@@ -1410,6 +1442,14 @@ class TestArgumentValidation:
         )
         assert code == 1
         assert "requires --export" in err
+
+    def test_point_error_comes_before_option_errors(self, capsys, tmp_path):
+        # The export options are read after the point is evaluated.
+        code, out, err = run(capsys, "twist", "--a", "0", "--b", "1", "--n", "1",
+                             "--sidecar", str(tmp_path / "s.json"))
+        assert (code, out) == (1, "")
+        assert err == "error: band counts a, b must be >= 1\n"
+        assert list(tmp_path.iterdir()) == []
 
 
 def flag_pairs(words):

@@ -8,7 +8,8 @@ or ``gettext``, a text report loads no ``json``, the CLI itself loads no
 a sweep that forks loads ``pickle``), and ``import lensgenus`` loads no
 submodule.  The source checks keep floating point out of the library,
 ``DomainError`` in the constructors of the input types and the one route
-that owns its domain, and the torus-knot norm in ``complement``.
+that owns its domain, the torus-knot norm in ``complement``, and every file
+write and every JSON text in ``cli``.
 """
 
 import ast
@@ -189,3 +190,29 @@ def test_one_torus_knot_route(path):
     # knot's summand into a norm; a module that names the summand is
     # computing that norm a second time.
     assert "torus_fiber_summand" not in names_used(ast.parse(path.read_text(), str(path)))
+
+
+def writes_a_file(node: ast.Call) -> bool:
+    """``open(...)``, ``os.open``, ``os.replace`` or ``os.remove``; not ``list.remove``."""
+    func = node.func
+    if isinstance(func, ast.Name):
+        return func.id == "open"
+    return (isinstance(func, ast.Attribute) and getattr(func.value, "id", None) == "os"
+            and func.attr in ("open", "replace", "remove"))
+
+
+@pytest.mark.parametrize("path", [p for p in LIBRARY if p.name != "cli.py"],
+                         ids=lambda path: path.name)
+def test_no_io_outside_the_cli(path):
+    # The library computes; main renders the report and then writes any
+    # file, so a module that opens, replaces or removes a file, or encodes
+    # JSON, is doing the CLI's work inside an evaluator.
+    tree = ast.parse(path.read_text(), str(path))
+    calls = [node.lineno for node in ast.walk(tree)
+             if isinstance(node, ast.Call) and writes_a_file(node)]
+    imports = [node.lineno for node in ast.walk(tree)
+               if isinstance(node, ast.Import) and any(a.name.split(".")[0] == "json"
+                                                       for a in node.names)
+               or isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "json"]
+    assert calls == [], f"{path.name}: file write at lines {calls}"
+    assert imports == [], f"{path.name}: json imported at lines {imports}"

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from lensgenus import exactarith, twistfamily
+from lensgenus import cli, exactarith, twistfamily
 from lensgenus.complement import WindingData, presentation_matrix
 from lensgenus.errors import ConsistencyError
 from lensgenus.exactarith import AbelianGroup, cokernel_invariants
@@ -18,7 +18,6 @@ from lensgenus.twistfamily import (
     LinkComponent,
     TwistParams,
     build_twist_diagram,
-    export_filling_specs,
     filling_homology,
     filling_spec_export,
     h1_of_complement,
@@ -346,6 +345,14 @@ def cusps(line):
     return slopes
 
 
+def export(capsys, triple, path, sidecar=None):
+    """Exit code of ``twist`` at ``triple`` with ``--export path`` (and ``--sidecar``)."""
+    argv = ["twist", *(f"--{flag}={v}" for flag, v in zip("abn", triple)), "--export", str(path)]
+    code = cli.main(argv + (["--sidecar", str(sidecar)] if sidecar else []))
+    capsys.readouterr()
+    return code
+
+
 class TestExport:
     def test_canonical_lines(self):
         line = filling_spec_export(TwistParams(1, 1, 1))
@@ -367,21 +374,13 @@ class TestExport:
         lines = {filling_spec_export(TwistParams(2, 3, -5)) for _ in range(5)}
         assert len(lines) == 1
 
-    def test_export_files(self, tmp_path):
+    def test_export_files(self, tmp_path, capsys):
         out = tmp_path / "specs.txt"
         sidecar = tmp_path / "specs.json"
-        count = export_filling_specs(
-            [twist_verdict(TwistParams(1, 1, 1)), twist_verdict(TwistParams(1, 3, 2))],
-            str(out),
-            str(sidecar),
-        )
-        assert count == 2
-        assert out.read_text() == (
-            "M((-1,1),(-1,1),(6,1),(0,1),(2,1),inf)\n"
-            "M((-1,1),(-1,3),(8,1),(1,2),(3,2),inf)\n"
-        )
+        assert export(capsys, (1, 1, 1), out, sidecar) == 0
+        assert out.read_text() == "M((-1,1),(-1,1),(6,1),(0,1),(2,1),inf)\n"
         records = json.loads(sidecar.read_text())
-        assert records[0] == {
+        assert records == [{
             "a": 1,
             "b": 1,
             "n": 1,
@@ -389,7 +388,9 @@ class TestExport:
             "h1_order": 8,
             "gamma_class": 4,
             "spec": "M((-1,1),(-1,1),(6,1),(0,1),(2,1),inf)",
-        }
+        }]
+        assert export(capsys, (1, 3, 2), out) == 0
+        assert out.read_text() == "M((-1,1),(-1,3),(8,1),(1,2),(3,2),inf)\n"
 
     @pytest.mark.parametrize("bad, name, error", [
         (bad, name, error)
@@ -405,22 +406,19 @@ class TestExport:
             path.write_bytes(b"kept\n")
         paths[bad] = str(tmp_path / name) if name else ""
         with pytest.raises(error) as raised:
-            export_filling_specs(
-                [twist_verdict(TwistParams(1, 1, 1))],
-                str(paths["export"]),
-                str(paths["sidecar"]),
-            )
+            cli._write_all_or_none([(str(paths["export"]), "spec\n"),
+                                    (str(paths["sidecar"]), "[]\n")])
         # The error names the target the caller gave, not a temporary file.
         assert raised.value.filename == paths[bad]
         kept = "sidecar" if bad == "export" else "export"
         assert paths[kept].read_bytes() == b"kept\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["D", "specs.json", "specs.txt"]
 
-    def test_no_temporary_file_left(self, tmp_path):
+    def test_no_temporary_file_left(self, tmp_path, capsys):
         out, sidecar = tmp_path / "specs.txt", tmp_path / "specs.json"
         out.write_bytes(b"old\n")
-        export_filling_specs([twist_verdict(TwistParams(1, 1, 1))], str(out), str(sidecar))
-        export_filling_specs([twist_verdict(TwistParams(1, 3, 2))], str(out))
+        assert export(capsys, (1, 1, 1), out, sidecar) == 0
+        assert export(capsys, (1, 3, 2), out) == 0
         assert sorted(p.name for p in tmp_path.iterdir()) == ["specs.json", "specs.txt"]
         assert out.read_text() == "M((-1,1),(-1,3),(8,1),(1,2),(3,2),inf)\n"
         assert json.loads(sidecar.read_text())[0]["spec"] == (
