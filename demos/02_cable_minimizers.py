@@ -11,28 +11,28 @@ from lensgenus import (
     CableParams,
     IteratedCableParams,
     LensSpace,
-    cable_verdict,
     explicit_surface_check,
     iterated_verdict,
 )
 
 # The smallest example: the (1,2)-cable of the (1,2)-torus knot in L(8,1).
-v = cable_verdict(CableParams(LensSpace(8, 1), 2, 2))
+# A cable is the two-level iterated cable with ms = (m, n).
+v = iterated_verdict(CableParams(LensSpace(8, 1), 2, 2))
 print(f"L(8,1), m = n = 2:")
-print(f"  norms: {v.norm_torus_side} (torus side) vs {v.norm_cable_side} (cable side)")
+print(f"  norms: {v.norm_torus_side} (torus side) vs {v.norm_iterated} (cable side)")
 print(f"  theta(class {v.homology_class}) = {v.theta}")
 print(f"  minimizer certified: {v.certified_minimizer}")
 print(f"  non-simplicity certified: {v.certified_nonsimple}")
 
 # Below the threshold the two norms genuinely differ and nothing is
 # certified; the cable side is strictly bigger here.
-v = cable_verdict(CableParams(LensSpace(7, 1), 2, 2))
+v = iterated_verdict(CableParams(LensSpace(7, 1), 2, 2))
 print(f"\nL(7,1), m = n = 2 (below threshold):")
-print(f"  norms: {v.norm_torus_side} vs {v.norm_cable_side}, certified: {v.certified_minimizer}")
+print(f"  norms: {v.norm_torus_side} vs {v.norm_iterated}, certified: {v.certified_minimizer}")
 
 # With q = m the minimizer certificate still holds but non-simplicity is
 # left open: the verdict never claims the knot IS simple.
-v = cable_verdict(CableParams(LensSpace(17, 2), 2, 2))
+v = iterated_verdict(CableParams(LensSpace(17, 2), 2, 2))
 print(f"\nL(17,2), m = n = 2 (q = m):")
 print(f"  norms equal: {v.norms_equal}, non-simplicity certified: {v.certified_nonsimple}")
 

@@ -9,7 +9,7 @@ cross-check every closed form.  All arithmetic is exact.
 
 ``import lensgenus`` loads none of the submodules.  Each public name below
 is looked up in its defining module on first access (PEP 562), so
-``from lensgenus import cable_verdict`` loads ``cables`` and what it
+``from lensgenus import iterated_verdict`` loads ``cables`` and what it
 imports, and nothing else.
 """
 
@@ -20,9 +20,8 @@ __version__ = "0.1.0"
 #: Defining module of each public name.
 _EXPORTS = {
     "cables": (
-        "CableParams", "CableVerdict", "IteratedCableParams", "IteratedVerdict",
-        "SurfaceCheck", "cable_side_summands", "cable_verdict", "explicit_surface_check",
-        "iterated_summands", "iterated_verdict",
+        "CableParams", "IteratedCableParams", "IteratedVerdict", "SurfaceCheck",
+        "explicit_surface_check", "iterated_summands", "iterated_verdict",
     ),
     "complement": (
         "GenusReport", "WindingData", "boundary_kernel", "presentation_matrix",

@@ -1,16 +1,19 @@
 """Norms and minimizer verdicts for cabled torus knots in lens spaces.
 
-The (1,n)-cable of the (1,m)-torus knot lies in homology class mn.  Its
-complement splits into a cable space and the torus-knot complement, so the
-class norm can be computed two ways: in one piece through the (1,mn)-torus
-knot, or piecewise through the cable decomposition.  When p/q clears the
-threshold m^2 n the two values agree, certifying the cable as a genus
-minimizer; when additionally q != m the cable is provably not the simple
-knot in its class.
+The iterated cable C(1,m_k) o ... o C(1,m_2) o T(1,m_1) lies in homology
+class W = m_1 ... m_k.  Its complement splits into the torus-knot
+complement of T(1,m_1) and one cable space per further level, so the class
+norm can be computed two ways: in one piece through the (1,W)-torus knot,
+or piecewise through the cable decomposition.  When p/q clears the
+threshold m_1^2 ... m_(k-1)^2 m_k the two values agree, certifying the
+knot as a genus minimizer.
 
-Iterated cables follow the same pattern with one cable piece per cabling
-level.  The summand data below is the source of truth; the closed forms in
-docstrings are documentation, and reduction tests pin the two together.
+The (1,n)-cable of the (1,m)-torus knot is the two-level case ms = (m, n):
+``CableParams`` reads as one, and the one summand builder,
+``iterated_summands``, serves every depth.  For a cable that clears the
+threshold with q != m, the knot is provably not the simple knot in its
+class.  The summand data is the source of truth; the closed forms in
+docstrings are documentation, and the tests pin the two together.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ from __future__ import annotations
 from collections import namedtuple
 from fractions import Fraction
 from math import prod
+from operator import itemgetter
 
 from .complement import solid_torus_warnings, torus_knot_theta
 from .errors import DomainError
@@ -37,6 +41,9 @@ class CableParams(namedtuple("CableParams", "ambient m n")):
         if cone < 1:
             raise DomainError(f"hypothesis p - qmn >= 1 fails: p - qmn = {cone}")
         return super().__new__(cls, ambient, m, n)
+
+    #: The cabling parameters (m, n), read as those of a two-level iterated cable.
+    ms = property(itemgetter(1, 2))
 
 
 class IteratedCableParams(namedtuple("IteratedCableParams", "ambient ms")):
@@ -62,16 +69,10 @@ class IteratedCableParams(namedtuple("IteratedCableParams", "ambient ms")):
         return prod(self.ms)
 
 
-CableVerdict = namedtuple(
-    "CableVerdict",
-    "params norm_torus_side norm_cable_side threshold_met norms_equal "
-    "certified_minimizer certified_nonsimple homology_class theta warnings",
-)
-
 IteratedVerdict = namedtuple(
     "IteratedVerdict",
     "params norm_iterated norm_torus_side threshold_met norms_equal "
-    "certified_minimizer homology_class theta warnings",
+    "certified_minimizer certified_nonsimple homology_class theta warnings",
 )
 
 
@@ -93,69 +94,19 @@ class SurfaceCheck(namedtuple(
         )
 
 
-def cable_side_summands(c: CableParams) -> list[NormSummand]:
-    """The two pieces seen by the cable decomposition.
-
-    Cable space: annulus base with one cone of order n, fiber class
-    (n, 1) against the boundary class ((mn)^2 q, p).  Torus-knot piece:
-    disk base with cones m and p - qm, fiber (m, 1) against the restricted
-    class (m^2 n q, p n).
-    """
-    p, q, m, n = c.ambient.p, c.ambient.q, c.m, c.n
-    mn = m * n
-    cable_piece = NormSummand(
-        piece=SeifertPiece(base_euler=0, cone_orders=(n,)),
-        fiber_pairing=mn * mn * q - p * n,
-    )
-    torus_piece = NormSummand(
-        piece=SeifertPiece(base_euler=1, cone_orders=(m, p - q * m)),
-        fiber_pairing=m * m * n * q - p * n * m,
-    )
-    return [cable_piece, torus_piece]
-
-
-def cable_verdict(c: CableParams) -> CableVerdict:
-    """Evaluate both norms and certify minimizer / non-simplicity claims.
-
-    The torus side is |pmn - q(mn)^2| (1 - 1/(mn) - 1/(p - qmn)) and the
-    cable side |pn - q(mn)^2| (1 - 1/n) + |pmn - qm^2 n| (1 - 1/m - 1/(p-qm)),
-    each term clamped at zero; the torus side and ``theta`` are class mn's
-    ``torus_knot_theta``.  Certification requires p >= q m^2 n and the two
-    norms to agree; above the threshold they always do, so a disagreement
-    there is reported as ``norms_equal`` False with nothing certified, and
-    the CLI exits 3.  For q = m non-simplicity is left uncertified (not refuted).
-    """
-    p, q, m, n = c.ambient.p, c.ambient.q, c.m, c.n
-    torus = torus_knot_theta(c.ambient, m * n)
-    n22, _, dropped_cable = graph_norm(cable_side_summands(c))
-    threshold = p >= q * m * m * n
-    equal = torus.chi_minus == n22
-    return CableVerdict(
-        params=c,
-        norm_torus_side=torus.chi_minus,
-        norm_cable_side=n22,
-        threshold_met=threshold,
-        norms_equal=equal,
-        certified_minimizer=threshold and equal,
-        certified_nonsimple=threshold and equal and q != m,
-        homology_class=(m * n) % p,
-        theta=torus.theta,
-        warnings=solid_torus_warnings(dropped_cable + torus.dropped),
-    )
-
-
-def iterated_summands(ic: IteratedCableParams) -> list[NormSummand]:
+def iterated_summands(ic: IteratedCableParams | CableParams) -> list[NormSummand]:
     """Pieces of the iterated-cable decomposition.
 
     With partial windings w_j = m_1 ... m_j and W = w_k, the innermost
     torus-knot piece (disk, cones m_1 and p - q m_1) pairs as
     W (q w_1 - p); the j-th cable piece (annulus, cone m_j) pairs as
-    (W / w_j)(q w_j^2 - p m_j).  Validated against the one- and two-level
-    reductions before use.
+    (W / w_j)(q w_j^2 - p m_j).  For a cable, ms = (m, n): the torus-knot
+    piece pairs as mn (qm - p) and the cable piece as q (mn)^2 - pn.  The
+    tests check both against a plain-tuple reference.
     """
     p, q = ic.ambient.p, ic.ambient.q
     ms = ic.ms
-    big_w = ic.total_winding
+    big_w = prod(ms)
     summands = [
         NormSummand(
             piece=SeifertPiece(base_euler=1, cone_orders=(ms[0], p - q * ms[0])),
@@ -174,30 +125,35 @@ def iterated_summands(ic: IteratedCableParams) -> list[NormSummand]:
     return summands
 
 
-def iterated_verdict(ic: IteratedCableParams) -> IteratedVerdict:
+def iterated_verdict(ic: IteratedCableParams | CableParams) -> IteratedVerdict:
     """Compare the iterated-cable norm with the torus-knot norm of class W.
 
-    Certification threshold: p >= q m_1^2 ... m_{k-1}^2 m_k.  Above it the
-    norms must agree exactly; a disagreement is reported as ``norms_equal``
-    False with the minimizer uncertified, and the CLI exits 3.  The torus
-    side and ``theta`` are class W's ``torus_knot_theta``; a solid torus
-    dropped on either route is warned about, as ``cable_verdict`` does.
+    Certification threshold: p >= q m_1^2 ... m_{k-1}^2 m_k, that is
+    p m_k >= q W^2.  Above it the norms must agree exactly; a disagreement
+    is reported as ``norms_equal`` False with the minimizer uncertified,
+    and the CLI exits 3.  The torus side and ``theta`` are class W's
+    ``torus_knot_theta``; a solid torus dropped on either route is warned
+    about.  Non-simplicity is certified only for a cable (k = 2) with a
+    certified minimizer and q != m_1; at q = m_1, and at any other depth,
+    it is not certified (unknown, never refuted).
     """
     p, q = ic.ambient.p, ic.ambient.q
     ms = ic.ms
+    big_w = prod(ms)
     norm_it, _, dropped = graph_norm(iterated_summands(ic))
-    torus = torus_knot_theta(ic.ambient, ic.total_winding)
-    bound = q * prod(m * m for m in ms[:-1]) * ms[-1]
-    threshold = p >= bound
+    torus = torus_knot_theta(ic.ambient, big_w)
+    threshold = p * ms[-1] >= q * big_w * big_w
     equal = norm_it == torus.chi_minus
+    certified = threshold and equal
     return IteratedVerdict(
         params=ic,
         norm_iterated=norm_it,
         norm_torus_side=torus.chi_minus,
         threshold_met=threshold,
         norms_equal=equal,
-        certified_minimizer=threshold and equal,
-        homology_class=ic.total_winding % p,
+        certified_minimizer=certified,
+        certified_nonsimple=certified and len(ms) == 2 and q != ms[0],
+        homology_class=big_w % p,
         theta=torus.theta,
         warnings=solid_torus_warnings(dropped + torus.dropped),
     )

@@ -161,7 +161,7 @@ def _theta_report(r: Any) -> dict:
 
 
 def _norm_code(v: Any) -> int:
-    """Exit code of a ``CableVerdict`` or ``IteratedVerdict``."""
+    """Exit code of an ``IteratedVerdict``, a cable's included."""
     if v.threshold_met and not v.norms_equal:
         return EXIT_INCONSISTENT
     return EXIT_OK if v.certified_minimizer else EXIT_UNCERTIFIED
@@ -170,7 +170,7 @@ def _norm_code(v: Any) -> int:
 def _cable(p: int, q: int, m: int, n: int) -> tuple[Any, int]:
     import lensgenus.cables as cables
 
-    v = cables.cable_verdict(cables.CableParams(LensSpace(p, q), m, n))
+    v = cables.iterated_verdict(cables.CableParams(LensSpace(p, q), m, n))
     return v, _norm_code(v)
 
 
@@ -178,7 +178,7 @@ def _cable_report(v: Any) -> dict:
     return {
         "results": {
             "norm_torus_side": v.norm_torus_side,
-            "norm_cable_side": v.norm_cable_side,
+            "norm_cable_side": v.norm_iterated,
             "norms_equal": v.norms_equal,
             "homology_class": v.homology_class,
             "theta": v.theta,

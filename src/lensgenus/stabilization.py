@@ -147,7 +147,7 @@ def stab_verdict(s: StabFamily) -> StabVerdict:
     (k+4)q <= p/2 < p + q, so matching it certifies minimality.  The
     family hypothesis always yields the match, so ``certified_minimizer``
     False means the two routes disagree, and the CLI exits 3.  ``theta`` is
-    the class's, from the torus-knot route, as ``cable_verdict`` reports it.
+    the class's, from the torus-knot route, as ``iterated_verdict`` reports it.
     """
     k = s.k
     norms = stab_norms(s)

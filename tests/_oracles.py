@@ -114,3 +114,14 @@ def graph_norm_reference(
                 f"Euler characteristic {chi} has nonzero fiber pairing"
             )
     return total, fibered, dropped
+
+
+def cable_pieces_reference(p: int, q: int, m: int, n: int) -> list[tuple[int, tuple[int, ...], int]]:
+    """The (1,n)-cable of T(1,m) in L(p, q) as two pieces for ``graph_norm_reference``.
+
+    Cable space: annulus base, one cone of order n, fiber (n, 1) against the
+    boundary class ((mn)^2 q, p).  Torus-knot piece: disk base, cones m and
+    p - qm, fiber (m, 1) against the restricted class (m^2 n q, pn).
+    """
+    mn = m * n
+    return [(0, (n,), mn * mn * q - p * n), (1, (m, p - q * m), m * m * n * q - p * m * n)]

@@ -1,16 +1,16 @@
 from fractions import Fraction
+from itertools import product
 from math import gcd, lcm, prod
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from _oracles import cable_pieces_reference, graph_norm_reference
 from lensgenus import norm
 from lensgenus.cables import (
     CableParams,
     IteratedCableParams,
-    cable_side_summands,
-    cable_verdict,
     explicit_surface_check,
     iterated_summands,
     iterated_verdict,
@@ -25,13 +25,20 @@ def params(p, q, m, n):
     return CableParams(LensSpace(p, q), m, n)
 
 
-# Each side of a cable norm comparison, taken straight from the one norm route.
+# Each side of a cable norm comparison: the torus side from the one norm
+# route, the cable side from the plain-tuple reference, which shares no code
+# with the library's summands or its graph norm.
 def torus_side(c):
     return torus_knot_theta(c.ambient, c.m * c.n).chi_minus
 
 
 def cable_side(c):
-    return graph_norm(cable_side_summands(c))[0]
+    return graph_norm_reference(cable_pieces_reference(c.ambient.p, c.ambient.q, c.m, c.n))[0]
+
+
+def triples(summands):
+    """``summands`` as the (base_euler, cone_orders, pairing) triples of the reference."""
+    return [(s.piece.base_euler, s.piece.cone_orders, s.fiber_pairing) for s in summands]
 
 
 def iterated_norm(ic):
@@ -79,13 +86,23 @@ class TestCableSideNorm:
         assert cable_side(params(p, q, m, n)) == expected
 
     def test_summand_shapes(self):
-        cable_piece, torus_piece = cable_side_summands(params(8, 1, 2, 2))
-        assert cable_piece.piece.base_euler == 0
-        assert cable_piece.piece.cone_orders == (2,)
-        assert cable_piece.fiber_pairing == 0
-        assert torus_piece.piece.base_euler == 1
-        assert torus_piece.piece.cone_orders == (2, 6)
-        assert abs(torus_piece.fiber_pairing) == 24
+        cable_piece, torus_piece = cable_pieces_reference(8, 1, 2, 2)
+        base_euler, cone_orders, pairing = cable_piece
+        assert base_euler == 0
+        assert cone_orders == (2,)
+        assert pairing == 0
+        base_euler, cone_orders, pairing = torus_piece
+        assert base_euler == 1
+        assert cone_orders == (2, 6)
+        assert abs(pairing) == 24
+        # The library builds the same two pieces, the torus-knot piece first,
+        # here and on a grid of cables.
+        torus, cable = iterated_summands(params(8, 1, 2, 2))
+        assert triples([cable, torus]) == [cable_piece, torus_piece]
+        for p, q, m, n in product(range(5, 90), range(1, 5), range(2, 5), range(2, 5)):
+            if gcd(p, q) == 1 and p > q and p - q * m * n >= 1:
+                torus, cable = iterated_summands(params(p, q, m, n))
+                assert triples([cable, torus]) == cable_pieces_reference(p, q, m, n)
 
     def test_undefined_piece(self):
         # p - qm = 5 - 6 < 1 as well: the constructor refuses it first.
@@ -94,9 +111,11 @@ class TestCableSideNorm:
 
 
 class TestCableVerdict:
+    """A cable's verdict is the iterated verdict of its two levels (m, n)."""
+
     def test_base_example(self):
-        v = cable_verdict(params(8, 1, 2, 2))
-        assert v.norm_torus_side == v.norm_cable_side == 8
+        v = iterated_verdict(params(8, 1, 2, 2))
+        assert v.norm_torus_side == v.norm_iterated == 8
         assert v.threshold_met and v.norms_equal
         assert v.certified_minimizer
         assert v.certified_nonsimple  # q = 1 != m = 2
@@ -105,14 +124,14 @@ class TestCableVerdict:
         assert v.warnings == ()
 
     def test_q_equal_m_withholds_nonsimplicity(self):
-        v = cable_verdict(params(17, 2, 2, 2))
-        assert v.norm_torus_side == v.norm_cable_side == 23
+        v = iterated_verdict(params(17, 2, 2, 2))
+        assert v.norm_torus_side == v.norm_iterated == 23
         assert v.certified_minimizer
         assert not v.certified_nonsimple
 
     def test_below_threshold(self):
-        v = cable_verdict(params(7, 1, 2, 2))
-        assert (v.norm_torus_side, v.norm_cable_side) == (5, 7)
+        v = iterated_verdict(params(7, 1, 2, 2))
+        assert (v.norm_torus_side, v.norm_iterated) == (5, 7)
         assert not v.threshold_met
         assert not v.certified_minimizer
         assert not v.certified_nonsimple
@@ -121,10 +140,33 @@ class TestCableVerdict:
         with pytest.raises(ValueError):
             CableParams(LensSpace(8, 1), 1, 2)
 
+    def test_nonsimple_rule_by_depth(self):
+        # Non-simplicity is certified only at depth 2, with a certified
+        # minimizer and q != m_1; a cable and its two-level iterated cable
+        # get the same verdict, and every other depth certifies nothing.
+        seen = set()
+        for p, q in product(range(5, 120), range(1, 4)):
+            if gcd(p, q) != 1 or p <= q:
+                continue
+            space = LensSpace(p, q)
+            for ms in [(2,), (3,), (2, 2), (2, 3), (3, 2), (2, 2, 2), (2, 3, 2)]:
+                if p - q * prod(ms) < 1:
+                    continue
+                v = iterated_verdict(IteratedCableParams(space, ms))
+                rule = v.certified_minimizer and len(ms) == 2 and q != ms[0]
+                assert v.certified_nonsimple == rule, (p, q, ms)
+                if len(ms) == 2:
+                    assert iterated_verdict(params(p, q, *ms)) == v._replace(
+                        params=params(p, q, *ms)), (p, q, ms)
+                seen.add((len(ms), v.certified_minimizer, v.certified_nonsimple))
+        # Certified minimizers at every depth; non-simple ones only at depth 2.
+        assert {(k, True) for k in (1, 2, 3)} <= {(k, c) for k, c, _ in seen}
+        assert {(k, n) for k, _, n in seen if n} == {(2, True)}
+
     @pytest.mark.parametrize("p, q, m, n", [(8, 1, 2, 2), (7, 1, 2, 2), (9, 2, 2, 2), (50, 3, 2, 2)])
     def test_one_chi_orb_per_piece(self, chi_orb_calls, p, q, m, n):
         # Three pieces: the torus-knot piece and the two cable-side pieces.
-        cable_verdict(params(p, q, m, n))
+        iterated_verdict(params(p, q, m, n))
         assert len(chi_orb_calls) == 3
 
     def test_equality_sweep(self):
@@ -134,7 +176,7 @@ class TestCableVerdict:
                     for p in range(q * m * m * n, q * m * m * n + 40):
                         if p <= q or gcd(p, q) != 1 or p - q * m * n < 2:
                             continue
-                        v = cable_verdict(params(p, q, m, n))
+                        v = iterated_verdict(params(p, q, m, n))
                         assert v.norms_equal, (p, q, m, n)
 
 
@@ -249,9 +291,10 @@ class TestConstructorsAreTheDomain:
             assert not rule, (p, q, m, n)
             return
         assert rule, (p, q, m, n)
-        cable_verdict(c)
+        iterated_verdict(c)
         # The cable side never clamps: p - qm >= (p - qmn) + qm >= 3.
-        assert graph_norm(cable_side_summands(c))[2] == 0
+        assert graph_norm(iterated_summands(c))[2] == 0
+        assert graph_norm_reference(cable_pieces_reference(p, q, m, n))[2] == 0
 
     @given(ps, qs, st.lists(cabling, max_size=4))
     @example(32, 1, [2, 2, 2])

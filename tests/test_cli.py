@@ -810,7 +810,7 @@ TABLE_CASES = [
 
 
 def doubled_summands(real, point):
-    """``cable_side_summands`` with every piece counted twice in L(p, q), p = point[0]."""
+    """``iterated_summands`` with every piece counted twice in L(p, q), p = point[0]."""
     return lambda c: real(c) * (2 if c.ambient.p == point[0] else 1)
 
 
@@ -848,8 +848,13 @@ def doubled_kernel(real, point):
 
 def cable_certifies(p, q, m, n):
     """Whether the library certifies the cable at (p, q, m, n) a minimizer or non-simple."""
-    v = cables.cable_verdict(CableParams(LensSpace(p, q), m, n))
+    v = cables.iterated_verdict(CableParams(LensSpace(p, q), m, n))
     return v.certified_minimizer or v.certified_nonsimple
+
+
+def iterated_certifies(p, q, *ms):
+    """Whether the library certifies the iterated cable at (p, q, ms) a minimizer."""
+    return cables.iterated_verdict(IteratedCableParams(LensSpace(p, q), ms)).certified_minimizer
 
 
 def bk_agrees(p, q, w):
@@ -864,7 +869,7 @@ def bk_agrees(p, q, w):
 # to perturb it, the sweep counts (certified, out of), the certification that
 # fails, and whether the library certifies a point.
 PERTURBED_ROUTES = {
-    "cable": ("cable", cables, "cable_side_summands", doubled_summands,
+    "cable": ("cable", cables, "iterated_summands", doubled_summands,
               ("norms_equal_above_threshold", "threshold_met"), "minimizer",
               cable_certifies),
     "cable-torus-route": ("cable", cables, "torus_knot_theta", doubled_torus_norm,
@@ -872,8 +877,10 @@ PERTURBED_ROUTES = {
                           cable_certifies),
     "iterated": ("iterated", cables, "torus_knot_theta", doubled_torus_norm,
                  ("norms_equal_above_threshold", "threshold_met"), "minimizer",
-                 lambda p, q, *ms: cables.iterated_verdict(
-                     IteratedCableParams(LensSpace(p, q), ms)).certified_minimizer),
+                 iterated_certifies),
+    "iterated-summand-route": ("iterated", cables, "iterated_summands", doubled_summands,
+                               ("norms_equal_above_threshold", "threshold_met"), "minimizer",
+                               iterated_certifies),
     "stab": ("stab", stabilization, "torus_knot_theta", doubled_torus_norm,
              ("certified", "points"), "minimizer",
              lambda p, q, k: stabilization.stab_verdict(
@@ -1149,8 +1156,8 @@ class TestOneReportShape:
 
     @pytest.mark.parametrize("mode", [[], ["--json"]], ids=["text", "json"])
     def test_report_that_fails_to_render_prints_nothing(self, capsys, monkeypatch, mode):
-        real = cables.cable_verdict
-        monkeypatch.setattr(cables, "cable_verdict",
+        real = cables.iterated_verdict
+        monkeypatch.setattr(cables, "iterated_verdict",
                             lambda c: real(c)._replace(homology_class=Unprintable()))
         code, out, err = run(capsys, "cable", "--p", "8", "--q", "1", "--m", "2", "--n", "2",
                              *mode)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _oracles import graph_norm_reference
+from _oracles import cable_pieces_reference, graph_norm_reference
 from lensgenus import cables, stabilization
 from lensgenus.cables import CableParams, IteratedCableParams
 from lensgenus.complement import (
@@ -181,14 +181,13 @@ class TestTorusKnotRoute:
                         assert (v.theta, v.torus_chi, route.dropped) == (
                             route.theta, route.chi_minus, 0), args
                         continue
+                    v = cables.iterated_verdict(params)
                     if family is CableParams:
-                        v = cables.cable_verdict(params)
-                        k, own = params.m * params.n, cables.cable_side_summands(params)
+                        k, own = params.m * params.n, cable_pieces_reference(p, q, *args[1:])
                     else:
-                        v = cables.iterated_verdict(params)
-                        k, own = params.total_winding, cables.iterated_summands(params)
+                        k, own = params.total_winding, oracle_pieces(cables.iterated_summands(params))
                     route = torus_knot_theta(space, k)
-                    dropped = route.dropped + graph_norm_reference(oracle_pieces(own))[2]
+                    dropped = route.dropped + graph_norm_reference(own)[2]
                     assert (v.theta, v.norm_torus_side) == (route.theta, route.chi_minus), args
                     assert bool(v.warnings) == (dropped > 0), args
                     warned.add((family, bool(v.warnings)))

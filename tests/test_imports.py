@@ -8,8 +8,9 @@ or ``gettext``, a text report loads no ``json``, the CLI itself loads no
 a sweep that forks loads ``pickle``), and ``import lensgenus`` loads no
 submodule.  The source checks keep floating point out of the library,
 ``DomainError`` in the constructors of the input types and the one route
-that owns its domain, the torus-knot norm in ``complement``, and every file
-write and every JSON text in ``cli``.
+that owns its domain, the torus-knot norm in ``complement``, a cable's
+pieces in ``cables.iterated_summands``, and every file write and every JSON
+text in ``cli``.
 """
 
 import ast
@@ -190,6 +191,27 @@ def test_one_torus_knot_route(path):
     # knot's summand into a norm; a module that names the summand is
     # computing that norm a second time.
     assert "torus_fiber_summand" not in names_used(ast.parse(path.read_text(), str(path)))
+
+
+def calls_to(tree: ast.AST, name: str) -> list[ast.Call]:
+    """Every call of ``name(...)`` or ``module.name(...)`` in ``tree``."""
+    return [node for node in ast.walk(tree) if isinstance(node, ast.Call)
+            and getattr(node.func, "id", getattr(node.func, "attr", None)) == name]
+
+
+def test_one_cable_route():
+    # cables.iterated_summands is the one function that builds a cable's
+    # pieces, at every depth: a cable is the two-level case, so a second
+    # builder, or a verdict of its own, would compute the same norm twice.
+    path = SRC / "lensgenus" / "cables.py"
+    tree = ast.parse(path.read_text(), str(path))
+    [builder] = [fn for fn in tree.body
+                 if isinstance(fn, ast.FunctionDef) and fn.name == "iterated_summands"]
+    assert len(calls_to(tree, "NormSummand")) == len(calls_to(builder, "NormSummand")) > 0
+    for library in LIBRARY:
+        names = names_used(ast.parse(library.read_text(), str(library)))
+        assert names & {"cable_side_summands", "cable_verdict", "CableVerdict"} == set(), library
+    assert not {"cable_side_summands", "cable_verdict", "CableVerdict"} & set(lensgenus.__all__)
 
 
 def writes_a_file(node: ast.Call) -> bool:

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lensgenus.cables import CableParams, IteratedCableParams, cable_verdict, iterated_verdict
+from lensgenus.cables import CableParams, IteratedCableParams, iterated_verdict
 from lensgenus.errors import DomainError
 from lensgenus.lens import LensSpace
 from lensgenus.norm import (
@@ -214,14 +214,14 @@ class TestNoFloats:
 
     def test_verdict_fields(self):
         names = {
-            "cable": {"norm_torus_side", "norm_cable_side", "theta"},
+            "cable": {"norm_iterated", "norm_torus_side", "theta"},
             "iterated": {"norm_iterated", "norm_torus_side", "theta"},
             "stab": {"torus_chi", "theta"},
         }
         ps, qs = range(2, 41), range(1, 4)
         verdicts = {
             "cable": admissible(
-                lambda p, q, m, n: cable_verdict(CableParams(LensSpace(p, q), m, n)),
+                lambda p, q, m, n: iterated_verdict(CableParams(LensSpace(p, q), m, n)),
                 ps, qs, (2, 3), (2, 3),
             ),
             "iterated": admissible(
