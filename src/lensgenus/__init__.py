@@ -33,10 +33,7 @@ _EXPORTS = {
         "peripheral_kernel", "smith_normal_form",
     ),
     "lens": ("H1Class", "LensSpace", "simple_knot_class", "simple_knot_in_class"),
-    "norm": (
-        "NormSummand", "PeripheralClass", "SeifertPiece", "graph_norm",
-        "orbifold_euler_parts", "torus_pairing",
-    ),
+    "norm": ("PeripheralClass", "graph_norm", "orbifold_euler_parts"),
     "order2": (
         "UniquenessReport", "nonorientable_genus", "nonorientable_genus_to_theta",
         "theta_to_nonorientable_genus", "uniqueness_check",

@@ -10,10 +10,12 @@ knot as a genus minimizer.
 
 The (1,n)-cable of the (1,m)-torus knot is the two-level case ms = (m, n):
 ``CableParams`` reads as one, and the one summand builder,
-``iterated_summands``, serves every depth.  For a cable that clears the
-threshold with q != m, the knot is provably not the simple knot in its
-class.  The summand data is the source of truth; the closed forms in
-docstrings are documentation, and the tests pin the two together.
+``iterated_summands``, serves every depth.  Its pieces are the plain
+``(base_euler, cone_orders, pairing)`` triples that ``graph_norm`` reads.
+For a cable that clears the threshold with q != m, the knot is provably not
+the simple knot in its class.  The summand data is the source of truth; the
+closed forms in docstrings are documentation, and the tests pin the two
+together.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from operator import itemgetter
 from .complement import solid_torus_warnings, torus_knot_theta
 from .errors import DomainError
 from .lens import LensSpace
-from .norm import NormSummand, SeifertPiece, graph_norm
+from .norm import graph_norm
 
 
 class CableParams(namedtuple("CableParams", "ambient m n")):
@@ -64,10 +66,6 @@ class IteratedCableParams(namedtuple("IteratedCableParams", "ambient ms")):
             raise DomainError(f"hypothesis p - qW >= 1 fails: p - qW = {cone}")
         return super().__new__(cls, ambient, ms)
 
-    @property
-    def total_winding(self) -> int:
-        return prod(self.ms)
-
 
 IteratedVerdict = namedtuple(
     "IteratedVerdict",
@@ -94,8 +92,10 @@ class SurfaceCheck(namedtuple(
         )
 
 
-def iterated_summands(ic: IteratedCableParams | CableParams) -> list[NormSummand]:
-    """Pieces of the iterated-cable decomposition.
+def iterated_summands(
+    ic: IteratedCableParams | CableParams,
+) -> list[tuple[int, tuple[int, ...], int]]:
+    """Pieces of the iterated-cable decomposition, as ``graph_norm`` triples.
 
     With partial windings w_j = m_1 ... m_j and W = w_k, the innermost
     torus-knot piece (disk, cones m_1 and p - q m_1) pairs as
@@ -107,21 +107,11 @@ def iterated_summands(ic: IteratedCableParams | CableParams) -> list[NormSummand
     p, q = ic.ambient.p, ic.ambient.q
     ms = ic.ms
     big_w = prod(ms)
-    summands = [
-        NormSummand(
-            piece=SeifertPiece(base_euler=1, cone_orders=(ms[0], p - q * ms[0])),
-            fiber_pairing=big_w * (q * ms[0] - p),
-        )
-    ]
     w = ms[0]
+    summands = [(1, (w, p - q * w), big_w * (q * w - p))]
     for m in ms[1:]:
         w *= m
-        summands.append(
-            NormSummand(
-                piece=SeifertPiece(base_euler=0, cone_orders=(m,)),
-                fiber_pairing=(big_w // w) * (q * w * w - p * m),
-            )
-        )
+        summands.append((0, (m,), (big_w // w) * (q * w * w - p * m)))
     return summands
 
 
@@ -146,16 +136,9 @@ def iterated_verdict(ic: IteratedCableParams | CableParams) -> IteratedVerdict:
     equal = norm_it == torus.chi_minus
     certified = threshold and equal
     return IteratedVerdict(
-        params=ic,
-        norm_iterated=norm_it,
-        norm_torus_side=torus.chi_minus,
-        threshold_met=threshold,
-        norms_equal=equal,
-        certified_minimizer=certified,
-        certified_nonsimple=certified and len(ms) == 2 and q != ms[0],
-        homology_class=big_w % p,
-        theta=torus.theta,
-        warnings=solid_torus_warnings(dropped + torus.dropped),
+        ic, norm_it, torus.chi_minus, threshold, equal, certified,
+        certified and len(ms) == 2 and q != ms[0], big_w % p, torus.theta,
+        solid_torus_warnings(dropped + torus.dropped),
     )
 
 

@@ -7,8 +7,10 @@ and the presentation-matrix route are kept as two independent paths; tests
 sweep them against each other.
 
 ``torus_knot_theta`` is the one route to the norm of the (1,k)-torus knot,
-the simple knot of class k whenever p - qk >= 1.  Every verdict that
-compares a knot with the simple knot in its class reads that norm here.
+the simple knot of class k whenever p - qk >= 1: ``graph_norm`` of the one
+piece that ``torus_fiber_summand`` returns as a plain triple.  Every
+verdict that compares a knot with the simple knot in its class reads that
+norm here.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from math import gcd
 from .errors import DomainError
 from .exactarith import IntMatrix
 from .lens import LensSpace
-from .norm import NormSummand, PeripheralClass, SeifertPiece, graph_norm
+from .norm import PeripheralClass, graph_norm
 
 
 class WindingData(namedtuple("WindingData", "ambient w")):
@@ -72,16 +74,16 @@ def presentation_matrix(data: WindingData) -> IntMatrix:
     ))
 
 
-def torus_fiber_summand(space: LensSpace, k: int) -> NormSummand:
-    """The single Seifert piece carrying the (1,k)-torus-knot class.
+def torus_fiber_summand(space: LensSpace, k: int) -> tuple[int, tuple[int, int], int]:
+    """The single Seifert piece carrying the (1,k)-torus-knot class, as a ``graph_norm`` triple.
 
     The complement fibers over a disk with cone points of order k and
     p - qk; the class (k^2 q, p) pairs with the fiber class (k, 1) as
     k^2 q - pk.  ``torus_knot_theta`` refuses p - qk < 1; below k = 1
-    ``SeifertPiece`` refuses the cone order.
+    ``orbifold_euler_parts`` refuses the cone order.
     """
-    piece = SeifertPiece(base_euler=1, cone_orders=(k, space.p - space.q * k))
-    return NormSummand(piece=piece, fiber_pairing=k * (k * space.q - space.p))
+    p, q = space.p, space.q
+    return 1, (k, p - q * k), k * (k * q - p)
 
 
 def torus_knot_theta(space: LensSpace, k: int) -> GenusReport:

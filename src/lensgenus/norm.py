@@ -1,5 +1,10 @@
 """Thurston norm of graph manifolds built from Seifert fibered pieces.
 
+A piece is a plain triple ``(base_euler, cone_orders, pairing)``: the Euler
+characteristic of its base surface with boundary (disk = 1, annulus = 0),
+the orders of its cone points (order 1 is allowed and contributes nothing),
+and the pairing of the class with its regular fiber.
+
 A class is evaluated piece by piece: each piece contributes
 |pairing with the regular fiber| * |orbifold Euler characteristic| when
 that characteristic is negative.  Pieces with nonnegative characteristic
@@ -13,8 +18,8 @@ each piece's characteristic once.
 The arithmetic is on integers: ``orbifold_euler_parts`` gives a piece's
 characteristic as a numerator over the lcm of its cone orders, the total
 is an integer numerator and denominator, and only each result is built as
-a ``Fraction`` (``Fraction(*orbifold_euler_parts(piece))`` is the
-characteristic itself, in lowest terms).
+a ``Fraction`` (``Fraction(*orbifold_euler_parts(base_euler, cone_orders))``
+is the characteristic itself, in lowest terms).
 """
 
 from __future__ import annotations
@@ -29,51 +34,32 @@ from typing import Iterable
 PeripheralClass = namedtuple("PeripheralClass", "mu_coeff lambda_coeff")
 
 
-class SeifertPiece(namedtuple("SeifertPiece", "base_euler cone_orders")):
-    """Base-orbifold data: compact base surface and cone-point orders.
-
-    ``base_euler`` is the Euler characteristic of the base surface with its
-    boundary, e.g. disk = 1, annulus = 0.  Order-1 cone points are allowed
-    and contribute nothing.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, base_euler: int, cone_orders: tuple[int, ...]) -> SeifertPiece:
-        for a in cone_orders:
-            if a < 1:
-                raise ValueError(f"cone order {a} < 1")
-        return super().__new__(cls, base_euler, cone_orders)
-
-
-#: One Seifert piece together with the class-fiber pairing on it.
-NormSummand = namedtuple("NormSummand", "piece fiber_pairing")
-
-
-def orbifold_euler_parts(piece: SeifertPiece) -> tuple[int, int]:
+def orbifold_euler_parts(base_euler: int, cone_orders: tuple[int, ...]) -> tuple[int, int]:
     """chi(base) - sum(1 - 1/a) over the cone orders a, as (numerator, L).
 
     L = lcm of the cone orders (1 without cones); the pair is not reduced.
+    This is the one reader of cone orders: the first order below 1 raises
+    ``ValueError`` before any division.
     """
-    cones = piece.cone_orders
-    denom = lcm(*cones)
-    num = (piece.base_euler - len(cones)) * denom
-    for a in cones:
+    for a in cone_orders:
+        if a < 1:
+            raise ValueError(f"cone order {a} < 1")
+    denom = lcm(*cone_orders)
+    num = (base_euler - len(cone_orders)) * denom
+    for a in cone_orders:
         num += denom // a
     return num, denom
 
 
-def torus_pairing(x: PeripheralClass, y: PeripheralClass) -> int:
-    """Intersection pairing on the torus; alternating, so x vs x is 0."""
-    return x.mu_coeff * y.lambda_coeff - x.lambda_coeff * y.mu_coeff
-
-
-def graph_norm(summands: Iterable[NormSummand]) -> tuple[Fraction, bool, int]:
+def graph_norm(
+    pieces: Iterable[tuple[int, tuple[int, ...], int]],
+) -> tuple[Fraction, bool, int]:
     """Norm of a class on a graph manifold, whether it fibers, and the pieces dropped.
 
-    Returns sum over pieces of |pairing| * max(0, -chi_orb), ``fibered=True``
-    iff every pairing is nonzero, and the count of solid-torus pieces
-    dropped.  chi_orb is evaluated once per piece.  chi_orb = 0 pieces are
+    ``pieces`` are ``(base_euler, cone_orders, pairing)`` triples.  Returns
+    sum over pieces of |pairing| * max(0, -chi_orb), ``fibered=True`` iff
+    every pairing is nonzero, and the count of solid-torus pieces dropped.
+    chi_orb is evaluated once per piece.  chi_orb = 0 pieces are
     zero-extended (annulus/torus fibers).  A chi_orb > 0 piece over a disk
     has at most one genuine cone point, so it is a solid torus whose disk
     fibers cost nothing: it is dropped and counted.  Over any other base,
@@ -86,15 +72,14 @@ def graph_norm(summands: Iterable[NormSummand]) -> tuple[Fraction, bool, int]:
     num, den = 0, 1
     fibered = True
     dropped = 0
-    for s in summands:
-        chi_num, chi_den = orbifold_euler_parts(s.piece)
-        pairing = s.fiber_pairing
+    for base_euler, cone_orders, pairing in pieces:
+        chi_num, chi_den = orbifold_euler_parts(base_euler, cone_orders)
         if pairing == 0:
             fibered = False
         if chi_num <= 0:
             num = num * chi_den - abs(pairing) * chi_num * den
             den *= chi_den
-        elif s.piece.base_euler == 1:
+        elif base_euler == 1:
             dropped += 1
         elif pairing:
             raise ValueError(

@@ -36,21 +36,21 @@ def cable_side(c):
     return graph_norm_reference(cable_pieces_reference(c.ambient.p, c.ambient.q, c.m, c.n))[0]
 
 
-def triples(summands):
-    """``summands`` as the (base_euler, cone_orders, pairing) triples of the reference."""
-    return [(s.piece.base_euler, s.piece.cone_orders, s.fiber_pairing) for s in summands]
-
-
 def iterated_norm(ic):
     return graph_norm(iterated_summands(ic))[0]
 
 
 @pytest.fixture
 def chi_orb_calls(monkeypatch):
-    """Log of the pieces ``orbifold_euler_parts`` is evaluated on."""
+    """Log of the (base_euler, cone_orders) pieces ``orbifold_euler_parts`` is evaluated on."""
     calls = []
     real = norm.orbifold_euler_parts
-    monkeypatch.setattr(norm, "orbifold_euler_parts", lambda piece: calls.append(piece) or real(piece))
+
+    def logged(base_euler, cone_orders):
+        calls.append((base_euler, cone_orders))
+        return real(base_euler, cone_orders)
+
+    monkeypatch.setattr(norm, "orbifold_euler_parts", logged)
     return calls
 
 
@@ -98,16 +98,42 @@ class TestCableSideNorm:
         # The library builds the same two pieces, the torus-knot piece first,
         # here and on a grid of cables.
         torus, cable = iterated_summands(params(8, 1, 2, 2))
-        assert triples([cable, torus]) == [cable_piece, torus_piece]
+        assert [cable, torus] == [cable_piece, torus_piece]
         for p, q, m, n in product(range(5, 90), range(1, 5), range(2, 5), range(2, 5)):
             if gcd(p, q) == 1 and p > q and p - q * m * n >= 1:
                 torus, cable = iterated_summands(params(p, q, m, n))
-                assert triples([cable, torus]) == cable_pieces_reference(p, q, m, n)
+                assert [cable, torus] == cable_pieces_reference(p, q, m, n)
 
     def test_undefined_piece(self):
         # p - qm = 5 - 6 < 1 as well: the constructor refuses it first.
         with pytest.raises(DomainError, match="p - qmn = -7$"):
             params(5, 3, 2, 2)
+
+
+@st.composite
+def criterion_2_points(draw):
+    """(p, q, m, n) of criterion 2's ranges: m, n in [2, 5], q in [1, 7], p <= 500."""
+    m, n = draw(st.integers(2, 5)), draw(st.integers(2, 5))
+    q = draw(st.integers(1, 7))
+    p = draw(st.integers(q * m * n + 1, 500).filter(lambda p: gcd(p, q) == 1))
+    return p, q, m, n
+
+
+class TestOneInputShape:
+    @given(criterion_2_points())
+    @example((8, 1, 2, 2))  # on the threshold
+    @example((41, 2, 2, 2))  # q = m
+    @example((17, 2, 2, 4))  # p - qmn = 1: the torus piece is a solid torus
+    @settings(max_examples=300, deadline=None)
+    def test_reference_pieces_through_the_library(self, point):
+        # The library and its oracle read one piece shape: the reference
+        # triples go through graph_norm unchanged, and give the oracle's
+        # result and the verdict's cable-side norm.
+        p, q, m, n = point
+        pieces = cable_pieces_reference(p, q, m, n)
+        result = graph_norm(pieces)
+        assert result == graph_norm_reference(pieces)
+        assert result[0] == iterated_verdict(params(p, q, m, n)).norm_iterated
 
 
 class TestCableVerdict:
@@ -193,9 +219,9 @@ class TestIteratedCables:
         summands = iterated_summands(ic)
         assert len(summands) == 3
         values = []
-        for s in summands:
-            chi = Fraction(*orbifold_euler_parts(s.piece))
-            values.append(abs(s.fiber_pairing) * max(Fraction(0), -chi))
+        for base_euler, cone_orders, pairing in summands:
+            chi = Fraction(*orbifold_euler_parts(base_euler, cone_orders))
+            values.append(abs(pairing) * max(Fraction(0), -chi))
         assert values == [112, 48, 0]
         assert iterated_norm(ic) == 160
 
@@ -256,7 +282,7 @@ class TestIteratedCables:
             ic = IteratedCableParams(LensSpace(p, q), ms)
             value = iterated_norm(ic)
             orders = lcm(
-                *[o for s in iterated_summands(ic) for o in s.piece.cone_orders]
+                *[o for _, cone_orders, _ in iterated_summands(ic) for o in cone_orders]
             )
             assert value >= 0
             assert orders % value.denominator == 0

@@ -1,5 +1,5 @@
 from fractions import Fraction
-from math import gcd
+from math import gcd, prod
 
 import pytest
 from hypothesis import given, settings
@@ -99,6 +99,14 @@ class TestTorusKnotTheta:
         for k in range(2, 12):
             assert torus_knot_theta(LensSpace(2 * k, 1), k).theta == Fraction(k - 2, 2)
 
+    def test_cable_class_pairing_in_l81(self):
+        # The class (16, 8) meets the fiber (4, 1) as 16*1 - 8*4 = -16.
+        assert torus_fiber_summand(LensSpace(8, 1), 4) == (1, (4, 4), -16)
+
+    def test_inner_torus_knot_pairing_in_l81(self):
+        # The class (4, 8) meets the fiber (2, 1) as 4*1 - 8*2 = -12.
+        assert torus_fiber_summand(LensSpace(8, 1), 2) == (1, (2, 6), -12)
+
     def test_degenerate_cone_orders(self):
         # chi_orb = 0: the class bounds vertical annuli
         assert torus_knot_theta(LensSpace(4, 1), 2).theta == 0
@@ -107,18 +115,14 @@ class TestTorusKnotTheta:
 
     def test_out_of_range(self):
         # The route refuses p - qk < 1 with the CLI's message; at k = 0 the
-        # cone order p passes and the piece itself refuses the cone order 0.
+        # cone order p passes, and orbifold_euler_parts, the one reader of
+        # cone orders, refuses the cone order 0.
         with pytest.raises(DomainError, match=r"no torus-knot route for class 8: "
                            r"cone order p - qc = 0 < 1$"):
             torus_knot_theta(LensSpace(8, 1), 8)
         with pytest.raises(ValueError, match="cone order 0 < 1") as info:
             torus_knot_theta(LensSpace(8, 1), 0)
         assert type(info.value) is ValueError
-
-
-def oracle_pieces(summands):
-    """``summands`` as the (base_euler, cone_orders, pairing) triples of the oracle."""
-    return [(s.piece.base_euler, s.piece.cone_orders, s.fiber_pairing) for s in summands]
 
 
 @st.composite
@@ -142,7 +146,7 @@ class TestTorusKnotRoute:
         # A disk with cones k and p - qk; the class (k^2 q, p) meets the
         # fiber (k, 1) as k^2 q - pk.
         piece = (1, (k, p - q * k), k * k * q - p * k)
-        assert oracle_pieces([torus_fiber_summand(space, k)]) == [piece]
+        assert torus_fiber_summand(space, k) == piece
         chi, fibered, dropped = graph_norm_reference([piece])
         assert r.chi_minus >= 0
         assert r.p == p
@@ -185,7 +189,7 @@ class TestTorusKnotRoute:
                     if family is CableParams:
                         k, own = params.m * params.n, cable_pieces_reference(p, q, *args[1:])
                     else:
-                        k, own = params.total_winding, oracle_pieces(cables.iterated_summands(params))
+                        k, own = prod(params.ms), cables.iterated_summands(params)
                     route = torus_knot_theta(space, k)
                     dropped = route.dropped + graph_norm_reference(own)[2]
                     assert (v.theta, v.norm_torus_side) == (route.theta, route.chi_minus), args

@@ -9,8 +9,8 @@ a sweep that forks loads ``pickle``), and ``import lensgenus`` loads no
 submodule.  The source checks keep floating point out of the library,
 ``DomainError`` in the constructors of the input types and the one route
 that owns its domain, the torus-knot norm in ``complement``, a cable's
-pieces in ``cables.iterated_summands``, and every file write and every JSON
-text in ``cli``.
+pieces in ``cables.iterated_summands``, norm pieces as plain triples with no
+wrapper type, and every file write and every JSON text in ``cli``.
 """
 
 import ast
@@ -172,11 +172,13 @@ def test_domain_error_only_in_constructors(path):
 
 
 def names_used(tree: ast.AST) -> set[str]:
-    """Every name a module reads, imports or looks up as an attribute."""
+    """Every name a module reads, imports, defines or looks up as an attribute."""
     names = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
             names.add(node.id)
+        elif isinstance(node, (ast.ClassDef, ast.FunctionDef)):
+            names.add(node.name)
         elif isinstance(node, ast.Attribute):
             names.add(node.attr)
         elif isinstance(node, ast.alias):
@@ -201,17 +203,29 @@ def calls_to(tree: ast.AST, name: str) -> list[ast.Call]:
 
 def test_one_cable_route():
     # cables.iterated_summands is the one function that builds a cable's
-    # pieces, at every depth: a cable is the two-level case, so a second
-    # builder, or a verdict of its own, would compute the same norm twice.
+    # pieces, at every depth: a cable is the two-level case, so a norm of
+    # other pieces, or a verdict of its own, would compute the same norm twice.
     path = SRC / "lensgenus" / "cables.py"
     tree = ast.parse(path.read_text(), str(path))
-    [builder] = [fn for fn in tree.body
-                 if isinstance(fn, ast.FunctionDef) and fn.name == "iterated_summands"]
-    assert len(calls_to(tree, "NormSummand")) == len(calls_to(builder, "NormSummand")) > 0
+    norms = calls_to(tree, "graph_norm")
+    assert norms
+    for call in norms:
+        assert len(call.args) == 1 and not call.keywords, call.lineno
+        assert calls_to(call.args[0], "iterated_summands") == [call.args[0]], call.lineno
     for library in LIBRARY:
         names = names_used(ast.parse(library.read_text(), str(library)))
         assert names & {"cable_side_summands", "cable_verdict", "CableVerdict"} == set(), library
     assert not {"cable_side_summands", "cable_verdict", "CableVerdict"} & set(lensgenus.__all__)
+
+
+def test_norm_pieces_are_plain_triples():
+    # graph_norm reads (base_euler, cone_orders, pairing) triples, the shape
+    # its test oracle reads, and orbifold_euler_parts checks the cone orders:
+    # a wrapper type for a piece would only be unpacked again.
+    for library in LIBRARY:
+        names = names_used(ast.parse(library.read_text(), str(library)))
+        assert names & {"SeifertPiece", "NormSummand"} == set(), library.name
+    assert not {"SeifertPiece", "NormSummand"} & set(lensgenus.__all__)
 
 
 def writes_a_file(node: ast.Call) -> bool:

@@ -8,14 +8,7 @@ from hypothesis import strategies as st
 from lensgenus.cables import CableParams, IteratedCableParams, iterated_verdict
 from lensgenus.errors import DomainError
 from lensgenus.lens import LensSpace
-from lensgenus.norm import (
-    NormSummand,
-    PeripheralClass,
-    SeifertPiece,
-    graph_norm,
-    orbifold_euler_parts,
-    torus_pairing,
-)
+from lensgenus.norm import graph_norm, orbifold_euler_parts
 from lensgenus.stabilization import StabFamily, stab_verdict
 
 from _oracles import chi_orb_reference, graph_norm_reference
@@ -25,42 +18,36 @@ DISK, ANNULUS, SPHERE = 1, 0, 2
 
 class TestOrbifoldEulerChar:
     def test_disk_two_cones(self):
-        assert Fraction(*orbifold_euler_parts(SeifertPiece(DISK, (4, 4)))) == Fraction(-1, 2)
+        assert Fraction(*orbifold_euler_parts(DISK, (4, 4))) == Fraction(-1, 2)
 
     def test_annulus_one_cone(self):
-        assert Fraction(*orbifold_euler_parts(SeifertPiece(ANNULUS, (2,)))) == Fraction(-1, 2)
+        assert Fraction(*orbifold_euler_parts(ANNULUS, (2,))) == Fraction(-1, 2)
 
     def test_bare_disk(self):
-        assert Fraction(*orbifold_euler_parts(SeifertPiece(DISK, ()))) == 1
+        assert Fraction(*orbifold_euler_parts(DISK, ())) == 1
 
     def test_order_one_cones_are_invisible(self):
-        with_ones = SeifertPiece(DISK, (1, 5, 1))
-        without = SeifertPiece(DISK, (5,))
-        assert (Fraction(*orbifold_euler_parts(with_ones))
-                == Fraction(*orbifold_euler_parts(without)))
+        assert (Fraction(*orbifold_euler_parts(DISK, (1, 5, 1)))
+                == Fraction(*orbifold_euler_parts(DISK, (5,))))
 
     def test_cone_order_validation(self):
-        with pytest.raises(ValueError):
-            SeifertPiece(DISK, (0,))
+        # orbifold_euler_parts is the one reader of cone orders, so a piece
+        # reaching graph_norm is refused there, before any division.
+        for refused in (lambda: orbifold_euler_parts(DISK, (0,)),
+                        lambda: orbifold_euler_parts(1, (2, 0)),
+                        lambda: graph_norm([(1, (2, 0), 3)])):
+            with pytest.raises(ValueError, match="^cone order 0 < 1$") as info:
+                refused()
+            assert type(info.value) is ValueError
 
-
-class TestTorusPairing:
-    def test_cable_class_against_fiber(self):
-        assert torus_pairing(PeripheralClass(16, 8), PeripheralClass(4, 1)) == -16
-
-    def test_alternating(self):
-        x = PeripheralClass(3, 7)
-        assert torus_pairing(x, x) == 0
-
-    def test_inner_torus_knot(self):
-        assert torus_pairing(PeripheralClass(4, 8), PeripheralClass(2, 1)) == -12
+    def test_first_bad_cone_order_is_named(self):
+        with pytest.raises(ValueError, match="^cone order -3 < 1$"):
+            orbifold_euler_parts(DISK, (2, -3, 0))
 
 
 class TestGraphNorm:
     def test_single_fibered_piece(self):
-        value, fibered, dropped = graph_norm(
-            [NormSummand(SeifertPiece(DISK, (4, 4)), 16)]
-        )
+        value, fibered, dropped = graph_norm([(DISK, (4, 4), 16)])
         assert value == 8
         assert fibered
         assert dropped == 0
@@ -68,8 +55,8 @@ class TestGraphNorm:
     def test_two_pieces_one_dead(self):
         value, fibered, _ = graph_norm(
             [
-                NormSummand(SeifertPiece(ANNULUS, (2,)), 0),
-                NormSummand(SeifertPiece(DISK, (2, 6)), 24),
+                (ANNULUS, (2,), 0),
+                (DISK, (2, 6), 24),
             ]
         )
         assert value == 8
@@ -80,7 +67,7 @@ class TestGraphNorm:
 
     def test_zero_extension_at_chi_zero(self):
         # disk with cones (2,2) has chi_orb = 0: annulus fibers, no cost
-        value, fibered, _ = graph_norm([NormSummand(SeifertPiece(DISK, (2, 2)), 5)])
+        value, fibered, _ = graph_norm([(DISK, (2, 2), 5)])
         assert value == 0
         assert fibered
 
@@ -89,19 +76,23 @@ class TestGraphNorm:
         # other base (here a sphere with one cone point) there is no fiber
         # surface.
         with pytest.raises(ValueError, match="norm formula inapplicable"):
-            graph_norm([NormSummand(SeifertPiece(SPHERE, (3,)), 2)])
+            graph_norm([(SPHERE, (3,), 2)])
 
     def test_positive_chi_with_zero_pairing_allowed(self):
-        value, fibered, dropped = graph_norm([NormSummand(SeifertPiece(SPHERE, (3,)), 0)])
+        value, fibered, dropped = graph_norm([(SPHERE, (3,), 0)])
         assert (value, fibered, dropped) == (0, False, 0)
-        value, fibered, dropped = graph_norm([NormSummand(SeifertPiece(DISK, ()), 0)])
+        value, fibered, dropped = graph_norm([(DISK, (), 0)])
         assert (value, fibered, dropped) == (0, False, 1)
+
+    def test_reads_a_one_shot_iterable(self):
+        triples = [(ANNULUS, (2,), 0), (DISK, (2, 6), 24), (DISK, (3, 1), 7)]
+        assert graph_norm(iter(triples)) == graph_norm(triples) == (8, False, 1)
 
     def test_clamped_variant_drops_solid_tori(self):
         value, fibered, dropped = graph_norm(
             [
-                NormSummand(SeifertPiece(DISK, (3, 1)), 7),
-                NormSummand(SeifertPiece(DISK, (2, 6)), 24),
+                (DISK, (3, 1), 7),
+                (DISK, (2, 6), 24),
             ]
         )
         assert value == 8
@@ -109,14 +100,19 @@ class TestGraphNorm:
         assert dropped == 1
 
 
-pieces = st.builds(
-    SeifertPiece,
+# A piece is (base_euler, cone_orders); a summand appends its pairing.
+pieces = st.tuples(
     st.sampled_from([DISK, ANNULUS]),
     st.lists(st.integers(min_value=2, max_value=9), min_size=1, max_size=3).map(tuple),
-).filter(lambda piece: Fraction(*orbifold_euler_parts(piece)) <= 0)
+).filter(lambda piece: Fraction(*orbifold_euler_parts(*piece)) <= 0)
+
+
+def summands_of(pieces, pairings):
+    return st.builds(lambda piece, pairing: (*piece, pairing), pieces, pairings)
+
 
 summand_lists = st.lists(
-    st.builds(NormSummand, pieces, st.integers(min_value=-30, max_value=30)),
+    summands_of(pieces, st.integers(min_value=-30, max_value=30)),
     max_size=5,
 )
 
@@ -127,7 +123,7 @@ class TestGraphNormProperties:
     def test_homogeneity(self, summands, t):
         base, _, _ = graph_norm(summands)
         scaled, _, _ = graph_norm(
-            [NormSummand(s.piece, t * s.fiber_pairing) for s in summands]
+            [(base_euler, cones, t * pairing) for base_euler, cones, pairing in summands]
         )
         assert scaled == abs(t) * base
 
@@ -139,15 +135,14 @@ class TestGraphNormProperties:
         assert value_both >= value_first
 
 
-# Any piece the constructor accepts, including positive-chi ones, and
+# Any piece whose cone orders are valid, including positive-chi ones, and
 # pairings far beyond the cable grids.
-any_pieces = st.builds(
-    SeifertPiece,
+any_pieces = st.tuples(
     st.integers(min_value=-2, max_value=2),
     st.lists(st.integers(min_value=1, max_value=60), max_size=4).map(tuple),
 )
 any_summand_lists = st.lists(
-    st.builds(NormSummand, any_pieces, st.integers(min_value=-(10**6), max_value=10**6)),
+    summands_of(any_pieces, st.integers(min_value=-(10**6), max_value=10**6)),
     max_size=5,
 )
 
@@ -156,16 +151,15 @@ class TestAgainstReference:
     @given(any_pieces)
     @settings(max_examples=200, deadline=None)
     def test_orbifold_euler_char(self, piece):
-        chi = Fraction(*orbifold_euler_parts(piece))
+        chi = Fraction(*orbifold_euler_parts(*piece))
         assert type(chi) is Fraction
-        assert chi == chi_orb_reference(piece.base_euler, piece.cone_orders)
+        assert chi == chi_orb_reference(*piece)
 
     @given(any_summand_lists)
     @settings(max_examples=200, deadline=None)
     def test_graph_norm(self, summands):
-        triples = [(s.piece.base_euler, s.piece.cone_orders, s.fiber_pairing) for s in summands]
         try:
-            expected = graph_norm_reference(triples)
+            expected = graph_norm_reference(summands)
         except ValueError as exc:
             with pytest.raises(ValueError) as raised:
                 graph_norm(summands)
@@ -178,7 +172,7 @@ class TestAgainstReference:
     def test_inapplicable_message_in_lowest_terms(self):
         # Over lcm(4, 4) the characteristic is 2/4; the message prints 1/2.
         with pytest.raises(ValueError) as raised:
-            graph_norm([NormSummand(SeifertPiece(SPHERE, (4, 4)), 3)])
+            graph_norm([(SPHERE, (4, 4), 3)])
         assert str(raised.value) == (
             "norm formula inapplicable: piece with positive orbifold "
             "Euler characteristic 1/2 has nonzero fiber pairing"
@@ -201,10 +195,10 @@ class TestNoFloats:
         "summands, total",
         [
             ([], 0),
-            ([NormSummand(SeifertPiece(DISK, (4, 4)), 16)], 8),
-            ([NormSummand(SeifertPiece(DISK, (2, 2)), 5)], 0),
-            ([NormSummand(SeifertPiece(DISK, (3, 5)), 15)], 7),
-            ([NormSummand(SeifertPiece(ANNULUS, (3,)), 1)], Fraction(2, 3)),
+            ([(DISK, (4, 4), 16)], 8),
+            ([(DISK, (2, 2), 5)], 0),
+            ([(DISK, (3, 5), 15)], 7),
+            ([(ANNULUS, (3,), 1)], Fraction(2, 3)),
         ],
     )
     def test_graph_norm_total(self, summands, total):

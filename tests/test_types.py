@@ -14,7 +14,6 @@ from lensgenus.complement import WindingData
 from lensgenus.errors import DomainError
 from lensgenus.exactarith import AbelianGroup, IntMatrix
 from lensgenus.lens import H1Class, LensSpace
-from lensgenus.norm import SeifertPiece
 from lensgenus.stabilization import StabFamily
 from lensgenus.twistfamily import FramedLink, LinkComponent, TwistParams
 
@@ -31,7 +30,6 @@ VALID = [
     (TwistParams, (1, 1, 1)),
     (WindingData, (L72, 3)),
     (FramedLink, ((A, B), ((0, 1), (1, 0)))),
-    (SeifertPiece, (1, (2, 3))),
     (IntMatrix, (2, 2, (1, 2, 3, 4))),
     (AbelianGroup, (1, (2, 4))),
 ]
@@ -59,7 +57,6 @@ INVALID = [
     (FramedLink, ((A, B), ((1, 1), (1, 0))), ValueError, "diagonal"),
     (FramedLink, ((A, B), ((0, 1), (2, 0))), ValueError, "symmetric"),
     (FramedLink, ((A, A), ((0, 1), (1, 0))), ValueError, "unique"),
-    (SeifertPiece, (1, (2, 0)), ValueError, "cone order 0 < 1"),
     (IntMatrix, (0, 0, ()), ValueError, "bad shape"),
     (IntMatrix, (2, 2, (1, 2, 3)), ValueError, "entry count"),
     (IntMatrix, (1, 2, (1, Fraction(1, 2))), ValueError, "integers"),
