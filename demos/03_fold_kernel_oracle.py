@@ -1,10 +1,12 @@
-"""The Smith-normal-form oracle behind every homology claim.
+"""The kernel oracle behind the boundary closed form, and the fold it runs on.
 
 Closed forms in the library are never trusted alone: the peripheral class
 that bounds in a knot complement has both a one-line formula and an
 independent derivation from a presentation matrix: the lattice of its
-rows cut by the (mu, lambda) coordinate plane.  This demo shows the
-machinery and the agreement sweep.
+rows cut by the (mu, lambda) coordinate plane.  The cut is made by
+``fold_columns``, a fold of 2x2 gcd steps, the one reduction the library
+has; the twist family's homology is read by the same fold.  This demo
+shows the fold, the cut and the agreement sweep.
 """
 
 from math import gcd
@@ -14,25 +16,26 @@ from lensgenus import (
     LensSpace,
     WindingData,
     boundary_kernel,
-    cokernel_invariants,
+    fold_columns,
     peripheral_kernel,
     presentation_matrix,
-    smith_normal_form,
 )
 
-# Smith normal form: U A V = D with unimodular U, V and a divisibility
-# chain down the diagonal.
+# The first homology of the complement of a winding-number-4 knot in the
+# solid torus inside L(8,1): relations in rows, the generators mu, lambda
+# and two more in columns.
 a = IntMatrix.from_rows([[4, 0, 0, -1], [0, 1, -4, 0], [0, 0, 8, 1]])
-res = smith_normal_form(a)
 print("presentation matrix rows:", a.to_lists())
-print("diagonal:", [list(r) for r in res.D])
-print("invariant factors:", res.invariant_factors)
-print("cokernel:", cokernel_invariants(a))  # Z + Z/4
 
-# That matrix presents the first homology of the complement of a
-# winding-number-4 knot in the solid torus inside L(8,1).  The kernel of
-# the peripheral map, the combinations of rows that vanish off the mu and
-# lambda columns, picks out the class that bounds.
+# The fold clears the two other columns in turn by unimodular 2x2 steps.
+# Each sets aside one pivot row, holding its column's gcd; the rows left
+# are zero off (mu, lambda) and span the row lattice's cut by that plane.
+pivots, rest = fold_columns(a.to_lists(), [2, 3])
+print("pivot rows set aside:", pivots)
+print("rows left:", rest)
+
+# Their (mu, lambda) entries generate the kernel of the peripheral map,
+# the class that bounds.
 print("\nperipheral kernel (mu, lambda):", peripheral_kernel(a, 0, 1))
 
 # The closed form gives the same answer without any linear algebra.

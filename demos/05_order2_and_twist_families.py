@@ -11,11 +11,10 @@ from lensgenus import (
     LensSpace,
     TwistParams,
     build_twist_diagram,
-    filling_homology,
     filling_spec_export,
-    h1_of_complement,
     nonorientable_genus,
     twist_framings,
+    twist_homology,
     uniqueness_check,
 )
 
@@ -37,17 +36,16 @@ for a, b, n in [(1, 1, 1), (1, 3, 2), (2, 2, -5)]:
     t = TwistParams(a, b, n)
     fl = build_twist_diagram(t)
     line = filling_spec_export(t)
-    h1, knot_class = filling_homology(fl, "gamma")
+    h1, knot_class = twist_homology(fl)
     print(f"  (a,b,n) = ({a},{b},{n}), k = {t.k}:")
     print(f"    alpha framings: {twist_framings(n)}")
     print(f"    filled H1: {h1}, knot class: {knot_class}")
-    print(f"    complement H1: {h1_of_complement(fl)}")
     print(f"    export: {line}")
 
 # Twisting is a homeomorphism, so the class never moves with n.
 t_values = [-4, -2, -1, 1, 2, 4]
 classes = {
-    n: filling_homology(build_twist_diagram(TwistParams(1, 3, n)), "gamma")[1]
+    n: twist_homology(build_twist_diagram(TwistParams(1, 3, n)))[1]
     for n in t_values
 }
 print(f"\nclass of K(1,3,n) for n in {t_values}: {sorted(set(classes.values()))}")

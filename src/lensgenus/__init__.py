@@ -3,9 +3,10 @@
 The package computes and certifies norm data for torsion homology classes
 in lens spaces: torus-knot and cable-knot norms, stabilized-braid and
 annulus-twist families of non-simple genus minimizers, the order-2
-nonorientable-genus dictionary, and exact integer linear-algebra
-oracles (Smith normal form, and a lattice intersection for kernels) that
-cross-check every closed form.  All arithmetic is exact.
+nonorientable-genus dictionary, and one exact integer reduction, a fold
+of 2x2 gcd steps, that reads the twist family's homology and cuts the
+relation lattice to check the boundary-kernel closed form.
+All arithmetic is exact.
 
 ``import lensgenus`` loads none of the submodules.  Each public name below
 is looked up in its defining module on first access (PEP 562), so
@@ -29,8 +30,7 @@ _EXPORTS = {
     ),
     "errors": ("ConsistencyError",),
     "exactarith": (
-        "AbelianGroup", "IntMatrix", "SNFResult", "cokernel_invariants", "fold_columns",
-        "peripheral_kernel", "smith_normal_form",
+        "AbelianGroup", "IntMatrix", "fold_columns", "peripheral_kernel",
     ),
     "lens": ("H1Class", "LensSpace", "simple_knot_class", "simple_knot_in_class"),
     "norm": ("PeripheralClass", "graph_norm", "orbifold_euler_parts"),
@@ -45,8 +45,7 @@ _EXPORTS = {
     ),
     "twistfamily": (
         "UNFILLED", "FramedLink", "LinkComponent", "TwistParams",
-        "build_twist_diagram", "filling_homology", "filling_spec_export",
-        "h1_of_complement", "twist_framings", "twist_homology",
+        "build_twist_diagram", "filling_spec_export", "twist_framings", "twist_homology",
     ),
 }
 

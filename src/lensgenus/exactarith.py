@@ -1,24 +1,17 @@
-"""Exact integer matrices, Smith normal form, and abelian-group invariants.
+"""Exact integer matrices, abelian groups, and the peripheral kernel.
 
 Everything in this module works over arbitrary-precision Python integers;
-there is no floating point anywhere.  Two computations do the work:
+there is no floating point anywhere.  One reduction does the work:
+``fold_columns``, the 2x2 gcd step that clears chosen columns of a list of
+integer rows.  It reads the twist family's homology, and the peripheral
+kernel (the boundary classes that bound): the relation lattice, the row
+space of the presentation, cut by the (mu, lambda) coordinate plane.  Its
+answer is the normalized generator of a rank-1 lattice in Z^2, so no pivot
+rule shows in it.
 
-- Smith normal form, by row and column operations, gives cokernels of
-  presentation matrices, hence first homology and cokernel coordinates.
-  Its pivot is the minimal nonzero absolute value, ties broken by
-  smallest row index then smallest column index, so transforms are
-  reproducible across platforms.
-- The peripheral kernel (the boundary classes that bound) is the
-  relation lattice, the row space of the presentation, cut by the
-  (mu, lambda) coordinate plane.  Its answer is the normalized generator
-  of a rank-1 lattice in Z^2, so no pivot rule shows in it.  It clears
-  columns with ``fold_columns``, the 2x2 gcd step that also reads the
-  twist family's homology.
-
-Inputs are validated as ``IntMatrix`` at the public functions; the reductions
-themselves run on plain lists, and a Smith form's D, U and V are those lists'
-own rows, as int tuples: integer row and column operations keep the shape and
-the entries integral.
+Inputs are validated as ``IntMatrix`` at the public functions; the
+reduction itself runs on plain lists.  No Smith normal form lives here:
+the test suite keeps one as the independent oracle of both uses of the fold.
 """
 
 from __future__ import annotations
@@ -61,36 +54,9 @@ class IntMatrix(namedtuple("IntMatrix", "rows cols entries")):
             raise ValueError("ragged rows")
         return cls(nrows, ncols, tuple(e for r in rows for e in r))
 
-    @classmethod
-    def zero_rows(cls, cols: int) -> "IntMatrix":
-        """Empty relation set on ``cols`` generators."""
-        return cls(0, cols, ())
-
-    def at(self, i: int, j: int) -> int:
-        return self.entries[i * self.cols + j]
-
     def to_lists(self) -> list[list[int]]:
         n, e = self.cols, self.entries
         return [list(e[i : i + n]) for i in range(0, self.rows * n, n)]
-
-
-class SNFResult(namedtuple("SNFResult", "D U V invariant_factors")):
-    """Smith normal form ``U @ A @ V == D`` with unimodular U, V.
-
-    D, U and V are tuples of row tuples.  ``invariant_factors`` are the
-    nonzero diagonal entries of D; each is positive and divides the next.
-    """
-
-    __slots__ = ()
-
-    @property
-    def rank(self) -> int:
-        return len(self.invariant_factors)
-
-    def cokernel(self) -> "AbelianGroup":
-        """Group presented by the reduced matrix: Z per zero column, Z/d per factor d > 1."""
-        torsion = tuple(f for f in self.invariant_factors if f > 1)
-        return AbelianGroup(free_rank=len(self.V) - self.rank, torsion=torsion)
 
 
 class AbelianGroup(namedtuple("AbelianGroup", "free_rank torsion")):
@@ -121,128 +87,9 @@ class AbelianGroup(namedtuple("AbelianGroup", "free_rank torsion")):
             n *= t
         return n
 
-    def is_cyclic(self) -> bool:
-        return self.free_rank + len(self.torsion) <= 1
-
     def __str__(self) -> str:
         parts = ["Z"] * self.free_rank + [f"Z/{t}" for t in self.torsion]
         return " + ".join(parts) if parts else "0"
-
-
-def _find_pivot(d: list[list[int]], t: int, m: int, n: int) -> tuple[int, int] | None:
-    """Minimal |entry| != 0 in the trailing block, smallest (row, col) wins ties."""
-    best = None
-    best_abs = None
-    for i in range(t, m):
-        di = d[i]
-        for j in range(t, n):
-            e = di[j]
-            if e:
-                a = -e if e < 0 else e
-                if best_abs is None or a < best_abs:
-                    best, best_abs = (i, j), a
-    return best
-
-
-def smith_normal_form(a: IntMatrix) -> SNFResult:
-    """Diagonalize ``a`` over Z by unimodular row and column operations.
-
-    Returns D, U, V with ``U @ a @ V == D``, D diagonal with nonnegative
-    entries whose nonzero part forms a divisibility chain.  Total on any
-    nonempty matrix; the pivot rule makes the output deterministic.
-    """
-    m, n = a.rows, a.cols
-    if m == 0:
-        raise ValueError("smith_normal_form requires a nonempty matrix")
-    d = a.to_lists()
-    u = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
-    v = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-    t = 0
-    while t < min(m, n):
-        piv = _find_pivot(d, t, m, n)
-        if piv is None:
-            break
-        pi, pj = piv
-        if pi != t:
-            d[t], d[pi] = d[pi], d[t]
-            u[t], u[pi] = u[pi], u[t]
-        if pj != t:
-            for r in d:
-                r[t], r[pj] = r[pj], r[t]
-            for r in v:
-                r[t], r[pj] = r[pj], r[t]
-        if d[t][t] < 0:
-            d[t] = [-e for e in d[t]]
-            u[t] = [-e for e in u[t]]
-
-        pivot = d[t][t]
-        clean = True
-        for i in range(t + 1, m):
-            if d[i][t]:
-                q = d[i][t] // pivot
-                if q:
-                    d[i] = [x - q * y for x, y in zip(d[i], d[t])]
-                    u[i] = [x - q * y for x, y in zip(u[i], u[t])]
-                if d[i][t]:
-                    clean = False
-        for j in range(t + 1, n):
-            if d[t][j]:
-                q = d[t][j] // pivot
-                if q:
-                    for r in d:
-                        r[j] -= q * r[t]
-                    for r in v:
-                        r[j] -= q * r[t]
-                if d[t][j]:
-                    clean = False
-        if not clean:
-            continue
-
-        # Pivot now owns its row and column.  Before moving on it must also
-        # divide the rest of the block, or the divisibility chain can break.
-        bad_row = None
-        for i in range(t + 1, m):
-            if any(d[i][j] % pivot for j in range(t + 1, n)):
-                bad_row = i
-                break
-        if bad_row is None:
-            t += 1
-        else:
-            d[t] = [x + y for x, y in zip(d[t], d[bad_row])]
-            u[t] = [x + y for x, y in zip(u[t], u[bad_row])]
-
-    factors = tuple(d[i][i] for i in range(min(m, n)) if d[i][i])
-    return SNFResult(
-        D=tuple(map(tuple, d)),
-        U=tuple(map(tuple, u)),
-        V=tuple(map(tuple, v)),
-        invariant_factors=factors,
-    )
-
-
-def cokernel_invariants(a: IntMatrix) -> AbelianGroup:
-    """Abelian group presented by ``a`` (relations in rows, generators in columns)."""
-    if a.rows == 0:
-        return AbelianGroup(free_rank=a.cols, torsion=())
-    return smith_normal_form(a).cokernel()
-
-
-def cokernel_coordinates(snf: SNFResult, vec: tuple[int, ...]) -> tuple[int, ...]:
-    """Coordinates of ``vec`` in the cokernel's diagonal basis.
-
-    Coordinate j lives in Z/d_j (reduced to [0, d_j)) when d_j > 0 and in Z
-    when d_j = 0.  The zero tuple means ``vec`` lies in the row space.
-    """
-    n = len(snf.V)
-    if len(vec) != n:
-        raise ValueError("vector length does not match generator count")
-    coords = []
-    for j in range(n):
-        c = sum(x * row[j] for x, row in zip(vec, snf.V))
-        dj = snf.D[j][j] if j < len(snf.D) else 0
-        coords.append(c % dj if dj else c)
-    return tuple(coords)
 
 
 def _lattice_generator(pairs: list[tuple[int, int]]) -> tuple[int, int] | None:

@@ -5,7 +5,7 @@ spanning surface made of a disk with k positively half-twisted bands, a
 curve gamma through every band, and a co-orientable curve alpha through
 two bands, whose push-offs are resurgered to twist gamma.  The deliverable
 here is the six-component framed link of that construction, exact first
-homology of its fillings and the class of the unfilled component, and an
+homology of its filling and the class of the unfilled gamma in it, and an
 export line for external geometry software.  The module writes no file:
 ``lensgenus.cli`` writes the line where a command asks for it.
 
@@ -16,8 +16,9 @@ meridians (dF, A, B, alpha0, alpha1), have a unimodular block on
 that substitution and dF's reads 2k * dF, so H1 = Z/2k, generated by dF,
 with gamma in class k.  ``twist_verdict`` reads both by ``twist_homology``,
 a fold of 2x2 gcd steps over the relation rows that raises on any pivot
-other than 1 or -1, and runs no Smith form; ``filling_homology``, the Smith
-form of any framed link's filling, stays the general route and the oracle.
+other than 1 or -1.  The library has no second homology route: the test
+suite reads the same relation rows through a Smith normal form, as the
+oracle of the fold.
 
 The linking numbers are not all forced by the text; the free ones were
 derived from the band picture and are locked by the homology grid: every
@@ -34,14 +35,7 @@ from math import gcd
 from typing import Sequence
 
 from .errors import ConsistencyError, DomainError
-from .exactarith import (
-    AbelianGroup,
-    IntMatrix,
-    cokernel_coordinates,
-    cokernel_invariants,
-    fold_columns,
-    smith_normal_form,
-)
+from .exactarith import AbelianGroup, fold_columns
 
 #: Marker for a component left unfilled (a cusp of the exported manifold).
 UNFILLED = None
@@ -168,47 +162,6 @@ def _relation_rows(fl: FramedLink, generators: Sequence[int]) -> list[list[int]]
     return rows
 
 
-def _relation_matrix(fl: FramedLink, generators: Sequence[int]) -> IntMatrix:
-    """``_relation_rows`` as a matrix: no rows when nothing listed is filled."""
-    rows = _relation_rows(fl, generators)
-    return IntMatrix.from_rows(rows) if rows else IntMatrix.zero_rows(len(generators))
-
-
-def filling_homology(fl: FramedLink, label: str | None = None) -> tuple[AbelianGroup, int | None]:
-    """H1 of the filled manifold and the class of the unfilled ``label`` in it.
-
-    One Smith form of the filled relations gives both.  The unfilled
-    component is homologous to the sum of its linking numbers times the
-    meridians of the filled components; its class needs a cyclic group
-    and is a nonnegative residue (an integer when the group is infinite
-    cyclic).  With ``label`` None only the group is read.
-    """
-    if label is not None:
-        idx = fl.index_of(label)
-        if fl.components[idx].framing is not None:
-            raise ValueError(f"component {label!r} is filled")
-    filled = fl.filled_indices()
-    if not filled:  # nothing filled: the manifold is S^3, H1 = 0
-        return AbelianGroup(0, ()), None if label is None else 0
-    snf = smith_normal_form(_relation_matrix(fl, filled))
-    group = snf.cokernel()
-    if label is None:
-        return group, None
-    if not group.is_cyclic():
-        raise ValueError(f"first homology {group} is not cyclic")
-    if group.order() == 1:
-        return group, 0
-    vec = tuple(fl.linking[idx][j] for j in filled)
-    # The diagonal runs 1, ..., 1 and then the lone entry that is not 1,
-    # which carries the cyclic coordinate.
-    return group, cokernel_coordinates(snf, vec)[snf.invariant_factors.count(1)]
-
-
-def h1_of_complement(fl: FramedLink) -> AbelianGroup:
-    """First homology of the filled manifold minus the unfilled components."""
-    return cokernel_invariants(_relation_matrix(fl, range(len(fl.components))))
-
-
 def twist_homology(fl: FramedLink) -> tuple[AbelianGroup, int]:
     """H1 of the filled twist diagram and gamma's class, by a unimodular fold.
 
@@ -223,7 +176,7 @@ def twist_homology(fl: FramedLink) -> tuple[AbelianGroup, int]:
 
     Raises ``ConsistencyError`` on any other pivot: the block identity of
     the module docstring fails, so the diagram is wrong.  There is no
-    fallback to the Smith form.
+    fallback route.
     """
     filled = fl.filled_indices()
     gamma = fl.linking[fl.index_of("gamma")]
@@ -255,12 +208,12 @@ TwistVerdict = namedtuple("TwistVerdict", "params diagram h1 gamma_class holds")
 def twist_verdict(t: TwistParams) -> TwistVerdict:
     """Build the diagram of K(a,b,n) and check its filling homology.
 
-    ``twist_homology`` folds the diagram's filled relations and runs no
-    Smith form: the block on (A, B, alpha0, alpha1) is unimodular, and
-    (A, B, alpha0, alpha1, gamma) = (a, b, 2n, -2n, k) * dF turns every
-    relation but dF's into 0 and dF's into 2k * dF, so H1 = Z/2k with
-    gamma in class k.  Class k is its own negative mod 2k, so the check
-    does not depend on the orientation of gamma.
+    ``twist_homology`` folds the diagram's filled relations: the block on
+    (A, B, alpha0, alpha1) is unimodular, and (A, B, alpha0, alpha1, gamma)
+    = (a, b, 2n, -2n, k) * dF turns every relation but dF's into 0 and
+    dF's into 2k * dF, so H1 = Z/2k with gamma in class k.  Class k is its
+    own negative mod 2k, so the check does not depend on the orientation of
+    gamma.
     """
     fl = build_twist_diagram(t)
     group, cls = twist_homology(fl)

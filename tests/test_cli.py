@@ -151,7 +151,7 @@ class TestInternalFailureExits3:
     @pytest.mark.parametrize("jobs", ["1", "2"])
     def test_twist_diagram_without_unimodular_block(self, capsys, monkeypatch, slab_log, jobs):
         # lk(Acircle, Bcircle) = 1 leaves a pivot of -2: the fold raises, with
-        # no fallback to the Smith form, and nothing reaches stdout.
+        # no fallback route, and nothing reaches stdout.
         real = twistfamily.build_twist_diagram
 
         def relinked(t):
@@ -161,8 +161,6 @@ class TestInternalFailureExits3:
             return twistfamily.FramedLink(fl.components, tuple(map(tuple, linking)))
 
         monkeypatch.setattr(twistfamily, "build_twist_diagram", relinked)
-        for module in (exactarith, twistfamily):
-            monkeypatch.setattr(module, "smith_normal_form", None)
         code, out, err = run(capsys, "twist", "--a", "1", "--b", "1", "--n", "1", "--json")
         assert (code, out) == (3, "")
         assert err.startswith("internal consistency failure: twist diagram pivot -2 ")
@@ -478,7 +476,7 @@ class TestSweep:
         real = exactarith.peripheral_kernel
 
         def rank_two_at_w2(mat, mu_col, lambda_col):
-            if mat.at(0, 0) == 2:  # the first row is [w, 0, 0, -1]
+            if mat.entries[0] == 2:  # the first row is [w, 0, 0, -1]
                 raise ValueError("peripheral kernel is not cyclic of rank 1 (rank 2)")
             return real(mat, mu_col, lambda_col)
 

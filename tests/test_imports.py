@@ -10,7 +10,8 @@ submodule.  The source checks keep floating point out of the library,
 ``DomainError`` in the constructors of the input types and the one route
 that owns its domain, the torus-knot norm in ``complement``, a cable's
 pieces in ``cables.iterated_summands``, norm pieces as plain triples with no
-wrapper type, and every file write and every JSON text in ``cli``.
+wrapper type, no Smith normal form (the tests' oracle, not a library route),
+and every file write and every JSON text in ``cli``.
 """
 
 import ast
@@ -226,6 +227,20 @@ def test_norm_pieces_are_plain_triples():
         names = names_used(ast.parse(library.read_text(), str(library)))
         assert names & {"SeifertPiece", "NormSummand"} == set(), library.name
     assert not {"SeifertPiece", "NormSummand"} & set(lensgenus.__all__)
+
+
+def test_no_smith_form_in_the_library():
+    # fold_columns is the one homology reduction: the twist family folds its
+    # relations with it and the kernel oracle cuts its lattice with it.  The
+    # Smith form is their oracle in tests/_oracles.py; a module that defines
+    # or imports one would be a second route checked against itself.
+    smith = {"smith_normal_form", "SNFResult"}
+    for library in LIBRARY:
+        names = names_used(ast.parse(library.read_text(), str(library)))
+        found = {name for name in names if name in smith or name.startswith("cokernel_")}
+        assert found == set(), library.name
+    moved = smith | {"cokernel_invariants", "filling_homology", "h1_of_complement"}
+    assert not moved & set(lensgenus.__all__)
 
 
 def writes_a_file(node: ast.Call) -> bool:

@@ -79,8 +79,12 @@ def test_refuses_attribute_assignment(cls, args):
     assert tuple(obj) == args
 
 
-@pytest.mark.parametrize("cls, args, error, match", INVALID,
-                         ids=[f"{c.__name__}-{i}" for i, (c, *_) in enumerate(INVALID)])
+#: Each case is named by its type and bad arguments, which are unique where the
+#: message patterns repeat, so adding or deleting a row renames no other case.
+INVALID_IDS = [f"{c.__name__}{args}".replace(" ", "") for c, args, *_ in INVALID]
+
+
+@pytest.mark.parametrize("cls, args, error, match", INVALID, ids=INVALID_IDS)
 def test_bad_value_raises_its_error(cls, args, error, match):
     with pytest.raises(ValueError, match=match) as info:
         cls(*args)
@@ -89,3 +93,4 @@ def test_bad_value_raises_its_error(cls, args, error, match):
 
 def test_every_checked_type_has_valid_and_invalid_cases():
     assert {cls for cls, _ in VALID} == {cls for cls, *_ in INVALID}
+    assert len(set(INVALID_IDS)) == len(INVALID_IDS)
