@@ -16,19 +16,26 @@ For a cable that clears the threshold with q != m, the knot is provably not
 the simple knot in its class.  The summand data is the source of truth; the
 closed forms in docstrings are documentation, and the tests pin the two
 together.
+
+Both norms are ``int``s and compare as such; theta, the one rational of a
+verdict, is built only when a reader asks for it, so this module imports
+``fractions`` only there and in ``explicit_surface_check``.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
-from fractions import Fraction
 from math import prod
 from operator import itemgetter
+from typing import TYPE_CHECKING
 
 from .complement import solid_torus_warnings, torus_knot_theta
 from .errors import DomainError
 from .lens import LensSpace
 from .norm import graph_norm
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 
 class CableParams(namedtuple("CableParams", "ambient m n")):
@@ -67,11 +74,21 @@ class IteratedCableParams(namedtuple("IteratedCableParams", "ambient ms")):
         return super().__new__(cls, ambient, ms)
 
 
-IteratedVerdict = namedtuple(
+class IteratedVerdict(namedtuple(
     "IteratedVerdict",
     "params norm_iterated norm_torus_side threshold_met norms_equal "
-    "certified_minimizer certified_nonsimple homology_class theta warnings",
-)
+    "certified_minimizer certified_nonsimple homology_class warnings",
+)):
+    """The two ``int`` norms of an iterated cable's class and the verdicts read from them."""
+
+    __slots__ = ()
+
+    @property
+    def theta(self) -> Fraction:
+        """The class's theta, from the torus side: norm_torus_side / p."""
+        from fractions import Fraction
+
+        return Fraction(self.norm_torus_side, self.params.ambient.p)
 
 
 class SurfaceCheck(namedtuple(
@@ -121,11 +138,12 @@ def iterated_verdict(ic: IteratedCableParams | CableParams) -> IteratedVerdict:
     Certification threshold: p >= q m_1^2 ... m_{k-1}^2 m_k, that is
     p m_k >= q W^2.  Above it the norms must agree exactly; a disagreement
     is reported as ``norms_equal`` False with the minimizer uncertified,
-    and the CLI exits 3.  The torus side and ``theta`` are class W's
-    ``torus_knot_theta``; a solid torus dropped on either route is warned
-    about.  Non-simplicity is certified only for a cable (k = 2) with a
-    certified minimizer and q != m_1; at q = m_1, and at any other depth,
-    it is not certified (unknown, never refuted).
+    and the CLI exits 3.  Both norms are ``int``s.  The torus side is class
+    W's ``torus_knot_theta``, and ``theta`` is read from it; a solid torus
+    dropped on either route is warned about.  Non-simplicity is certified
+    only for a cable (k = 2) with a certified minimizer and q != m_1; at
+    q = m_1, and at any other depth, it is not certified (unknown, never
+    refuted).
     """
     p, q = ic.ambient.p, ic.ambient.q
     ms = ic.ms
@@ -137,7 +155,7 @@ def iterated_verdict(ic: IteratedCableParams | CableParams) -> IteratedVerdict:
     certified = threshold and equal
     return IteratedVerdict(
         ic, norm_it, torus.chi_minus, threshold, equal, certified,
-        certified and len(ms) == 2 and q != ms[0], big_w % p, torus.theta,
+        certified and len(ms) == 2 and q != ms[0], big_w % p,
         solid_torus_warnings(dropped + torus.dropped),
     )
 
@@ -150,6 +168,8 @@ def explicit_surface_check(m: int, n: int) -> SurfaceCheck:
     (mn - 2)(m - 1)/2 with m boundary components has exactly that
     normalized complexity: m (mn - n - 1) = 2g - 2 + b.
     """
+    from fractions import Fraction
+
     if m < 2 or n < 2:
         raise ValueError("surface check requires m, n >= 2")
     space = LensSpace(p=m * m * n, q=1)

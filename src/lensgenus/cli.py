@@ -5,7 +5,9 @@ and the help from ``COMMANDS``, ``_LIST_FLAGS`` and ``_OPTIONS``.
 
 Report halves put the verdicts' own values in ``results``: a rational
 stays a ``Fraction``, written as ``a/b`` in text and as ``{"num": a, "den": b}``
-by the one JSON hook; nothing is ever rendered as a float.
+by the one JSON hook; a norm, which a verdict holds as an ``int``, is
+reported as a ``Fraction`` too, so it prints as every norm always has.
+Nothing is ever rendered as a float.
 Exit codes: 0 success, 1 invalid input (a ``DomainError``), 2 valid input
 but the certification condition is not met, 3 internal failure (any other
 exception: a cross-check disagreed, or a bug such as a zero divisor).
@@ -19,10 +21,13 @@ from functools import partial, reduce
 from itertools import groupby, islice, product
 from math import prod
 from operator import itemgetter
-from typing import Any, BinaryIO, Callable, Iterable, Iterator, NamedTuple, NoReturn
+from typing import TYPE_CHECKING, Any, BinaryIO, Callable, Iterable, Iterator, NamedTuple, NoReturn
 
 from .errors import ConsistencyError, DomainError
 from .lens import H1Class, LensSpace
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -113,6 +118,13 @@ def print_report(env: dict[str, Any], as_json: bool) -> str:
 # and tracers patch.
 
 
+def _norm(value: int) -> Fraction:
+    """A verdict's ``int`` norm as the ``Fraction`` a report prints: ``{"num": 8, "den": 1}``."""
+    from fractions import Fraction  # only a report half that prints a norm pays for it
+
+    return Fraction(value)
+
+
 def _simple_knot(p: int, q: int, c: int) -> tuple[int, int]:
     import lensgenus.lens as lens
 
@@ -140,15 +152,15 @@ def _theta_report(r: Any) -> dict:
 
     warnings: tuple[str, ...] = ()
     if r is None:
-        from fractions import Fraction  # the one rational a report builds
-
-        results = {"theta": Fraction(0), "chi_minus": Fraction(0), "label": "EXACT"}
+        # chi_minus is an int like every norm, and theta, the one rational,
+        # is 0/1 here; both print as rationals.
+        results = {"theta": _norm(0), "chi_minus": _norm(0), "label": "EXACT"}
         criterion = "class 0 is the unknot, which bounds a disk"
     else:
         warnings = complement.solid_torus_warnings(r.dropped)
         results = {
-            "theta": r.theta,
-            "chi_minus": r.chi_minus,
+            "theta": r.theta,  # made here, where it is read
+            "chi_minus": _norm(r.chi_minus),
             "mu_pairing": r.p,
             "fibered": r.fibered,
             "label": "EXACT",
@@ -177,8 +189,8 @@ def _cable(p: int, q: int, m: int, n: int) -> tuple[Any, int]:
 def _cable_report(v: Any) -> dict:
     return {
         "results": {
-            "norm_torus_side": v.norm_torus_side,
-            "norm_cable_side": v.norm_iterated,
+            "norm_torus_side": _norm(v.norm_torus_side),
+            "norm_cable_side": _norm(v.norm_iterated),
             "norms_equal": v.norms_equal,
             "homology_class": v.homology_class,
             "theta": v.theta,
@@ -207,8 +219,8 @@ def _iterated(p: int, q: int, *ms: int) -> tuple[Any, int]:
 def _iterated_report(v: Any) -> dict:
     return {
         "results": {
-            "norm_iterated": v.norm_iterated,
-            "norm_torus_side": v.norm_torus_side,
+            "norm_iterated": _norm(v.norm_iterated),
+            "norm_torus_side": _norm(v.norm_torus_side),
             "norms_equal": v.norms_equal,
             "homology_class": v.homology_class,
             "theta": v.theta,
@@ -239,7 +251,7 @@ def _stab_report(v: Any) -> dict:
             "coefficients": list(stabilization.stab_coefficients(v.family)),
             "chi_surface": v.norms.chi_Fk,
             "chi_capped": v.norms.chi_capped,
-            "torus_knot_chi": v.torus_chi,
+            "torus_knot_chi": _norm(v.torus_chi),
             "homology_class": v.homology_class,
             "theta": v.theta,
         },

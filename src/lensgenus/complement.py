@@ -10,19 +10,24 @@ sweep them against each other.
 the simple knot of class k whenever p - qk >= 1: ``graph_norm`` of the one
 piece that ``torus_fiber_summand`` returns as a plain triple.  Every
 verdict that compares a knot with the simple knot in its class reads that
-norm here.
+norm here.  The norm is an ``int``; theta, its one rational, is built
+only when a reader asks for it, so this module imports ``fractions`` only
+there.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
-from fractions import Fraction
 from math import gcd
+from typing import TYPE_CHECKING
 
 from .errors import DomainError
 from .exactarith import IntMatrix
 from .lens import LensSpace
 from .norm import PeripheralClass, graph_norm
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 
 class WindingData(namedtuple("WindingData", "ambient w")):
@@ -36,11 +41,22 @@ class WindingData(namedtuple("WindingData", "ambient w")):
         return super().__new__(cls, ambient, w)
 
 
-#: Norm data of the (1,k)-torus knot's class (k^2 q, p).  Its meridian
-#: pairing is p, so ``theta = chi_minus / p``: twice the rational genus of
-#: the certified surface.  ``dropped`` is ``graph_norm``'s count of
-#: solid-torus pieces, 1 exactly when k = 1 or p - qk = 1.
-GenusReport = namedtuple("GenusReport", "chi_minus p theta fibered dropped")
+class GenusReport(namedtuple("GenusReport", "chi_minus p fibered dropped")):
+    """Norm data of the (1,k)-torus knot's class (k^2 q, p).
+
+    ``chi_minus`` is the norm, an ``int``, and ``p`` the class's meridian
+    pairing.  ``dropped`` is ``graph_norm``'s count of solid-torus pieces,
+    1 exactly when k = 1 or p - qk = 1.
+    """
+
+    __slots__ = ()
+
+    @property
+    def theta(self) -> Fraction:
+        """chi_minus / p, twice the rational genus of the certified surface."""
+        from fractions import Fraction
+
+        return Fraction(self.chi_minus, self.p)
 
 
 def solid_torus_warnings(dropped: int) -> tuple[str, ...]:
@@ -100,4 +116,4 @@ def torus_knot_theta(space: LensSpace, k: int) -> GenusReport:
     if cone < 1:
         raise DomainError(f"no torus-knot route for class {k}: cone order p - qc = {cone} < 1")
     chi, fibered, dropped = graph_norm([torus_fiber_summand(space, k)])
-    return GenusReport(chi, p, Fraction(chi.numerator, chi.denominator * p), fibered, dropped)
+    return GenusReport(chi, p, fibered, dropped)

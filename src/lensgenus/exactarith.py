@@ -48,11 +48,14 @@ class IntMatrix(namedtuple("IntMatrix", "rows cols entries")):
 
     @classmethod
     def from_rows(cls, rows: list[list[int]] | tuple) -> "IntMatrix":
-        nrows = len(rows)
-        ncols = len(rows[0]) if nrows else 1
+        """The matrix of ``rows``; ``[]`` fixes no column count, so it is refused."""
+        if not rows:
+            raise ValueError("an empty row list fixes no column count: "
+                             "build IntMatrix(0, cols, ()) instead")
+        ncols = len(rows[0])
         if any(len(r) != ncols for r in rows):
             raise ValueError("ragged rows")
-        return cls(nrows, ncols, tuple(e for r in rows for e in r))
+        return cls(len(rows), ncols, tuple(e for r in rows for e in r))
 
     def to_lists(self) -> list[list[int]]:
         n, e = self.cols, self.entries

@@ -7,25 +7,28 @@ and the pairing of the class with its regular fiber.
 
 A class is evaluated piece by piece: each piece contributes
 |pairing with the regular fiber| * |orbifold Euler characteristic| when
-that characteristic is negative.  Pieces with nonnegative characteristic
-and zero pairing carry vertical annuli and tori, which cost nothing; a
-solid torus (positive characteristic over a disk) is dropped, as its disk
-fibers cost nothing either.  Any other piece with nonzero pairing but
-positive characteristic has no fiber surface at all, so the formula
-refuses it.  ``graph_norm`` is the one evaluation of a class; it reads
-each piece's characteristic once.
+that characteristic is negative.  That share is the Euler characteristic
+of a horizontal surface, which covers the base orbifold |pairing| times,
+so it is an integer, and ``graph_norm`` refuses a piece whose share is
+not.  Pieces with nonnegative characteristic and zero pairing carry
+vertical annuli and tori, which cost nothing; a solid torus (positive
+characteristic over a disk) is dropped, as its disk fibers cost nothing
+either.  Any other piece with nonzero pairing but positive characteristic
+has no fiber surface at all, so the formula refuses it.  ``graph_norm`` is
+the one evaluation of a class; it reads each piece's characteristic once.
 
 The arithmetic is on integers: ``orbifold_euler_parts`` gives a piece's
-characteristic as a numerator over the lcm of its cone orders, the total
-is an integer numerator and denominator, and only each result is built as
-a ``Fraction`` (``Fraction(*orbifold_euler_parts(base_euler, cone_orders))``
-is the characteristic itself, in lowest terms).
+characteristic as a numerator over the lcm of its cone orders, each share
+is an exact integer quotient, and the norm is an ``int``.  A ``Fraction``
+is built only in an error message
+(``Fraction(*orbifold_euler_parts(base_euler, cone_orders))`` is the
+characteristic itself, in lowest terms), so this module imports
+``fractions`` only there.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
-from fractions import Fraction
 from math import lcm
 from typing import Iterable
 
@@ -53,7 +56,7 @@ def orbifold_euler_parts(base_euler: int, cone_orders: tuple[int, ...]) -> tuple
 
 def graph_norm(
     pieces: Iterable[tuple[int, tuple[int, ...], int]],
-) -> tuple[Fraction, bool, int]:
+) -> tuple[int, bool, int]:
     """Norm of a class on a graph manifold, whether it fibers, and the pieces dropped.
 
     ``pieces`` are ``(base_euler, cone_orders, pairing)`` triples.  Returns
@@ -66,10 +69,12 @@ def graph_norm(
     chi_orb > 0 with nonzero pairing raises, since the piecewise formula has
     no fiber surface there.
 
-    Each chi_orb is read as two integers and the total is kept as an integer
-    numerator and denominator: the one ``Fraction`` built is the total.
+    A piece's share |pairing| * chi_orb is the Euler characteristic of a
+    surface, so a share that is not an integer raises ``ValueError`` before
+    it is added; every share is an exact integer quotient and the norm is
+    an ``int``.
     """
-    num, den = 0, 1
+    total = 0
     fibered = True
     dropped = 0
     for base_euler, cone_orders, pairing in pieces:
@@ -77,13 +82,22 @@ def graph_norm(
         if pairing == 0:
             fibered = False
         if chi_num <= 0:
-            num = num * chi_den - abs(pairing) * chi_num * den
-            den *= chi_den
+            share = abs(pairing) * chi_num
+            if share % chi_den:
+                from fractions import Fraction
+
+                raise ValueError(
+                    f"piece share not an integer: a horizontal surface covering its base "
+                    f"{abs(pairing)} times has Euler characteristic {Fraction(share, chi_den)}"
+                )
+            total -= share // chi_den
         elif base_euler == 1:
             dropped += 1
         elif pairing:
+            from fractions import Fraction
+
             raise ValueError(
                 "norm formula inapplicable: piece with positive orbifold "
                 f"Euler characteristic {Fraction(chi_num, chi_den)} has nonzero fiber pairing"
             )
-    return Fraction(num, den), fibered, dropped
+    return total, fibered, dropped

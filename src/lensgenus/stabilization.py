@@ -7,18 +7,23 @@ by K0, the disk bounded by gamma, and a once-punctured genus-one piece of
 a nonorientable spanning surface.  Nonnegative combinations of the three
 realize the surface classes of the k-fold stabilized braids; capping
 boundary components gives the rational Seifert surface whose complexity
-must match the (1, k+4)-torus-knot norm exactly.
+must match the (1, k+4)-torus-knot norm exactly.  Every complexity is an
+``int``; theta, the one rational of a verdict, is built only when a reader
+asks for it.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from .complement import torus_knot_theta
 from .errors import ConsistencyError, DomainError
 from .lens import LensSpace
 from .norm import PeripheralClass
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 
 #: Boundary classes on the three link components (K0, L2, gamma).
@@ -77,9 +82,20 @@ class StabFamily(namedtuple("StabFamily", "ambient k")):
 
 StabNorms = namedtuple("StabNorms", "chi_Fk boundary chi_capped")
 
-StabVerdict = namedtuple(
-    "StabVerdict", "family norms torus_chi homology_class theta certified_minimizer"
-)
+
+class StabVerdict(namedtuple(
+    "StabVerdict", "family norms torus_chi homology_class certified_minimizer"
+)):
+    """The capped surface's norms against the ``int`` torus-knot norm of class k+4."""
+
+    __slots__ = ()
+
+    @property
+    def theta(self) -> Fraction:
+        """The class's theta, from the torus-knot route: torus_chi / p."""
+        from fractions import Fraction
+
+        return Fraction(self.torus_chi, self.family.ambient.p)
 
 
 def stab_coefficients(s: StabFamily) -> tuple[int, int, int]:
@@ -146,8 +162,9 @@ def stab_verdict(s: StabFamily) -> StabVerdict:
     exactly; the torus knot is simple, since the family hypothesis gives
     (k+4)q <= p/2 < p + q, so matching it certifies minimality.  The
     family hypothesis always yields the match, so ``certified_minimizer``
-    False means the two routes disagree, and the CLI exits 3.  ``theta`` is
-    the class's, from the torus-knot route, as ``iterated_verdict`` reports it.
+    False means the two routes disagree, and the CLI exits 3.  Both
+    complexities are ``int``s and compare as such; ``theta`` is the class's,
+    read from the torus-knot route, as ``iterated_verdict`` reports it.
     """
     k = s.k
     norms = stab_norms(s)
@@ -157,6 +174,5 @@ def stab_verdict(s: StabFamily) -> StabVerdict:
         norms=norms,
         torus_chi=torus.chi_minus,
         homology_class=k + 4,
-        theta=torus.theta,
         certified_minimizer=torus.chi_minus == norms.chi_capped,
     )

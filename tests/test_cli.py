@@ -813,12 +813,12 @@ def doubled_summands(real, point):
 
 
 def doubled_torus_norm(real, point):
-    """``torus_knot_theta`` with twice the norm in L(p, q), p = point[0]."""
+    """``torus_knot_theta`` with twice the norm in L(p, q), p = point[0]; theta follows it."""
     def route(space, k):
         r = real(space, k)
         if space.p != point[0]:
             return r
-        return r._replace(chi_minus=2 * r.chi_minus, theta=2 * r.theta)
+        return r._replace(chi_minus=2 * r.chi_minus)
     return route
 
 

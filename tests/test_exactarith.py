@@ -335,6 +335,13 @@ class TestIntMatrix:
         with pytest.raises(ValueError):
             IntMatrix.from_rows([[1, 2], [3]])
 
+    def test_from_rows_refuses_no_rows(self):
+        # An empty row list fixes no generator count, so an empty relation set
+        # names its columns; from_rows([]) once presented Z on one generator.
+        with pytest.raises(ValueError, match=r"IntMatrix\(0, cols, \(\)\)"):
+            IntMatrix.from_rows([])
+        assert IntMatrix(0, 3, ()).to_lists() == []
+
     @pytest.mark.parametrize("entry", [1.0, "1", None, Fraction(1)])
     def test_entries_must_be_integers(self, entry):
         with pytest.raises(ValueError, match="entries must be integers"):

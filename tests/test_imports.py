@@ -1,9 +1,12 @@
 """Module-level checks: what each entry point loads, and what the source may use.
 
-The start-up checks count modules, never time: a single command loads only
+The start-up checks count modules, never time.  A single command loads only
 its family's modules and never ``dataclasses``, ``inspect``, ``argparse``
-or ``gettext``, a text report loads no ``json``, the CLI itself loads no
-``fractions`` (nor the ``decimal`` and ``numbers`` it pulls in), no sweep loads
+or ``gettext``, and a text report loads no ``json``.  Neither the CLI
+itself nor a ``--json`` sweep of ``cable``, ``iterated``, ``stab`` or
+``boundary-kernel`` loads ``fractions`` (nor the ``decimal`` and
+``numbers`` it pulls in): norms are integers, and theta, the one rational,
+is built only where a report reads it.  No sweep loads
 ``concurrent.futures`` or ``multiprocessing`` (``--jobs N`` forks, and only
 a sweep that forks loads ``pickle``), and ``import lensgenus`` loads no
 submodule.  The source checks keep floating point out of the library,
@@ -90,15 +93,22 @@ def test_text_report_loads_no_json(argv):
 
 
 #: What ``fractions`` loads: the CLI writes a rational without it, so only a
-#: family that computes one pays for it.
+#: command that prints one pays for it.
 RATIONALS = {"fractions", "decimal", "_decimal", "numbers"}
 
 
 @pytest.mark.parametrize("code", [
     "import lensgenus.cli",
-    "from lensgenus.cli import main\n"
-    "main(['simple-knot', '--p', '8', '--q', '1', '--class', '4', '--json'])",
-], ids=["import", "simple-knot-json"])
+    *(f"from lensgenus.cli import main\nmain({argv!r})" for argv in [
+        ["simple-knot", "--p", "8", "--q", "1", "--class", "4", "--json"],
+        # A norm sweep's norms are ints, and its summary reads no theta.
+        ["sweep", "cable", "--p", "8:40", "--q", "1:3", "--m", "2:3", "--n", "2:3", "--json"],
+        ["sweep", "iterated", "--p", "9:60", "--q", "1:3", "--ms", "2,2,2", "--json"],
+        ["sweep", "stab", "--p", "10:40", "--q", "1:3", "--k", "1:3", "--json"],
+        ["sweep", "boundary-kernel", "--p", "2:12", "--q", "1:5", "--w", "0:3", "--json"],
+    ]),
+], ids=["import", "simple-knot-json", "sweep-cable-json", "sweep-iterated-json",
+        "sweep-stab-json", "sweep-boundary-kernel-json"])
 def test_cli_loads_no_rationals_of_its_own(code):
     assert loaded_after(code) & RATIONALS == set()
 

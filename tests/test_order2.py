@@ -53,7 +53,8 @@ class TestNonorientableGenus:
 
         def off_by_one(space, k):
             r = real(space, k)
-            return r._replace(theta=r.theta + 1)
+            # theta is chi_minus / p, so p more in the norm is one more in theta.
+            return r._replace(chi_minus=r.chi_minus + r.p)
 
         monkeypatch.setattr(order2, "torus_knot_theta", off_by_one)
         with pytest.raises(ConsistencyError,
