@@ -7,17 +7,11 @@ genus minimizer (its complement contains an essential torus; the simple
 knot's does not).
 """
 
-from lensgenus import (
-    CableParams,
-    IteratedCableParams,
-    LensSpace,
-    explicit_surface_check,
-    iterated_verdict,
-)
+from lensgenus import IteratedCableParams, LensSpace, explicit_surface_check, iterated_verdict
 
 # The smallest example: the (1,2)-cable of the (1,2)-torus knot in L(8,1).
 # A cable is the two-level iterated cable with ms = (m, n).
-v = iterated_verdict(CableParams(LensSpace(8, 1), 2, 2))
+v = iterated_verdict(IteratedCableParams(LensSpace(8, 1), (2, 2)))
 print(f"L(8,1), m = n = 2:")
 print(f"  norms: {v.norm_torus_side} (torus side) vs {v.norm_iterated} (cable side)")
 print(f"  theta(class {v.homology_class}) = {v.theta}")
@@ -26,13 +20,13 @@ print(f"  non-simplicity certified: {v.certified_nonsimple}")
 
 # Below the threshold the two norms genuinely differ and nothing is
 # certified; the cable side is strictly bigger here.
-v = iterated_verdict(CableParams(LensSpace(7, 1), 2, 2))
+v = iterated_verdict(IteratedCableParams(LensSpace(7, 1), (2, 2)))
 print(f"\nL(7,1), m = n = 2 (below threshold):")
 print(f"  norms: {v.norm_torus_side} vs {v.norm_iterated}, certified: {v.certified_minimizer}")
 
 # With q = m the minimizer certificate still holds but non-simplicity is
 # left open: the verdict never claims the knot IS simple.
-v = iterated_verdict(CableParams(LensSpace(17, 2), 2, 2))
+v = iterated_verdict(IteratedCableParams(LensSpace(17, 2), (2, 2)))
 print(f"\nL(17,2), m = n = 2 (q = m):")
 print(f"  norms equal: {v.norms_equal}, non-simplicity certified: {v.certified_nonsimple}")
 

@@ -21,8 +21,8 @@ __version__ = "0.1.0"
 #: Defining module of each public name.
 _EXPORTS = {
     "cables": (
-        "CableParams", "IteratedCableParams", "IteratedVerdict", "SurfaceCheck",
-        "explicit_surface_check", "iterated_summands", "iterated_verdict",
+        "IteratedCableParams", "IteratedVerdict", "SurfaceCheck", "explicit_surface_check",
+        "iterated_summands", "iterated_verdict",
     ),
     "complement": (
         "GenusReport", "WindingData", "boundary_kernel", "presentation_matrix",

@@ -9,7 +9,7 @@ threshold m_1^2 ... m_(k-1)^2 m_k the two values agree, certifying the
 knot as a genus minimizer.
 
 The (1,n)-cable of the (1,m)-torus knot is the two-level case ms = (m, n):
-``CableParams`` reads as one, and the one summand builder,
+``IteratedCableParams`` is the one input type, and the one summand builder,
 ``iterated_summands``, serves every depth.  Its pieces are the plain
 ``(base_euler, cone_orders, pairing)`` triples that ``graph_norm`` reads.
 For a cable that clears the threshold with q != m, the knot is provably not
@@ -26,7 +26,6 @@ from __future__ import annotations
 
 from collections import namedtuple
 from math import prod
-from operator import itemgetter
 from typing import TYPE_CHECKING
 
 from .complement import solid_torus_warnings, torus_knot_theta
@@ -38,27 +37,12 @@ if TYPE_CHECKING:
     from fractions import Fraction
 
 
-class CableParams(namedtuple("CableParams", "ambient m n")):
-    """The (1,n)-cable of the (1,m)-torus knot: m, n >= 2 and cone order p - qmn >= 1."""
-
-    __slots__ = ()
-
-    def __new__(cls, ambient: LensSpace, m: int, n: int) -> CableParams:
-        if m < 2 or n < 2:
-            raise DomainError("cable parameters require m, n >= 2")
-        cone = ambient.p - ambient.q * m * n
-        if cone < 1:
-            raise DomainError(f"hypothesis p - qmn >= 1 fails: p - qmn = {cone}")
-        return super().__new__(cls, ambient, m, n)
-
-    #: The cabling parameters (m, n), read as those of a two-level iterated cable.
-    ms = property(itemgetter(1, 2))
-
-
 class IteratedCableParams(namedtuple("IteratedCableParams", "ambient ms")):
     """Iterated cable C(1,m_k) o ... o C(1,m_2) o T(1,m_1): m_i >= 2, p - qW >= 1.
 
     W = m_1 ... m_k; since q >= 1 and W >= m_1, W < p and p - q m_1 >= 1 follow.
+    A cable is the case ms = (m, n).  Since every m_i >= 2, W >= 2^k, so a
+    depth k above p's bit length fails p - qW >= 1 before W is multiplied out.
     """
 
     __slots__ = ()
@@ -66,8 +50,10 @@ class IteratedCableParams(namedtuple("IteratedCableParams", "ambient ms")):
     def __new__(cls, ambient: LensSpace, ms: tuple[int, ...]) -> IteratedCableParams:
         if not ms:
             raise DomainError("need at least one cabling parameter")
-        if any(m < 2 for m in ms):
+        if min(ms) < 2:
             raise DomainError("all cabling parameters must be >= 2")
+        if len(ms) > ambient.p.bit_length():
+            raise DomainError(f"hypothesis p - qW >= 1 fails: W >= 2^{len(ms)} > p")
         cone = ambient.p - ambient.q * prod(ms)
         if cone < 1:
             raise DomainError(f"hypothesis p - qW >= 1 fails: p - qW = {cone}")
@@ -109,9 +95,7 @@ class SurfaceCheck(namedtuple(
         )
 
 
-def iterated_summands(
-    ic: IteratedCableParams | CableParams,
-) -> list[tuple[int, tuple[int, ...], int]]:
+def iterated_summands(ic: IteratedCableParams) -> list[tuple[int, tuple[int, ...], int]]:
     """Pieces of the iterated-cable decomposition, as ``graph_norm`` triples.
 
     With partial windings w_j = m_1 ... m_j and W = w_k, the innermost
@@ -132,7 +116,7 @@ def iterated_summands(
     return summands
 
 
-def iterated_verdict(ic: IteratedCableParams | CableParams) -> IteratedVerdict:
+def iterated_verdict(ic: IteratedCableParams) -> IteratedVerdict:
     """Compare the iterated-cable norm with the torus-knot norm of class W.
 
     Certification threshold: p >= q m_1^2 ... m_{k-1}^2 m_k, that is

@@ -172,18 +172,14 @@ def _theta_report(r: Any) -> dict:
             "warnings": warnings}
 
 
-def _norm_code(v: Any) -> int:
-    """Exit code of an ``IteratedVerdict``, a cable's included."""
-    if v.threshold_met and not v.norms_equal:
-        return EXIT_INCONSISTENT
-    return EXIT_OK if v.certified_minimizer else EXIT_UNCERTIFIED
-
-
-def _cable(p: int, q: int, m: int, n: int) -> tuple[Any, int]:
+def _iterated(p: int, q: int, *ms: int) -> tuple[Any, int]:
+    """The verdict and exit code of ``iterated``, and of ``cable`` as ms = (m, n)."""
     import lensgenus.cables as cables
 
-    v = cables.iterated_verdict(cables.CableParams(LensSpace(p, q), m, n))
-    return v, _norm_code(v)
+    v = cables.iterated_verdict(cables.IteratedCableParams(LensSpace(p, q), ms))
+    if v.threshold_met and not v.norms_equal:
+        return v, EXIT_INCONSISTENT
+    return v, EXIT_OK if v.certified_minimizer else EXIT_UNCERTIFIED
 
 
 def _cable_report(v: Any) -> dict:
@@ -207,13 +203,6 @@ def _cable_report(v: Any) -> dict:
         },
         "warnings": v.warnings,
     }
-
-
-def _iterated(p: int, q: int, *ms: int) -> tuple[Any, int]:
-    import lensgenus.cables as cables
-
-    v = cables.iterated_verdict(cables.IteratedCableParams(LensSpace(p, q), ms))
-    return v, _norm_code(v)
 
 
 def _iterated_report(v: Any) -> dict:
@@ -404,7 +393,7 @@ COMMANDS: dict[str, Command] = {
                            _simple_knot_report),
     "theta": Command("norm of a homology class via its torus knot", ("p", "q", "class"), _theta,
                      _theta_report),
-    "cable": Command("cable-knot minimizer verdict", ("p", "q", "m", "n"), _cable,
+    "cable": Command("cable-knot minimizer verdict", ("p", "q", "m", "n"), _iterated,
                      _cable_report, _cable_summary),
     "iterated": Command("iterated-cable minimizer verdict", ("p", "q", "ms"), _iterated,
                         _iterated_report, _iterated_summary),

@@ -1,5 +1,5 @@
 from fractions import Fraction
-from itertools import product
+from itertools import combinations_with_replacement, product
 from math import gcd, lcm, prod
 
 import pytest
@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from _oracles import cable_pieces_reference, graph_norm_reference
 from lensgenus import norm
 from lensgenus.cables import (
-    CableParams,
     IteratedCableParams,
     explicit_surface_check,
     iterated_summands,
@@ -22,18 +21,19 @@ from lensgenus.norm import graph_norm, orbifold_euler_parts
 
 
 def params(p, q, m, n):
-    return CableParams(LensSpace(p, q), m, n)
+    """The (1,n)-cable of the (1,m)-torus knot: the iterated cable ms = (m, n)."""
+    return IteratedCableParams(LensSpace(p, q), (m, n))
 
 
 # Each side of a cable norm comparison: the torus side from the one norm
 # route, the cable side from the plain-tuple reference, which shares no code
 # with the library's summands or its graph norm.
 def torus_side(c):
-    return torus_knot_theta(c.ambient, c.m * c.n).chi_minus
+    return torus_knot_theta(c.ambient, prod(c.ms)).chi_minus
 
 
 def cable_side(c):
-    return graph_norm_reference(cable_pieces_reference(c.ambient.p, c.ambient.q, c.m, c.n))[0]
+    return graph_norm_reference(cable_pieces_reference(c.ambient.p, c.ambient.q, *c.ms))[0]
 
 
 def iterated_norm(ic):
@@ -69,7 +69,7 @@ class TestTorusSideNorm:
 
     def test_undefined_piece(self):
         # p - qmn = 7 - 8 < 1: the torus-knot piece would have a cone order below 1.
-        with pytest.raises(DomainError, match="p - qmn = -1$"):
+        with pytest.raises(DomainError, match="p - qW = -1$"):
             params(7, 2, 2, 2)
 
 
@@ -106,7 +106,7 @@ class TestCableSideNorm:
 
     def test_undefined_piece(self):
         # p - qm = 5 - 6 < 1 as well: the constructor refuses it first.
-        with pytest.raises(DomainError, match="p - qmn = -7$"):
+        with pytest.raises(DomainError, match="p - qW = -7$"):
             params(5, 3, 2, 2)
 
 
@@ -164,12 +164,12 @@ class TestCableVerdict:
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
-            CableParams(LensSpace(8, 1), 1, 2)
+            IteratedCableParams(LensSpace(8, 1), (1, 2))
 
     def test_nonsimple_rule_by_depth(self):
         # Non-simplicity is certified only at depth 2, with a certified
-        # minimizer and q != m_1; a cable and its two-level iterated cable
-        # get the same verdict, and every other depth certifies nothing.
+        # minimizer and q != m_1, where the cable side is the plain-tuple
+        # reference's; every other depth certifies nothing.
         seen = set()
         for p, q in product(range(5, 120), range(1, 4)):
             if gcd(p, q) != 1 or p <= q:
@@ -182,8 +182,7 @@ class TestCableVerdict:
                 rule = v.certified_minimizer and len(ms) == 2 and q != ms[0]
                 assert v.certified_nonsimple == rule, (p, q, ms)
                 if len(ms) == 2:
-                    assert iterated_verdict(params(p, q, *ms)) == v._replace(
-                        params=params(p, q, *ms)), (p, q, ms)
+                    assert v.norm_iterated == cable_side(v.params), (p, q, ms)
                 seen.add((len(ms), v.certified_minimizer, v.certified_nonsimple))
         # Certified minimizers at every depth; non-simple ones only at depth 2.
         assert {(k, True) for k in (1, 2, 3)} <= {(k, c) for k, c, _ in seen}
@@ -335,6 +334,24 @@ class TestConstructorsAreTheDomain:
             return
         assert rule, (p, q, ms)
         iterated_verdict(ic)
+
+    def test_depth_rule_is_the_winding_rule(self):
+        # A depth above p's bit length is refused before W is multiplied out.
+        # The rules read ms only as a multiset, and over every one of 2s and
+        # 3s up to two levels deeper than that, the constructor admits
+        # exactly the points with p - qW >= 1.
+        for p in range(2, 64):
+            for q in (q for q in range(1, p) if gcd(p, q) == 1):
+                space = LensSpace(p, q)
+                for k in range(1, p.bit_length() + 3):
+                    for ms in combinations_with_replacement((2, 3), k):
+                        rule = p - q * prod(ms) >= 1
+                        try:
+                            IteratedCableParams(space, ms)
+                        except DomainError:
+                            assert not rule, (p, q, ms)
+                        else:
+                            assert rule, (p, q, ms)
 
 
 class TestExplicitSurfaceCheck:

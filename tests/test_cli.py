@@ -14,7 +14,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from lensgenus import cables, cli, complement, exactarith, stabilization, twistfamily
-from lensgenus.cables import CableParams, IteratedCableParams
+from lensgenus.cables import IteratedCableParams
 from lensgenus.cli import canonical_json, main
 from lensgenus.complement import WindingData
 from lensgenus.errors import ConsistencyError, DomainError
@@ -427,14 +427,14 @@ class TestSweep:
         "build",
         [
             lambda: LensSpace(4, 2),
-            lambda: CableParams(LensSpace(8, 1), 1, 2),
+            lambda: IteratedCableParams(LensSpace(8, 1), (1, 2)),
             lambda: IteratedCableParams(LensSpace(8, 1), (2, 4)),
             lambda: WindingData(LensSpace(8, 1), -1),
             lambda: StabFamily(LensSpace(9, 1), 1),
             lambda: TwistParams(1, 1, 0),
-            # p - qmn < 1, and p - qW < 1: the pieces' cone orders.
-            lambda: CableParams(LensSpace(7, 2), 2, 2),
-            lambda: CableParams(LensSpace(5, 2), 3, 2),
+            # p - qW < 1, a cable's W = mn included: the pieces' cone orders.
+            lambda: IteratedCableParams(LensSpace(7, 2), (2, 2)),
+            lambda: IteratedCableParams(LensSpace(5, 2), (3, 2)),
             lambda: IteratedCableParams(LensSpace(7, 3), (3, 2)),
         ],
     )
@@ -461,7 +461,7 @@ class TestSweep:
             (["boundary-kernel", "--p", "5:6", "--q", "6:7", "--w", "0:3"],
              "error: need p > q >= 1, got (p, q) = (5, 6)\n"),
             (["cable", "--p", "7:7", "--q", "2:2", "--m", "2:2", "--n", "2:2"],
-             "hypothesis p - qmn >= 1 fails: p - qmn = -1"),
+             "hypothesis p - qW >= 1 fails: p - qW = -1"),
             (["iterated", "--p", "8:8", "--q", "1:1", "--ms", "3,3"],
              "hypothesis p - qW >= 1 fails: p - qW = -1"),
         ],
@@ -846,7 +846,7 @@ def doubled_kernel(real, point):
 
 def cable_certifies(p, q, m, n):
     """Whether the library certifies the cable at (p, q, m, n) a minimizer or non-simple."""
-    v = cables.iterated_verdict(CableParams(LensSpace(p, q), m, n))
+    v = cables.iterated_verdict(IteratedCableParams(LensSpace(p, q), (m, n)))
     return v.certified_minimizer or v.certified_nonsimple
 
 
@@ -1176,7 +1176,7 @@ def default_digit_limit():
 
 
 #: Every single command and sweep target with the integer X, and its exit code.
-#: The cable with m = n = X is refused: p - qmn < 1, a message with a huge number.
+#: The cable with m = n = X is refused: p - qW < 1, a message with a huge number.
 HUGE_INTEGER_CASES = [
     ("simple-knot --p X --q 1 --class 5", 0),
     ("theta --p X --q 1 --class 5", 0),
@@ -1213,10 +1213,26 @@ class TestIntegersOfAnySize:
                                       ["sweep", "iterated", "--p", "100:100", "--q", "1:1"]],
                              ids=["single", "sweep"])
     def test_long_ms_list_is_invalid_input(self, capsys, argv):
-        # 20,000 levels of m = 2 give W = 2^20000, so p - qW has 6,021 digits.
+        # 20,000 levels of m = 2 give W >= 2^20000, far above p: the depth
+        # alone refuses the point, and W is never multiplied out.
         code, out, err = run(capsys, *argv, "--ms", ",".join(["2"] * 20_000))
         assert (code, out) == (1, "")
-        assert err.startswith("error: ") and len(err) > 6_021
+        assert err == "error: hypothesis p - qW >= 1 fails: W >= 2^20000 > p\n"
+
+    @pytest.mark.parametrize("argv, depth", [(["iterated", "--p", "9", "--q", "1"], 5),
+                                             (["sweep", "iterated", "--p", "9:400", "--q", "1:1"],
+                                              60_000)],
+                             ids=["single", "sweep"])
+    def test_deep_ms_list_is_refused_before_its_product(self, capsys, monkeypatch, argv, depth):
+        # Five levels exceed the 4 bits of p = 9, and 60,000 those of any
+        # p <= 400, so no point multiplies its levels out.
+        def no_product(factors):
+            raise AssertionError("W multiplied out")
+
+        monkeypatch.setattr(cables, "prod", no_product)
+        code, out, err = run(capsys, *argv, "--ms", ",".join(["2"] * depth))
+        assert (code, out) == (1, "")
+        assert err == f"error: hypothesis p - qW >= 1 fails: W >= 2^{depth} > p\n"
 
 
 class TestThetaEdgeCases:
@@ -1320,22 +1336,23 @@ class TestThetaEdgeCases:
 
 class TestCableIsATwoLevelIteratedCable:
     def test_same_results_and_warnings(self):
-        # cable (m, n) and iterated --ms m,n are one knot: they agree on the
-        # exit code, every result field both report, and the warnings, also
-        # where p - qmn = 1 makes the torus-knot complement a solid torus.
+        # cable (m, n) and iterated --ms m,n are one knot: cable's flags
+        # (p, q, m, n) reach iterated's evaluator as ms = (m, n), and the two
+        # report halves agree on every result field both report and on the
+        # warnings, also where p - qmn = 1 makes the torus-knot complement a
+        # solid torus.
         cable, iterated = cli.COMMANDS["cable"], cli.COMMANDS["iterated"]
+        assert cable.evaluate is iterated.evaluate
         solid_torus = 0
         for point in product(range(5, 80), range(1, 4), range(2, 4), range(2, 5)):
             try:
-                one, code = cable.evaluate(*point)
-            except DomainError:  # outside the family, for both commands
+                verdict, _ = cable.evaluate(*point)
+            except DomainError:  # outside the family
                 continue
-            two, code_two = iterated.evaluate(*point)
-            one, two = cable.report(one), iterated.report(two)
+            one, two = cable.report(verdict), iterated.report(verdict)
             shared = one["results"].keys() & two["results"].keys()
             assert shared == {"norm_torus_side", "norms_equal", "homology_class", "theta",
                               "threshold_met"}
-            assert code == code_two, point
             assert {k: one["results"][k] for k in shared} == {
                 k: two["results"][k] for k in shared}, point
             assert one["warnings"] == two["warnings"], point

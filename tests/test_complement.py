@@ -12,7 +12,7 @@ from _oracles import (
     smith_normal_form,
 )
 from lensgenus import cables, stabilization
-from lensgenus.cables import CableParams, IteratedCableParams
+from lensgenus.cables import IteratedCableParams
 from lensgenus.complement import (
     WindingData,
     boundary_kernel,
@@ -161,37 +161,39 @@ class TestTorusKnotRoute:
         # Every cable, iterated and stab point with p < 40: the verdict's
         # theta is the route's, and it warns exactly when the route or its
         # own decomposition dropped a solid torus (stab has no warnings, and
-        # its route never drops one).
+        # its route never drops one).  A cable is the iterated cable
+        # ms = (m, n), whose own pieces are read from the plain-tuple
+        # reference, which shares no code with the library.
         def points(space):
             for m in range(2, 7):
                 for n in range(2, 7):
-                    yield CableParams, (space, m, n)
+                    yield "cable", IteratedCableParams, (space, (m, n))
             for ms in [(2,), (3,), (2, 2), (2, 3), (3, 2), (2, 4), (2, 2, 2)]:
-                yield IteratedCableParams, (space, ms)
+                yield "iterated", IteratedCableParams, (space, ms)
             for k in range(1, 5):
-                yield StabFamily, (space, k)
+                yield "stab", StabFamily, (space, k)
 
         warned = set()
         for p in range(2, 40):
             for q in (q for q in range(1, p) if gcd(p, q) == 1):
                 space = LensSpace(p, q)
-                for family, args in points(space):
+                for family, build, args in points(space):
                     try:
-                        params = family(*args)
+                        params = build(*args)
                     except DomainError:
                         continue
-                    if family is StabFamily:
+                    if family == "stab":
                         v = stabilization.stab_verdict(params)
                         route = torus_knot_theta(space, params.k + 4)
                         assert (v.theta, v.torus_chi, route.dropped) == (
                             route.theta, route.chi_minus, 0), args
                         continue
                     v = cables.iterated_verdict(params)
-                    if family is CableParams:
-                        k, own = params.m * params.n, cable_pieces_reference(p, q, *args[1:])
+                    if family == "cable":
+                        own = cable_pieces_reference(p, q, *params.ms)
                     else:
-                        k, own = prod(params.ms), cables.iterated_summands(params)
-                    route = torus_knot_theta(space, k)
+                        own = cables.iterated_summands(params)
+                    route = torus_knot_theta(space, prod(params.ms))
                     dropped = route.dropped + graph_norm_reference(own)[2]
                     assert (v.theta, v.norm_torus_side) == (route.theta, route.chi_minus), args
                     assert bool(v.warnings) == (dropped > 0), args

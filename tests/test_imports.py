@@ -212,10 +212,15 @@ def calls_to(tree: ast.AST, name: str) -> list[ast.Call]:
             and getattr(node.func, "id", getattr(node.func, "attr", None)) == name]
 
 
+#: A second cable route's names: its own pieces, verdict or input type.
+GONE_CABLE_NAMES = {"cable_side_summands", "cable_verdict", "CableVerdict", "CableParams"}
+
+
 def test_one_cable_route():
     # cables.iterated_summands is the one function that builds a cable's
     # pieces, at every depth: a cable is the two-level case, so a norm of
-    # other pieces, or a verdict of its own, would compute the same norm twice.
+    # other pieces, or a verdict or input type of its own, would compute the
+    # same norm twice.
     path = SRC / "lensgenus" / "cables.py"
     tree = ast.parse(path.read_text(), str(path))
     norms = calls_to(tree, "graph_norm")
@@ -225,8 +230,8 @@ def test_one_cable_route():
         assert calls_to(call.args[0], "iterated_summands") == [call.args[0]], call.lineno
     for library in LIBRARY:
         names = names_used(ast.parse(library.read_text(), str(library)))
-        assert names & {"cable_side_summands", "cable_verdict", "CableVerdict"} == set(), library
-    assert not {"cable_side_summands", "cable_verdict", "CableVerdict"} & set(lensgenus.__all__)
+        assert names & GONE_CABLE_NAMES == set(), library
+    assert not GONE_CABLE_NAMES & set(lensgenus.__all__)
 
 
 def test_norm_pieces_are_plain_triples():

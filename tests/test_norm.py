@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lensgenus.cables import CableParams, IteratedCableParams, iterated_summands, iterated_verdict
+from lensgenus.cables import IteratedCableParams, iterated_summands, iterated_verdict
 from lensgenus.complement import torus_fiber_summand, torus_knot_theta
 from lensgenus.errors import DomainError
 from lensgenus.lens import LensSpace
@@ -255,7 +255,7 @@ class TestNoFloats:
                 lambda p, q, k: torus_knot_theta(LensSpace(p, q), k), ps, qs, range(1, 40),
             ),
             "cable": admissible(
-                lambda p, q, m, n: iterated_verdict(CableParams(LensSpace(p, q), m, n)),
+                lambda p, q, m, n: iterated_verdict(IteratedCableParams(LensSpace(p, q), (m, n))),
                 ps, qs, (2, 3), (2, 3),
             ),
             "iterated": admissible(

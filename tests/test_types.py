@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import pytest
 
-from lensgenus.cables import CableParams, IteratedCableParams
+from lensgenus.cables import IteratedCableParams
 from lensgenus.complement import WindingData
 from lensgenus.errors import DomainError
 from lensgenus.exactarith import AbelianGroup, IntMatrix
@@ -24,7 +24,7 @@ A, B = LinkComponent("a", Fraction(1)), LinkComponent("b", None)
 VALID = [
     (LensSpace, (7, 2)),
     (H1Class, (3, L72)),
-    (CableParams, (LensSpace(13, 2), 2, 3)),
+    (IteratedCableParams, (LensSpace(13, 2), (2, 3))),
     (IteratedCableParams, (LensSpace(40, 1), (2, 3))),
     (StabFamily, (LensSpace(20, 1), 1)),
     (TwistParams, (1, 1, 1)),
@@ -41,10 +41,9 @@ INVALID = [
     (LensSpace, (6, 2), DomainError, "coprime"),
     (H1Class, (7, L72), DomainError, r"outside \[0, 6\]"),
     (H1Class, (-1, L72), DomainError, "outside"),
-    (CableParams, (L72, 1, 3), DomainError, "m, n >= 2"),
-    (CableParams, (L72, 2, 1), DomainError, "m, n >= 2"),
     (IteratedCableParams, (L72, ()), DomainError, "at least one"),
-    (IteratedCableParams, (L72, (2, 1)), DomainError, ">= 2"),
+    (IteratedCableParams, (L72, (1, 3)), DomainError, "^all cabling parameters must be >= 2$"),
+    (IteratedCableParams, (L72, (2, 1)), DomainError, "^all cabling parameters must be >= 2$"),
     (IteratedCableParams, (LensSpace(40, 1), (5, 8)), DomainError,
      r"hypothesis p - qW >= 1 fails: p - qW = 0$"),
     (StabFamily, (LensSpace(20, 1), 0), DomainError, "k must be >= 1"),
@@ -63,11 +62,20 @@ INVALID = [
     (AbelianGroup, (-1, ()), ValueError, "negative free rank"),
     (AbelianGroup, (0, (1,)), ValueError, "coefficient 1 < 2"),
     (AbelianGroup, (0, (2, 3)), ValueError, "2 does not divide 3"),
-    (CableParams, (L72, 2, 3), DomainError, r"hypothesis p - qmn >= 1 fails: p - qmn = -5$"),
+    (IteratedCableParams, (L72, (2, 3)), DomainError,
+     r"^hypothesis p - qW >= 1 fails: p - qW = -5$"),
+    (IteratedCableParams, (L72, (2, 2, 2, 2)), DomainError,
+     r"^hypothesis p - qW >= 1 fails: W >= 2\^4 > p$"),
 ]
 
 
-@pytest.mark.parametrize("cls, args", VALID, ids=[c.__name__ for c, _ in VALID])
+#: Each case is named by its type and arguments, which are unique where a type
+#: repeats, so adding or deleting a row renames no other case.
+VALID_IDS = [f"{c.__name__}{args}".replace(" ", "") for c, args in VALID]
+INVALID_IDS = [f"{c.__name__}{args}".replace(" ", "") for c, args, *_ in INVALID]
+
+
+@pytest.mark.parametrize("cls, args", VALID, ids=VALID_IDS)
 def test_refuses_attribute_assignment(cls, args):
     obj = cls(*args)
     assert tuple(obj) == args
@@ -79,11 +87,6 @@ def test_refuses_attribute_assignment(cls, args):
     assert tuple(obj) == args
 
 
-#: Each case is named by its type and bad arguments, which are unique where the
-#: message patterns repeat, so adding or deleting a row renames no other case.
-INVALID_IDS = [f"{c.__name__}{args}".replace(" ", "") for c, args, *_ in INVALID]
-
-
 @pytest.mark.parametrize("cls, args, error, match", INVALID, ids=INVALID_IDS)
 def test_bad_value_raises_its_error(cls, args, error, match):
     with pytest.raises(ValueError, match=match) as info:
@@ -93,4 +96,5 @@ def test_bad_value_raises_its_error(cls, args, error, match):
 
 def test_every_checked_type_has_valid_and_invalid_cases():
     assert {cls for cls, _ in VALID} == {cls for cls, *_ in INVALID}
+    assert len(set(VALID_IDS)) == len(VALID_IDS)
     assert len(set(INVALID_IDS)) == len(INVALID_IDS)
