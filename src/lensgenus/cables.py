@@ -34,6 +34,7 @@ from .lens import LensSpace
 from .norm import graph_norm
 
 if TYPE_CHECKING:
+    from collections.abc import Sequence
     from fractions import Fraction
 
 
@@ -47,7 +48,9 @@ class IteratedCableParams(namedtuple("IteratedCableParams", "ambient ms")):
 
     __slots__ = ()
 
-    def __new__(cls, ambient: LensSpace, ms: tuple[int, ...]) -> IteratedCableParams:
+    def __new__(cls, ambient: LensSpace, ms: Sequence[int]) -> IteratedCableParams:
+        # A tuple of its own, so no caller can change ms once it is checked.
+        ms = tuple(ms)
         if not ms:
             raise DomainError("need at least one cabling parameter")
         if min(ms) < 2:

@@ -21,7 +21,9 @@ from functools import partial, reduce
 from itertools import groupby, islice, product
 from math import prod
 from operator import itemgetter
-from typing import TYPE_CHECKING, Any, BinaryIO, Callable, Iterable, Iterator, NamedTuple, NoReturn
+from typing import (
+    TYPE_CHECKING, Any, BinaryIO, Callable, Iterable, Iterator, NamedTuple, NoReturn, Sequence,
+)
 
 from .errors import ConsistencyError, DomainError
 from .lens import H1Class, LensSpace
@@ -172,7 +174,7 @@ def _theta_report(r: Any) -> dict:
             "warnings": warnings}
 
 
-def _iterated(p: int, q: int, *ms: int) -> tuple[Any, int]:
+def _iterated(p: int, q: int, ms: Sequence[int]) -> tuple[Any, int]:
     """The verdict and exit code of ``iterated``, and of ``cable`` as ms = (m, n)."""
     import lensgenus.cables as cables
 
@@ -313,20 +315,21 @@ def _boundary_kernel(p: int, q: int, w: int) -> tuple[tuple, int]:
     # The verdict is the closed form, the presentation and the oracle's kernel.
     data = complement.WindingData(LensSpace(p, q), w)
     closed = complement.boundary_kernel(data)
-    mat = complement.presentation_matrix(data)
-    found = exactarith.peripheral_kernel(mat, 0, 1)
-    return (closed, mat, found), EXIT_OK if found == tuple(closed) else EXIT_INCONSISTENT
+    rows = complement.presentation_matrix(data)
+    found = exactarith.peripheral_kernel(rows, 0, 1)
+    # A PeripheralClass is a tuple, so it compares with the oracle's pair as is.
+    return (closed, rows, found), EXIT_OK if found == closed else EXIT_INCONSISTENT
 
 
 def _boundary_kernel_report(verdict: tuple) -> dict:
-    closed, mat, found = verdict
+    closed, rows, found = verdict
     results = {"mu_coeff": closed.mu_coeff, "lambda_coeff": closed.lambda_coeff,
                "oracle_mu_coeff": found[0], "oracle_lambda_coeff": found[1],
-               "presentation_rows": mat.to_lists()}
+               "presentation_rows": [list(r) for r in rows]}
     # The criterion text is part of the canonical output, so it stays as it
     # is; the oracle cuts the presentation's row lattice with the (mu, lambda)
     # plane and runs no Smith form.
-    agreement = {"holds": found == tuple(closed),
+    agreement = {"holds": found == closed,
                  "criterion": "closed form equals the Smith-normal-form kernel of "
                  "the presentation matrix"}
     return {"results": results, "certifications": {"oracle_agreement": agreement}}
@@ -378,7 +381,7 @@ def _passed_summary(passed: str, verdicts: Iterator[Any], mismatches: list[dict]
 
 class Command(NamedTuple):
     help: str
-    #: Flags in evaluator order; a list flag passes one argument per entry.
+    #: Flags in evaluator order; a list flag passes its whole list as one argument.
     flags: tuple[str, ...]
     evaluate: Callable[..., tuple[Any, int]]
     #: Report half: a verdict in, the sections of its envelope out; every
@@ -393,8 +396,8 @@ COMMANDS: dict[str, Command] = {
                            _simple_knot_report),
     "theta": Command("norm of a homology class via its torus knot", ("p", "q", "class"), _theta,
                      _theta_report),
-    "cable": Command("cable-knot minimizer verdict", ("p", "q", "m", "n"), _iterated,
-                     _cable_report, _cable_summary),
+    "cable": Command("cable-knot minimizer verdict", ("p", "q", "m", "n"),
+                     lambda p, q, m, n: _iterated(p, q, (m, n)), _cable_report, _cable_summary),
     "iterated": Command("iterated-cable minimizer verdict", ("p", "q", "ms"), _iterated,
                         _iterated_report, _iterated_summary),
     "stab": Command("stabilized-braid minimizer verdict", ("p", "q", "k"), _stab,
@@ -429,10 +432,7 @@ def _run_command(name: str, args: dict[str, Any]) -> tuple[dict, int]:
     """The envelope of one single command; a failed cross-check is an internal failure."""
     cmd = COMMANDS[name]
     inputs = {flag: args[flag] for flag in cmd.flags}
-    values: list[int] = []
-    for flag, value in inputs.items():
-        values += value if flag in _LIST_FLAGS else [value]
-    verdict, code = cmd.evaluate(*values)
+    verdict, code = cmd.evaluate(*inputs.values())
     sections = cmd.report(verdict)
     inputs.update(sections.pop("inputs", {}))
     env = envelope(name, inputs, **sections)
@@ -475,7 +475,15 @@ def _admitted_blocks(points: Iterator[tuple[int, ...]]) -> Iterator[tuple[int, .
         yield from block
 
 
-def _sweep_slab(target: str, axes: list[range], span: range) -> dict:
+def _params(flags: tuple[str, ...], point: tuple) -> list[int]:
+    """A point's ``params`` record: its coordinates, a list flag's entries in line."""
+    params: list[int] = []
+    for flag, value in zip(flags, point):
+        params += value if flag in _LIST_FLAGS else [value]
+    return params
+
+
+def _sweep_slab(target: str, axes: list[Sequence], span: range) -> dict:
     """The summary ``results`` of the grid points with indices in ``span``.
 
     A point is skipped when its family rejects it (``DomainError``).  For a
@@ -483,11 +491,12 @@ def _sweep_slab(target: str, axes: list[range], span: range) -> dict:
     ``LensSpace(p, q)`` before anything else, so a ``(p, q)`` that it
     rejects is skipped once for its whole block of points, and the
     evaluator never sees it; the output is the same.  A block of one point
-    (``iterated``, whose other axes are pinned) is left to its evaluator,
-    which makes the same check at no extra cost.  Only a mismatch
-    (EXIT_INCONSISTENT) runs the report half: its record is ``params`` plus
-    the single command's results.  Skipping to the slab's start walks
-    ``product`` in C, far cheaper than evaluating the points skipped.
+    (``iterated``, whose one other axis is its list) is left to its
+    evaluator, which makes the same check at no extra cost.  Only a mismatch
+    (EXIT_INCONSISTENT) runs the report half: its record is ``params``, the
+    point with a list's entries in line, plus the single command's results.
+    Skipping to the slab's start walks ``product`` in C, far cheaper than
+    evaluating the points skipped.
     """
     cmd = COMMANDS[target]
     mismatches: list[dict] = []
@@ -502,7 +511,8 @@ def _sweep_slab(target: str, axes: list[range], span: range) -> dict:
             except DomainError:
                 continue
             if code == EXIT_INCONSISTENT:
-                mismatches.append({"params": list(point), **cmd.report(verdict)["results"]})
+                mismatches.append({"params": _params(cmd.flags, point),
+                                   **cmd.report(verdict)["results"]})
             yield verdict
 
     return cmd.summary(verdicts(), mismatches)
@@ -588,19 +598,20 @@ def cmd_sweep(target: str, args: dict[str, Any]) -> tuple[dict, int]:
         raise DomainError(f"--jobs must be >= 1, got {args['jobs']}")
     cmd = COMMANDS[target]
     inputs: dict[str, Any] = {"target": target}
-    axes: list[range] = []
+    axes: list[Sequence] = []
     for flag in cmd.flags:
         value = args[flag]
         if flag in _LIST_FLAGS:
-            # A list pins one single-valued axis per entry.
-            axes += [range(v, v + 1) for v in value]
+            # A list is the one value of its axis, so a point carries it whole.
+            axes.append((tuple(value),))
         else:
             # A range spans one axis, and echoes as parsed, not as typed.
             axes.append(_parse_range(value, flag))
             value = f"{axes[-1].start}:{axes[-1].stop - 1}"
         inputs[flag] = value
-    # stop - start, since len() of a range beyond sys.maxsize overflows.
-    size = prod(axis.stop - axis.start for axis in axes)
+    # stop - start, since len() of a range beyond sys.maxsize overflows; a
+    # list's axis has one value.
+    size = prod(axis.stop - axis.start for axis in axes if isinstance(axis, range))
     if size > MAX_GRID_POINTS:
         raise DomainError(
             f"grid has {size:,} candidate points, above the ceiling of {MAX_GRID_POINTS:,}; "

@@ -22,7 +22,6 @@ from math import gcd
 from typing import TYPE_CHECKING
 
 from .errors import DomainError
-from .exactarith import IntMatrix
 from .lens import LensSpace
 from .norm import PeripheralClass, graph_norm
 
@@ -76,18 +75,19 @@ def boundary_kernel(data: WindingData) -> PeripheralClass:
     return PeripheralClass(mu_coeff=w * w * q // d, lambda_coeff=p // d)
 
 
-def presentation_matrix(data: WindingData) -> IntMatrix:
-    """Presentation of H1 of the complement over generators (mu, lambda, M, L).
+def presentation_matrix(data: WindingData) -> tuple[tuple[int, int, int, int], ...]:
+    """Presentation of H1 of the complement over generators (mu, lambda, M, L), as rows.
 
     Rows: the longitude is w times the other core's meridian, the knot wraps
-    w times around that core, and the surgery relation p*M + q*L = 0.
+    w times around that core, and the surgery relation p*M + q*L = 0.  They
+    are plain tuples, the input ``exactarith.peripheral_kernel`` reads.
     """
     p, q, w = data.ambient.p, data.ambient.q, data.w
-    return IntMatrix(3, 4, (
-        w, 0, 0, -1,
-        0, 1, -w, 0,
-        0, 0, p, q,
-    ))
+    return (
+        (w, 0, 0, -1),
+        (0, 1, -w, 0),
+        (0, 0, p, q),
+    )
 
 
 def torus_fiber_summand(space: LensSpace, k: int) -> tuple[int, tuple[int, int], int]:

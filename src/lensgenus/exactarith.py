@@ -9,16 +9,23 @@ space of the presentation, cut by the (mu, lambda) coordinate plane.  Its
 answer is the normalized generator of a rank-1 lattice in Z^2, so no pivot
 rule shows in it.
 
-Inputs are validated as ``IntMatrix`` at the public functions; the
-reduction itself runs on plain lists.  No Smith normal form lives here:
-the test suite keeps one as the independent oracle of both uses of the fold.
+Both work on plain integer rows, tuples or lists: ``peripheral_kernel``
+checks their shape once and folds them as given, with no copy.  The
+library builds no ``IntMatrix``; the type stays for the test suite's Smith
+form and for the benchmark's count of matrices built.  No Smith normal
+form lives here: the test suite keeps one as the independent oracle of both
+uses of the fold.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
+from collections.abc import Iterable, Sequence
 from itertools import repeat
 from math import gcd
+from operator import itemgetter
+
+_TRIVIAL = "peripheral kernel is not cyclic of rank 1 (trivial)"
 
 
 class IntMatrix(namedtuple("IntMatrix", "rows cols entries")):
@@ -95,30 +102,32 @@ class AbelianGroup(namedtuple("AbelianGroup", "free_rank torsion")):
         return " + ".join(parts) if parts else "0"
 
 
-def _lattice_generator(pairs: list[tuple[int, int]]) -> tuple[int, int] | None:
+def _lattice_generator(pairs: Iterable[tuple[int, int]]) -> tuple[int, int] | None:
     """Generator of the rank-1 lattice spanned by ``pairs`` in Z^2.
 
     Returns None when every pair is zero; raises when the span has rank 2.
+    One pass: the first nonzero pair fixes the primitive direction, and each
+    later pair must lie on it; the generator is that direction times the
+    gcd of every pair's multiple of it.
     """
-    nonzero = [p for p in pairs if p != (0, 0)]
-    if not nonzero:
+    pairs = iter(pairs)
+    for x0, y0 in pairs:
+        if x0 or y0:
+            break
+    else:
         return None
-    x0, y0 = nonzero[0]
-    for x, y in nonzero[1:]:
-        if x0 * y - y0 * x != 0:
+    c = gcd(x0, y0)
+    dx, dy = x0 // c, y0 // c
+    for x, y in pairs:
+        if x0 * y != y0 * x:
             raise ValueError("lattice has rank 2")
-    g = gcd(x0, y0)
-    dx, dy = x0 // g, y0 // g
-    mults = [x // dx if dx else y // dy for x, y in nonzero]
-    c = 0
-    for mlt in mults:
-        c = gcd(c, mlt)
+        c = gcd(c, x // dx if dx else y // dy)
     return c * dx, c * dy
 
 
 def fold_columns(
-    rows: list[list[int]], cols: list[int], pivots: bool = True
-) -> tuple[list[list[int] | None], list[list[int]]]:
+    rows: Sequence[Sequence[int]], cols: Iterable[int], pivots: bool = True
+) -> tuple[list[Sequence[int] | None], list[Sequence[int]]]:
     """Clear ``cols`` of ``rows`` in turn: the pivot rows set aside, and the rows left.
 
     For each column the rows nonzero there are folded into one pivot row,
@@ -128,64 +137,87 @@ def fold_columns(
     column's gcd there up to sign and is zero in the columns cleared before
     it; a zero column sets aside None.  With ``pivots`` False no pivot is
     kept and the last step of each column, which only forms it, is skipped.
+    The rows may be tuples or lists and are never changed: a row no step
+    touches is passed on as given, and every row a step makes is a list.
     """
-    set_aside: list[list[int] | None] = []
+    set_aside: list[Sequence[int] | None] = []
     for j in cols:
-        hits = [r for r in rows if r[j]]
+        hits: list[Sequence[int]] = []
+        rest: list[Sequence[int]] = []
+        for row in rows:
+            if row[j]:
+                hits.append(row)
+            else:
+                rest.append(row)
+        rows = rest
         if not hits:
             if pivots:
                 set_aside.append(None)
             continue
-        rows = [r for r in rows if not r[j]]
-        top = hits[0]
-        for k, row in enumerate(hits[1:], 2):
+        hits_left = iter(hits)
+        top = next(hits_left)
+        t = top[j]
+        steps_left = len(hits) - 1
+        for row in hits_left:
+            steps_left -= 1
             # With t*s + e*c = g = gcd(t, e), the step [[s, c], [e/g, -t/g]]
             # has determinant -1: the new pivot holds g at j, the other row 0.
-            t, e = top[j], row[j]
+            e = row[j]
             g = gcd(t, e)
             x, y = e // g, t // g
             rows.append([x * u - y * v for u, v in zip(top, row)])
-            if pivots or k < len(hits):
+            if pivots or steps_left:
                 s = pow(y, -1, abs(x))
                 c = (g - s * t) // e
                 top = [s * u + c * v for u, v in zip(top, row)]
+                t = g
         if pivots:
             set_aside.append(top)
     return set_aside, rows
 
 
-def peripheral_kernel(a: IntMatrix, mu_col: int, lambda_col: int) -> tuple[int, int]:
-    """Generator of the kernel of Z^2 -> coker(a), (1,0) -> [mu], (0,1) -> [lambda].
+def peripheral_kernel(
+    rows: Sequence[Sequence[int]], mu_col: int, lambda_col: int
+) -> tuple[int, int]:
+    """Generator of the kernel of Z^2 -> coker(rows), (1,0) -> [mu], (0,1) -> [lambda].
 
-    (x, y) dies exactly when x*e_mu + y*e_lambda lies in the row space of
-    ``a``, so the kernel is that lattice cut by the (mu, lambda) plane.
-    Each other column is cleared in turn by ``fold_columns``, and its
-    pivot row is set aside: the other rows are zero in that column, so a
-    combination that vanishes there leaves the pivot out.  The rows left
-    are zero off (mu, lambda), and their (mu, lambda) entries span the
-    kernel.  This reads only the presentation, independent of any
-    closed-form answer, so it can serve as an oracle.  The generator is
-    normalized to have y >= 0, and x >= 0 when y = 0.
+    ``rows`` is the presentation, one integer row per relation, all of one
+    length: a tuple of tuples or a list of lists.  (x, y) dies exactly when
+    x*e_mu + y*e_lambda lies in the row space, so the kernel is that
+    lattice cut by the (mu, lambda) plane.  Each other column is cleared
+    in turn by ``fold_columns``, and its pivot row is set aside: the other
+    rows are zero in that column, so a combination that vanishes there
+    leaves the pivot out.  The rows left are zero off (mu, lambda), and
+    their (mu, lambda) entries span the kernel.  This reads only the
+    presentation, independent of any closed-form answer, so it can serve
+    as an oracle.  The generator is normalized to have y >= 0, and x >= 0
+    when y = 0.
 
-    Raises ValueError when the kernel is not infinite cyclic, which signals
-    a malformed presentation.
+    Raises ValueError when the rows are ragged or a column is out of range,
+    and when the kernel is not infinite cyclic, which signals a malformed
+    presentation; no relation at all leaves the kernel trivial.
     """
-    if not (0 <= mu_col < a.cols and 0 <= lambda_col < a.cols):
+    if not rows:
+        raise ValueError(_TRIVIAL)
+    if len(set(map(len, rows))) != 1:
+        raise ValueError("ragged rows")
+    ncols = len(rows[0])
+    if not (0 <= mu_col < ncols and 0 <= lambda_col < ncols):
         raise ValueError("mu/lambda column out of range")
     if mu_col == lambda_col:
         raise ValueError("mu and lambda columns must differ")
 
-    others = list(range(a.cols))
+    others = list(range(ncols))
     others.remove(mu_col)
     others.remove(lambda_col)
     # The pivots are only set aside, so they are never formed.
-    _, rows = fold_columns(a.to_lists(), others, pivots=False)
+    _, rows = fold_columns(rows, others, pivots=False)
     try:
-        generator = _lattice_generator([(r[mu_col], r[lambda_col]) for r in rows])
+        generator = _lattice_generator(map(itemgetter(mu_col, lambda_col), rows))
     except ValueError:
         raise ValueError("peripheral kernel is not cyclic of rank 1 (rank 2)")
     if generator is None:
-        raise ValueError("peripheral kernel is not cyclic of rank 1 (trivial)")
+        raise ValueError(_TRIVIAL)
     x, y = generator
     if y < 0 or (y == 0 and x < 0):
         x, y = -x, -y

@@ -276,6 +276,16 @@ class TestIteratedCables:
         with pytest.raises(DomainError, match="hypothesis p - qW >= 1 fails: p - qW = -1$"):
             IteratedCableParams(LensSpace(8, 1), (3, 3))
 
+    def test_keeps_no_caller_list(self):
+        # The rules hold for the ms that was checked: a caller's list, changed
+        # afterwards, once left W = 12 > p and a verdict that raised.
+        ms = [2, 2]
+        ic = IteratedCableParams(LensSpace(8, 1), ms)
+        ms.append(3)
+        assert ic.ms == (2, 2)
+        assert iterated_verdict(ic) == iterated_verdict(
+            IteratedCableParams(LensSpace(8, 1), (2, 2)))
+
     def test_norm_denominator_divides_cone_lcm(self):
         for p, q, ms in [(32, 1, (2, 2, 2)), (50, 1, (2, 3)), (100, 3, (2, 2))]:
             ic = IteratedCableParams(LensSpace(p, q), ms)

@@ -23,6 +23,11 @@ from lensgenus.stabilization import StabFamily
 from lensgenus.twistfamily import TwistParams
 
 
+def flat(point):
+    """A sweep point's coordinates as its ``params`` record lists them: a list's entries in line."""
+    return [v for x in point for v in (x if isinstance(x, tuple) else (x,))]
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
@@ -475,10 +480,10 @@ class TestSweep:
     def test_failed_cross_check_is_not_skipped(self, capsys, monkeypatch):
         real = exactarith.peripheral_kernel
 
-        def rank_two_at_w2(mat, mu_col, lambda_col):
-            if mat.entries[0] == 2:  # the first row is [w, 0, 0, -1]
+        def rank_two_at_w2(rows, mu_col, lambda_col):
+            if rows[0][0] == 2:  # the first row is (w, 0, 0, -1)
                 raise ValueError("peripheral kernel is not cyclic of rank 1 (rank 2)")
-            return real(mat, mu_col, lambda_col)
+            return real(rows, mu_col, lambda_col)
 
         monkeypatch.setattr(exactarith, "peripheral_kernel", rank_two_at_w2)
         code, _, err = run(
@@ -486,6 +491,35 @@ class TestSweep:
         )
         assert code == 3
         assert "not cyclic" in err
+
+    def test_boundary_kernel_sweep_builds_no_matrix(self, capsys, monkeypatch):
+        # The oracle folds the presentation's row tuples as given: no point
+        # builds or validates a matrix.
+        matrices = []
+        real_post_init = exactarith.IntMatrix.__post_init__
+        monkeypatch.setattr(exactarith.IntMatrix, "__post_init__",
+                            lambda m: matrices.append((m.rows, m.cols)) or real_post_init(m))
+        code, payload, _ = run_json(
+            capsys, "sweep", "boundary-kernel", "--p", "2:12", "--q", "1:11", "--w", "0:4"
+        )
+        assert code == 0
+        assert payload["results"]["agreements"] == payload["results"]["points"] > 0
+        assert matrices == []
+        exactarith.IntMatrix(1, 1, (1,))  # the hook does count a matrix
+        assert matrices == [(1, 1)]
+
+    def test_iterated_point_carries_its_list_whole(self, capsys, monkeypatch):
+        # The list is one value of one axis, not one axis per entry: every
+        # point is (p, q, ms), whatever the depth.
+        command, points = cli.COMMANDS["iterated"], []
+        monkeypatch.setitem(cli.COMMANDS, "iterated", command._replace(
+            evaluate=lambda *values: points.append(values) or command.evaluate(*values)))
+        code, payload, _ = run_json(
+            capsys, "sweep", "iterated", "--p", "9:40", "--q", "1:2", "--ms", "2,2,2"
+        )
+        assert code == 0
+        assert payload["inputs"]["ms"] == [2, 2, 2]
+        assert points == [(p, q, (2, 2, 2)) for p in range(9, 41) for q in (1, 2)]
 
     def test_iterated_mismatch_keeps_full_params(self, capsys, monkeypatch):
         real = cables.iterated_verdict
@@ -555,7 +589,7 @@ class TestSweep:
 
         def fails_on_every_third_sum(*values):
             verdict, code = command.evaluate(*values)
-            return verdict, (3 if sum(values) % 3 == 0 else code)
+            return verdict, (3 if sum(flat(values)) % 3 == 0 else code)
 
         monkeypatch.setitem(cli.COMMANDS, target, command._replace(evaluate=fails_on_every_third_sum))
         code, payload, serial = run_json(capsys, "sweep", target, *grid)
@@ -793,10 +827,11 @@ def fail_in_stab_sweep(monkeypatch, where, fail):
 # One grid per sweep target, a point of it, and that point as a single command
 # (boundary-kernel sweeps always run the oracle).  The cable and iterated
 # grids start with a point below threshold, which exits 2 and is no mismatch.
+# A point is the evaluator's arguments, so iterated's list is one coordinate.
 TABLE_CASES = [
     ("cable", ["--p", "7:12", "--q", "1:1", "--m", "2:2", "--n", "2:2"], [9, 1, 2, 2],
      ["cable", "--p", "9", "--q", "1", "--m", "2", "--n", "2"]),
-    ("iterated", ["--p", "31:34", "--q", "1:1", "--ms", "2,2,2"], [33, 1, 2, 2, 2],
+    ("iterated", ["--p", "31:34", "--q", "1:1", "--ms", "2,2,2"], [33, 1, (2, 2, 2)],
      ["iterated", "--p", "33", "--q", "1", "--ms", "2,2,2"]),
     ("stab", ["--p", "10:12", "--q", "1:1", "--k", "1:1"], [11, 1, 1],
      ["stab", "--p", "11", "--q", "1", "--k", "1"]),
@@ -836,11 +871,11 @@ def doubled_kernel(real, point):
 
     Twice the generator still bounds, so the pair is valid but not the kernel's.
     """
-    rows = complement.presentation_matrix(WindingData(LensSpace(*point[:2]), point[2])).to_lists()
+    presentation = complement.presentation_matrix(WindingData(LensSpace(*point[:2]), point[2]))
 
-    def route(mat, mu_col, lambda_col):
-        x, y = real(mat, mu_col, lambda_col)
-        return (2 * x, 2 * y) if mat.to_lists() == rows else (x, y)
+    def route(rows, mu_col, lambda_col):
+        x, y = real(rows, mu_col, lambda_col)
+        return (2 * x, 2 * y) if rows == presentation else (x, y)
     return route
 
 
@@ -850,7 +885,7 @@ def cable_certifies(p, q, m, n):
     return v.certified_minimizer or v.certified_nonsimple
 
 
-def iterated_certifies(p, q, *ms):
+def iterated_certifies(p, q, ms):
     """Whether the library certifies the iterated cable at (p, q, ms) a minimizer."""
     return cables.iterated_verdict(IteratedCableParams(LensSpace(p, q), ms)).certified_minimizer
 
@@ -908,7 +943,7 @@ class TestCommandTable:
         results = payload["results"]
         mismatches = results.get("mismatches", results.get("mismatches_above_threshold"))
         # Only that point, and its record is the single command's results.
-        assert mismatches == [{"params": point, **expected["results"]}]
+        assert mismatches == [{"params": flat(point), **expected["results"]}]
 
     @pytest.mark.parametrize("target, grid, point, single", TABLE_CASES)
     def test_clean_sweep_reports_no_point(self, capsys, monkeypatch, target, grid, point,
@@ -943,7 +978,8 @@ class TestCommandTable:
         results = payload["results"]
         mismatches = results.get("mismatches", results.get("mismatches_above_threshold"))
         # The report half keeps rationals as Fractions; compare the JSON both print.
-        assert canonical_json(mismatches) == canonical_json([{"params": point, **env["results"]}])
+        assert canonical_json(mismatches) == canonical_json([{"params": flat(point),
+                                                              **env["results"]}])
         certified, of = counts
         assert results[certified] == results[of] - 1
         usable_cpus(monkeypatch, 2)
@@ -1012,7 +1048,7 @@ INVALID_REST = {
     "simple-knot": [(9,), (-1,)],
     "theta": [(9,), (-1,)],
     "cable": [(1, 2), (2, 0)],
-    "iterated": [(1,), (2, 1)],
+    "iterated": [((1,),), ((2, 1),)],
     "stab": [(0,)],
     "boundary-kernel": [(-1,)],
 }
@@ -1277,8 +1313,8 @@ class TestThetaEdgeCases:
     @pytest.mark.parametrize("command, axes", [
         ("cable", [range(5, 60), range(1, 4), range(2, 4), range(2, 4)]),
         # ms = 2,2,2 has threshold 32q, so most of its points lie below it.
-        ("iterated", [range(5, 60), range(1, 4), [2, 3], [2], [2]]),
-        ("iterated", [range(5, 60), range(1, 4), [2], [2]]),
+        ("iterated", [range(5, 60), range(1, 4), [(2, 2, 2), (3, 2, 2)]]),
+        ("iterated", [range(5, 60), range(1, 4), [(2, 2)]]),
         ("stab", [range(10, 60), range(1, 4), range(1, 4)]),
     ])
     def test_family_theta_is_the_class_theta(self, command, axes):
@@ -1337,18 +1373,22 @@ class TestThetaEdgeCases:
 class TestCableIsATwoLevelIteratedCable:
     def test_same_results_and_warnings(self):
         # cable (m, n) and iterated --ms m,n are one knot: cable's flags
-        # (p, q, m, n) reach iterated's evaluator as ms = (m, n), and the two
-        # report halves agree on every result field both report and on the
+        # (p, q, m, n) reach iterated's evaluator as ms = (m, n), so the two
+        # evaluators give one verdict and exit code, and the two report
+        # halves agree on every result field both report and on the
         # warnings, also where p - qmn = 1 makes the torus-knot complement a
         # solid torus.
         cable, iterated = cli.COMMANDS["cable"], cli.COMMANDS["iterated"]
-        assert cable.evaluate is iterated.evaluate
         solid_torus = 0
         for point in product(range(5, 80), range(1, 4), range(2, 4), range(2, 5)):
             try:
-                verdict, _ = cable.evaluate(*point)
-            except DomainError:  # outside the family
+                verdict, code = cable.evaluate(*point)
+            except DomainError as exc:  # outside the family
+                with pytest.raises(DomainError) as same:
+                    iterated.evaluate(*point[:2], point[2:])
+                assert str(same.value) == str(exc)
                 continue
+            assert iterated.evaluate(*point[:2], point[2:]) == (verdict, code), point
             one, two = cable.report(verdict), iterated.report(verdict)
             shared = one["results"].keys() & two["results"].keys()
             assert shared == {"norm_torus_side", "norms_equal", "homology_class", "theta",

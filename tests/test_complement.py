@@ -56,28 +56,29 @@ class TestBoundaryKernel:
         for p, q, w in [(8, 1, 4), (8, 1, 2), (15, 4, 6), (9, 2, 0)]:
             data = WindingData(LensSpace(p, q), w)
             cls = boundary_kernel(data)
-            snf = smith_normal_form(presentation_matrix(data).to_lists())
+            snf = smith_normal_form([list(r) for r in presentation_matrix(data)])
             coords = cokernel_coordinates(snf, (cls.mu_coeff, cls.lambda_coeff, 0, 0))
             assert set(coords) == {0}, (p, q, w)
 
 
 class TestPresentationMatrix:
     def test_substitutions(self):
-        assert presentation_matrix(WindingData(LensSpace(8, 1), 4)).to_lists() == [
-            [4, 0, 0, -1],
-            [0, 1, -4, 0],
-            [0, 0, 8, 1],
-        ]
-        assert presentation_matrix(WindingData(LensSpace(5, 2), 3)).to_lists() == [
-            [3, 0, 0, -1],
-            [0, 1, -3, 0],
-            [0, 0, 5, 2],
-        ]
-        assert presentation_matrix(WindingData(LensSpace(7, 2), 0)).to_lists() == [
-            [0, 0, 0, -1],
-            [0, 1, 0, 0],
-            [0, 0, 7, 2],
-        ]
+        # Plain row tuples, the shape peripheral_kernel reads.
+        assert presentation_matrix(WindingData(LensSpace(8, 1), 4)) == (
+            (4, 0, 0, -1),
+            (0, 1, -4, 0),
+            (0, 0, 8, 1),
+        )
+        assert presentation_matrix(WindingData(LensSpace(5, 2), 3)) == (
+            (3, 0, 0, -1),
+            (0, 1, -3, 0),
+            (0, 0, 5, 2),
+        )
+        assert presentation_matrix(WindingData(LensSpace(7, 2), 0)) == (
+            (0, 0, 0, -1),
+            (0, 1, 0, 0),
+            (0, 0, 7, 2),
+        )
 
 
 class TestTorusKnotTheta:

@@ -159,11 +159,19 @@ class TestPeripheralKernel:
         ],
     )
     def test_winding_presentations(self, rows, expected):
-        assert peripheral_kernel(IntMatrix.from_rows(rows), 0, 1) == expected
+        assert peripheral_kernel(rows, 0, 1) == expected
+
+    @pytest.mark.parametrize("rows", [LEMMA_MATRIX_814, [[0, 0]], [[1, 0], [0, 1]]])
+    def test_tuple_and_list_rows_agree(self, rows):
+        before = [list(r) for r in rows]
+        assert outcome(peripheral_kernel, tuple(map(tuple, rows)), 0, 1) == outcome(
+            peripheral_kernel, rows, 0, 1
+        )
+        # The list rows are read, never changed.
+        assert rows == before
 
     def test_generator_maps_to_zero_and_generates(self):
-        a = IntMatrix.from_rows(LEMMA_MATRIX_814)
-        x, y = peripheral_kernel(a, 0, 1)
+        x, y = peripheral_kernel(LEMMA_MATRIX_814, 0, 1)
         snf = smith_normal_form(LEMMA_MATRIX_814)
 
         def in_kernel(u, v):
@@ -180,29 +188,33 @@ class TestPeripheralKernel:
 
     def test_rank_two_kernel_rejected(self):
         # Trivial cokernel: everything dies, so the kernel is all of Z^2.
-        a = IntMatrix.from_rows([[1, 0], [0, 1]])
         with pytest.raises(ValueError, match="not cyclic"):
+            peripheral_kernel([[1, 0], [0, 1]], 0, 1)
+
+    @pytest.mark.parametrize("a", [[[0, 0]], [[0, 0, 0, 0]], [], ()])
+    def test_trivial_kernel_rejected(self, a):
+        # Free cokernel on mu and lambda: only (0,0) dies.  With no relation
+        # at all nothing bounds, whatever the generator count.
+        with pytest.raises(ValueError, match=r"not cyclic of rank 1 \(trivial\)"):
             peripheral_kernel(a, 0, 1)
 
-    @pytest.mark.parametrize("a", [IntMatrix.from_rows([[0, 0]]), IntMatrix(0, 4, ())])
-    def test_trivial_kernel_rejected(self, a):
-        # Free cokernel on mu and lambda: only (0,0) dies.
-        with pytest.raises(ValueError, match="not cyclic"):
-            peripheral_kernel(a, 0, 1)
+    @pytest.mark.parametrize("rows", [[[1, 0, 0], [0, 1]], ((1, 0), (0, 1, 0)), [[], [0]]])
+    def test_ragged_rows_rejected(self, rows):
+        with pytest.raises(ValueError, match="ragged rows"):
+            peripheral_kernel(rows, 0, 1)
 
     def test_sign_normalization(self):
-        a = IntMatrix.from_rows(LEMMA_MATRIX_814)
-        x, y = peripheral_kernel(a, 0, 1)
+        x, y = peripheral_kernel(LEMMA_MATRIX_814, 0, 1)
         assert y >= 0
 
     def test_arbitrary_generator_columns(self):
         # Permuting columns (relabelling generators) moves mu/lambda but
         # not the kernel.
         permuted = [[row[2], row[3], row[0], row[1]] for row in LEMMA_MATRIX_814]
-        assert peripheral_kernel(IntMatrix.from_rows(permuted), 2, 3) == (4, 2)
+        assert peripheral_kernel(permuted, 2, 3) == (4, 2)
 
     def test_column_validation(self):
-        a = IntMatrix.from_rows(LEMMA_MATRIX_814)
+        a = LEMMA_MATRIX_814
         with pytest.raises(ValueError):
             peripheral_kernel(a, 0, 4)
         with pytest.raises(ValueError):
@@ -255,18 +267,23 @@ class TestFoldColumns:
         # Without pivots the last step of each column is skipped and the
         # rows left are the same.
         assert fold_columns([list(r) for r in rows], cols, pivots=False) == ([], rest)
+        # Tuple rows fold to the same pivots and rows left, in the same order.
+        as_lists = [[None if r is None else list(r) for r in part]
+                    for part in fold_columns(tuple(map(tuple, rows)), cols)]
+        assert as_lists == [pivots, rest]
 
 
 def snf_kernel(a, mu_col, lambda_col):
-    """The peripheral kernel read off Smith normal form's U, as a reference.
+    """The peripheral kernel of the rows ``a`` read off Smith normal form's U, as a reference.
 
     The rows of U past the rank span the left kernel of [e_mu; e_lambda; A];
     their first two entries span the kernel's projection, a lattice in Z^2
     whose generator is the gcd of all entries times the primitive direction.
     """
-    e_mu = [int(j == mu_col) for j in range(a.cols)]
-    e_lam = [int(j == lambda_col) for j in range(a.cols)]
-    b = [e_mu, e_lam] + a.to_lists()
+    cols = len(a[0])
+    e_mu = [int(j == mu_col) for j in range(cols)]
+    e_lam = [int(j == lambda_col) for j in range(cols)]
+    b = [e_mu, e_lam] + [list(r) for r in a]
     snf = smith_normal_form(b)
     pairs = [(snf.U[i][0], snf.U[i][1]) for i in range(len(snf.invariant_factors), len(b))]
     if any(x1 * y2 - x2 * y1 for (x1, y1), (x2, y2) in combinations(pairs, 2)):
@@ -321,10 +338,10 @@ class TestRowKernelAgainstSmithForm:
     )
     def test_same_generator_or_both_reject(self, case):
         rows, order = case
-        a = IntMatrix.from_rows(rows)
         mu_col, lambda_col = order[0], order[1]
-        assert outcome(peripheral_kernel, a, mu_col, lambda_col) == outcome(
-            snf_kernel, a, mu_col, lambda_col
+        # The presentation's own shape: a tuple of row tuples.
+        assert outcome(peripheral_kernel, tuple(map(tuple, rows)), mu_col, lambda_col) == outcome(
+            snf_kernel, rows, mu_col, lambda_col
         )
 
 

@@ -70,12 +70,13 @@ def test_cli_import_loads_no_pool_and_no_family():
 
 @pytest.mark.parametrize("argv, family", [
     (["simple-knot", "--p", "8", "--q", "1", "--class", "4"], set()),
-    (["theta", "--p", "8", "--q", "1", "--class", "4"], {"complement", "exactarith", "norm"}),
+    (["theta", "--p", "8", "--q", "1", "--class", "4"], {"complement", "norm"}),
     (["cable", "--p", "8", "--q", "1", "--m", "2", "--n", "2"],
-     {"cables", "complement", "exactarith", "norm"}),
+     {"cables", "complement", "norm"}),
     (["twist", "--a", "1", "--b", "1", "--n", "1"], {"twistfamily", "exactarith"}),
     (["sweep", "stab", "--p", "10:12", "--q", "1:1", "--k", "1:1"],
-     {"stabilization", "complement", "exactarith", "norm"}),
+     {"stabilization", "complement", "norm"}),
+    (["boundary-kernel", "--p", "8", "--q", "1", "--w", "4"], {"complement", "exactarith", "norm"}),
 ])
 def test_command_loads_only_its_family(argv, family):
     modules = loaded_after(f"from lensgenus.cli import main\nmain({argv!r})")

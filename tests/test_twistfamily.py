@@ -189,7 +189,7 @@ class TestFillingHomology:
             fl = build_twist_diagram(t)
             data = WindingData(LensSpace(2 * t.k, 1), t.k)
             assert h1_of_complement(fl) == cokernel_invariants(
-                presentation_matrix(data)
+                exactarith.IntMatrix.from_rows(presentation_matrix(data))
             )
 
 
