@@ -3,10 +3,11 @@
 Parsing is table-driven: ``parse_args`` reads the grammar, the usage lines
 and the help from ``COMMANDS``, ``_LIST_FLAGS`` and ``_OPTIONS``.
 
-Report halves put the verdicts' own values in ``results``: a rational
-stays a ``Fraction``, written as ``a/b`` in text and as ``{"num": a, "den": b}``
-by the one JSON hook; a norm, which a verdict holds as an ``int``, is
-reported as a ``Fraction`` too, so it prints as every norm always has.
+Reports are rows too: one renderer reads each value of an envelope from its
+verdict by the rows of the command's ``Report``.  A rational stays a
+``Fraction``, written as ``a/b`` in text and as ``{"num": a, "den": b}`` by
+the one JSON hook; a norm, an ``int`` in the verdict, goes through the one
+``int`` -> ``Fraction`` transform, so it prints as every norm always has.
 Nothing is ever rendered as a float.
 Exit codes: 0 success, 1 invalid input (a ``DomainError``), 2 valid input
 but the certification condition is not met, 3 internal failure (any other
@@ -20,7 +21,7 @@ import sys
 from functools import partial, reduce
 from itertools import groupby, islice, product
 from math import prod
-from operator import itemgetter
+from operator import itemgetter, not_
 from typing import (
     TYPE_CHECKING, Any, BinaryIO, Callable, Iterable, Iterator, NamedTuple, NoReturn, Sequence,
 )
@@ -30,6 +31,8 @@ from .lens import H1Class, LensSpace
 
 if TYPE_CHECKING:
     from fractions import Fraction
+
+    Reader = str | Callable[[Any], Any]  # an attribute path or a function; see _read
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -74,10 +77,10 @@ def envelope(
 
 
 def _fmt(value: Any, nested: bool = False) -> str:
-    """A result value as text, a rational as ``a/b``; a record (a dict) reads as its repr would."""
+    """A result value as text: a rational as ``a/b``, a tuple as a list, a record as its repr."""
     if isinstance(value, dict):
         return "{" + ", ".join(f"{k!r}: {_fmt(v, True)}" for k, v in value.items()) + "}"
-    if isinstance(value, list):
+    if isinstance(value, (list, tuple)):
         return "[" + ", ".join(_fmt(v, nested) for v in value) + "]"
     if nested and isinstance(value, (bool, str)):
         return repr(value)
@@ -108,33 +111,17 @@ def print_report(env: dict[str, Any], as_json: bool) -> str:
 # ---------------------------------------------------------------------------
 # evaluators
 #
-# Every command has two halves.  The evaluator takes the flag values in table
-# order, builds the family through its constructors (which raise DomainError
-# outside the family's hypotheses) and returns the verdict and the exit code:
-# it is the one place that makes a disagreement between two routes
-# EXIT_INCONSISTENT.  The ``_*_report`` half turns a verdict into the sections
-# of its envelope: its ``results``, and its ``certifications`` and
-# ``warnings`` where it has them.  Neither half names its command or echoes
-# its flags; ``_run_command`` builds the envelope from those.  Each half
-# imports only the family modules it uses and calls through them, where tests
-# and tracers patch.
-
-
-def _norm(value: int) -> Fraction:
-    """A verdict's ``int`` norm as the ``Fraction`` a report prints: ``{"num": 8, "den": 1}``."""
-    from fractions import Fraction  # only a report half that prints a norm pays for it
-
-    return Fraction(value)
+# An evaluator takes its command's flag values in table order, builds the
+# family through its constructors (which raise DomainError outside its
+# hypotheses) and returns the verdict and the exit code: it is the one place
+# that makes a disagreement between two routes EXIT_INCONSISTENT.  It calls
+# through the family modules it imports, where tests and tracers patch.
 
 
 def _simple_knot(p: int, q: int, c: int) -> tuple[int, int]:
     import lensgenus.lens as lens
 
     return lens.simple_knot_in_class(lens.H1Class(c, LensSpace(p, q))), EXIT_OK
-
-
-def _simple_knot_report(a: int) -> dict:
-    return {"results": {"parameter_a": a, "is_unknot": a == 0}}
 
 
 def _theta(p: int, q: int, c: int) -> tuple[Any, int]:
@@ -148,32 +135,6 @@ def _theta(p: int, q: int, c: int) -> tuple[Any, int]:
     return complement.torus_knot_theta(space, c), EXIT_OK
 
 
-def _theta_report(r: Any) -> dict:
-    """``r`` is the torus knot's ``GenusReport`` (``mu_pairing`` is its p), or None for class 0."""
-    import lensgenus.complement as complement
-
-    warnings: tuple[str, ...] = ()
-    if r is None:
-        # chi_minus is an int like every norm, and theta, the one rational,
-        # is 0/1 here; both print as rationals.
-        results = {"theta": _norm(0), "chi_minus": _norm(0), "label": "EXACT"}
-        criterion = "class 0 is the unknot, which bounds a disk"
-    else:
-        warnings = complement.solid_torus_warnings(r.dropped)
-        results = {
-            "theta": r.theta,  # made here, where it is read
-            "chi_minus": _norm(r.chi_minus),
-            "mu_pairing": r.p,
-            "fibered": r.fibered,
-            "label": "EXACT",
-        }
-        criterion = ("simple knot in this class is the (1,k)-torus knot "
-                     "(holds iff k*q < p + q)")
-    return {"results": results,
-            "certifications": {"exact": {"holds": True, "criterion": criterion}},
-            "warnings": warnings}
-
-
 def _iterated(p: int, q: int, ms: Sequence[int]) -> tuple[Any, int]:
     """The verdict and exit code of ``iterated``, and of ``cable`` as ms = (m, n)."""
     import lensgenus.cables as cables
@@ -184,74 +145,12 @@ def _iterated(p: int, q: int, ms: Sequence[int]) -> tuple[Any, int]:
     return v, EXIT_OK if v.certified_minimizer else EXIT_UNCERTIFIED
 
 
-def _cable_report(v: Any) -> dict:
-    return {
-        "results": {
-            "norm_torus_side": _norm(v.norm_torus_side),
-            "norm_cable_side": _norm(v.norm_iterated),
-            "norms_equal": v.norms_equal,
-            "homology_class": v.homology_class,
-            "theta": v.theta,
-            "threshold_met": v.threshold_met,
-        },
-        "certifications": {
-            "minimizer": {"holds": v.certified_minimizer,
-                          "criterion": "p >= q*m^2*n; above this threshold the cable "
-                          "norm matches the simple-knot norm"},
-            "nonsimple": {"holds": v.certified_nonsimple,
-                          "criterion": "threshold holds and q != m, so the cable complement "
-                          "keeps an essential torus; for q = m the verdict is unknown, "
-                          "never 'simple'"},
-        },
-        "warnings": v.warnings,
-    }
-
-
-def _iterated_report(v: Any) -> dict:
-    return {
-        "results": {
-            "norm_iterated": _norm(v.norm_iterated),
-            "norm_torus_side": _norm(v.norm_torus_side),
-            "norms_equal": v.norms_equal,
-            "homology_class": v.homology_class,
-            "theta": v.theta,
-            "threshold_met": v.threshold_met,
-        },
-        "certifications": {
-            "minimizer": {"holds": v.certified_minimizer,
-                          "criterion": "p >= q*m1^2*...*m_(k-1)^2*m_k and the iterated "
-                          "norm equals the torus-knot norm"},
-        },
-        "warnings": v.warnings,
-    }
-
-
 def _stab(p: int, q: int, k: int) -> tuple[Any, int]:
     import lensgenus.stabilization as stabilization
 
     v = stabilization.stab_verdict(stabilization.StabFamily(LensSpace(p, q), k))
     # StabFamily enforces the hypothesis, so an uncertified point is a disagreement.
     return v, EXIT_OK if v.certified_minimizer else EXIT_INCONSISTENT
-
-
-def _stab_report(v: Any) -> dict:
-    import lensgenus.stabilization as stabilization
-
-    return {
-        "results": {
-            "coefficients": list(stabilization.stab_coefficients(v.family)),
-            "chi_surface": v.norms.chi_Fk,
-            "chi_capped": v.norms.chi_capped,
-            "torus_knot_chi": _norm(v.torus_chi),
-            "homology_class": v.homology_class,
-            "theta": v.theta,
-        },
-        "certifications": {
-            "minimizer": {"holds": v.certified_minimizer,
-                          "criterion": "capped surface complexity equals the "
-                          "(1,k+4)-torus-knot norm, which a simple knot realizes"},
-        },
-    }
 
 
 def _order2(k: int) -> tuple[Any, int]:
@@ -261,51 +160,11 @@ def _order2(k: int) -> tuple[Any, int]:
     return rep, EXIT_OK if rep.unique_minimizer_guaranteed else EXIT_UNCERTIFIED
 
 
-def _order2_report(rep: Any) -> dict:
-    space = rep.ambient
-    return {
-        # The one report half with inputs: the p = 2k and q = 1 that --k implies.
-        "inputs": {"p": space.p, "q": space.q},
-        "results": {
-            "nonorientable_genus": rep.nonorientable_genus,
-            "theta": rep.theta,
-            "order2_class": space.p // 2,
-        },
-        "certifications": {
-            "unique_minimizer": {"holds": rep.unique_minimizer_guaranteed,
-                                 "criterion": "minimal nonorientable genus at most 3; "
-                                 + rep.criterion},
-        },
-    }
-
-
 def _twist(a: int, b: int, n: int) -> tuple[Any, int]:
     import lensgenus.twistfamily as twistfamily
 
     v = twistfamily.twist_verdict(twistfamily.TwistParams(a, b, n))
     return v, EXIT_OK if v.holds else EXIT_INCONSISTENT
-
-
-def _twist_report(v: Any) -> dict:
-    import lensgenus.twistfamily as twistfamily
-
-    t = v.params
-    return {
-        "results": {
-            "k": t.k,
-            "h1": str(v.h1),
-            "h1_order": v.h1.order(),
-            "gamma_class": v.gamma_class,
-            "framings": ["inf" if c.framing is None else str(c.framing)
-                         for c in v.diagram.components],
-            "spec": twistfamily.filling_spec_export(t),
-        },
-        "certifications": {
-            "homology": {"holds": v.holds,
-                         "criterion": "filling the five framed components gives the "
-                         "lens space of order 2k with the unfilled knot in class k"},
-        },
-    }
 
 
 def _boundary_kernel(p: int, q: int, w: int) -> tuple[tuple, int]:
@@ -321,18 +180,126 @@ def _boundary_kernel(p: int, q: int, w: int) -> tuple[tuple, int]:
     return (closed, rows, found), EXIT_OK if found == closed else EXIT_INCONSISTENT
 
 
-def _boundary_kernel_report(verdict: tuple) -> dict:
-    closed, rows, found = verdict
-    results = {"mu_coeff": closed.mu_coeff, "lambda_coeff": closed.lambda_coeff,
-               "oracle_mu_coeff": found[0], "oracle_lambda_coeff": found[1],
-               "presentation_rows": [list(r) for r in rows]}
-    # The criterion text is part of the canonical output, so it stays as it
-    # is; the oracle cuts the presentation's row lattice with the (mu, lambda)
-    # plane and runs no Smith form.
-    agreement = {"holds": found == closed,
-                 "criterion": "closed form equals the Smith-normal-form kernel of "
-                 "the presentation matrix"}
-    return {"results": results, "certifications": {"oracle_agreement": agreement}}
+# ---------------------------------------------------------------------------
+# reports
+#
+# A command's ``Report`` is rows that read its verdict: the one place where
+# the command's keys and criteria are written.  A reader imports a family
+# module only when it runs, never when ``lensgenus.cli`` is imported.
+
+
+def _read(verdict: Any, reader: Reader) -> Any:
+    """``reader`` called on ``verdict``, or the value at its attribute path.
+
+    A step of digits indexes a tuple (``"2.0"``); ``""`` is the verdict itself.
+    """
+    if not isinstance(reader, str):
+        return reader(verdict)
+    for step in filter(None, reader.split(".")):
+        verdict = verdict[int(step)] if step.isdecimal() else getattr(verdict, step)
+    return verdict
+
+
+class _Norm(NamedTuple):
+    """The one ``int`` -> ``Fraction`` transform: a norm prints as ``{"num": 8, "den": 1}``."""
+
+    reader: Reader
+
+    def __call__(self, verdict: Any) -> Fraction:
+        from fractions import Fraction  # only a report that prints a norm pays for it
+
+        return Fraction(_read(verdict, self.reader))
+
+
+def _const(value: Any) -> Callable[[Any], Any]:
+    return lambda verdict: value
+
+
+class Report(NamedTuple):
+    """A command's report as rows; called on a verdict, the sections of its envelope.
+
+    Rows are ``(key, reader)``, or ``(name, holds, criterion)`` with the
+    criterion's text or a function of the verdict; sections keep row order.
+    """
+
+    results: tuple[tuple[str, Reader], ...]
+    certifications: tuple[tuple[str, Reader, str | Callable[[Any], str]], ...] = ()
+    warnings: Reader | None = None
+    inputs: tuple[tuple[str, Reader], ...] = ()
+
+    def __call__(self, verdict: Any) -> dict:
+        read = partial(_read, verdict)
+        return {
+            "inputs": {key: read(reader) for key, reader in self.inputs},
+            "results": {key: read(reader) for key, reader in self.results},
+            "certifications": {
+                name: {"holds": read(holds), "criterion": criterion if isinstance(criterion, str)
+                       else criterion(verdict)} for name, holds, criterion in self.certifications
+            },
+            "warnings": () if self.warnings is None else read(self.warnings),
+        }
+
+
+def _solid_torus_warnings(r: Any) -> tuple[str, ...]:
+    import lensgenus.complement as complement
+
+    return complement.solid_torus_warnings(r.dropped)
+
+
+def _stab_coefficients(v: Any) -> tuple[int, int, int]:
+    import lensgenus.stabilization as stabilization
+
+    return stabilization.stab_coefficients(v.family)
+
+
+def _order2_class(rep: Any) -> int:
+    return rep.ambient.p // 2
+
+
+def _order2_criterion(rep: Any) -> str:
+    return "minimal nonorientable genus at most 3; " + rep.criterion
+
+
+def _h1(v: Any) -> str:
+    return str(v.h1)
+
+
+def _h1_order(v: Any) -> int:
+    return v.h1.order()
+
+
+def _framings(v: Any) -> list[str]:
+    return ["inf" if c.framing is None else str(c.framing) for c in v.diagram.components]
+
+
+def _filling_spec(v: Any) -> str:
+    import lensgenus.twistfamily as twistfamily
+
+    return twistfamily.filling_spec_export(v.params)
+
+
+def _kernels_agree(verdict: tuple) -> bool:
+    return verdict[2] == verdict[0]
+
+
+#: theta's two row sets.  Class 0 has no verdict, and its theta, 0/1, and its
+#: norm print as rationals; past it the verdict is the torus knot's GenusReport.
+_THETA_CLASS_0 = Report(
+    (("theta", _Norm(_const(0))), ("chi_minus", _Norm(_const(0))), ("label", _const("EXACT"))),
+    (("exact", _const(True), "class 0 is the unknot, which bounds a disk"),),
+)
+_THETA_TORUS = Report(
+    (("theta", "theta"), ("chi_minus", _Norm("chi_minus")), ("mu_pairing", "p"),
+     ("fibered", "fibered"), ("label", _const("EXACT"))),
+    (("exact", _const(True),
+      "simple knot in this class is the (1,k)-torus knot (holds iff k*q < p + q)"),),
+    _solid_torus_warnings,
+)
+
+#: The five rows that cable and iterated share: the torus side, and the four after both norms.
+_TORUS_SIDE = ("norm_torus_side", _Norm("norm_torus_side"))
+_CABLE_ROWS = (("norms_equal", "norms_equal"), ("homology_class", "homology_class"),
+               ("theta", "theta"), ("threshold_met", "threshold_met"))
 
 
 # ---------------------------------------------------------------------------
@@ -384,30 +351,62 @@ class Command(NamedTuple):
     #: Flags in evaluator order; a list flag passes its whole list as one argument.
     flags: tuple[str, ...]
     evaluate: Callable[..., tuple[Any, int]]
-    #: Report half: a verdict in, the sections of its envelope out; every
-    #: command has one, and a sweep runs it only for a mismatch record.
+    #: The command's ``Report``: called on a verdict, it renders the sections
+    #: of its envelope from its rows (theta picks one of two).  A sweep calls
+    #: it only for a mismatch record.
     report: Callable[[Any], dict]
     #: Sweep summary, or None when the command has no ``sweep`` target.
     summary: Callable[[Iterator[Any], list[dict]], dict] | None = None
 
 
 COMMANDS: dict[str, Command] = {
+    # The verdict is the parameter a; a == 0 is the unknot.
     "simple-knot": Command("simple knot in a homology class", ("p", "q", "class"), _simple_knot,
-                           _simple_knot_report),
+                           Report((("parameter_a", ""), ("is_unknot", not_)))),
     "theta": Command("norm of a homology class via its torus knot", ("p", "q", "class"), _theta,
-                     _theta_report),
+                     lambda r: (_THETA_CLASS_0 if r is None else _THETA_TORUS)(r)),
     "cable": Command("cable-knot minimizer verdict", ("p", "q", "m", "n"),
-                     lambda p, q, m, n: _iterated(p, q, (m, n)), _cable_report, _cable_summary),
-    "iterated": Command("iterated-cable minimizer verdict", ("p", "q", "ms"), _iterated,
-                        _iterated_report, _iterated_summary),
-    "stab": Command("stabilized-braid minimizer verdict", ("p", "q", "k"), _stab,
-                    _stab_report, partial(_passed_summary, "certified")),
-    "order2": Command("order-2 class uniqueness verdict in L(2k,1)", ("k",), _order2,
-                      _order2_report),
-    "twist": Command("annulus-twist family diagram and export", ("a", "b", "n"), _twist,
-                     _twist_report, partial(_passed_summary, "homology_checks_passed")),
-    "boundary-kernel": Command("peripheral class that bounds", ("p", "q", "w"), _boundary_kernel,
-                               _boundary_kernel_report, partial(_passed_summary, "agreements")),
+                     lambda p, q, m, n: _iterated(p, q, (m, n)), Report(
+        (_TORUS_SIDE, ("norm_cable_side", _Norm("norm_iterated")), *_CABLE_ROWS),
+        (("minimizer", "certified_minimizer",
+          "p >= q*m^2*n; above this threshold the cable norm matches the simple-knot norm"),
+         ("nonsimple", "certified_nonsimple", "threshold holds and q != m, so the cable "
+          "complement keeps an essential torus; for q = m the verdict is unknown, never 'simple'")),
+        "warnings"), _cable_summary),
+    "iterated": Command("iterated-cable minimizer verdict", ("p", "q", "ms"), _iterated, Report(
+        (("norm_iterated", _Norm("norm_iterated")), _TORUS_SIDE, *_CABLE_ROWS),
+        (("minimizer", "certified_minimizer", "p >= q*m1^2*...*m_(k-1)^2*m_k and the iterated "
+          "norm equals the torus-knot norm"),),
+        "warnings"), _iterated_summary),
+    "stab": Command("stabilized-braid minimizer verdict", ("p", "q", "k"), _stab, Report(
+        (("coefficients", _stab_coefficients), ("chi_surface", "norms.chi_Fk"),
+         ("chi_capped", "norms.chi_capped"), ("torus_knot_chi", _Norm("torus_chi")),
+         ("homology_class", "homology_class"), ("theta", "theta")),
+        (("minimizer", "certified_minimizer", "capped surface complexity equals the "
+          "(1,k+4)-torus-knot norm, which a simple knot realizes"),)),
+        partial(_passed_summary, "certified")),
+    # The one report with inputs: the p = 2k and q = 1 that --k implies.
+    "order2": Command("order-2 class uniqueness verdict in L(2k,1)", ("k",), _order2, Report(
+        (("nonorientable_genus", "nonorientable_genus"), ("theta", "theta"),
+         ("order2_class", _order2_class)),
+        (("unique_minimizer", "unique_minimizer_guaranteed", _order2_criterion),),
+        inputs=(("p", "ambient.p"), ("q", "ambient.q")))),
+    "twist": Command("annulus-twist family diagram and export", ("a", "b", "n"), _twist, Report(
+        (("k", "params.k"), ("h1", _h1), ("h1_order", _h1_order), ("gamma_class", "gamma_class"),
+         ("framings", _framings), ("spec", _filling_spec)),
+        (("homology", "holds", "filling the five framed components gives the lens space of "
+          "order 2k with the unfilled knot in class k"),)),
+        partial(_passed_summary, "homology_checks_passed")),
+    # The verdict is (closed, rows, found).  The criterion text is part of the
+    # canonical output, so it stays as it is; the oracle cuts the presentation's
+    # row lattice with the (mu, lambda) plane and runs no Smith form.
+    "boundary-kernel": Command(
+        "peripheral class that bounds", ("p", "q", "w"), _boundary_kernel, Report(
+        (("mu_coeff", "0.mu_coeff"), ("lambda_coeff", "0.lambda_coeff"),
+         ("oracle_mu_coeff", "2.0"), ("oracle_lambda_coeff", "2.1"), ("presentation_rows", "1")),
+        (("oracle_agreement", _kernels_agree,
+          "closed form equals the Smith-normal-form kernel of the presentation matrix"),)),
+        partial(_passed_summary, "agreements")),
 }
 
 #: Flags that take a comma-separated list of integers, with their metavar.
@@ -493,7 +492,7 @@ def _sweep_slab(target: str, axes: list[Sequence], span: range) -> dict:
     evaluator never sees it; the output is the same.  A block of one point
     (``iterated``, whose one other axis is its list) is left to its
     evaluator, which makes the same check at no extra cost.  Only a mismatch
-    (EXIT_INCONSISTENT) runs the report half: its record is ``params``, the
+    (EXIT_INCONSISTENT) runs the command's report: its record is ``params``, the
     point with a list's entries in line, plus the single command's results.
     Skipping to the slab's start walks ``product`` in C, far cheaper than
     evaluating the points skipped.

@@ -15,6 +15,7 @@ asks for it.
 from __future__ import annotations
 
 from collections import namedtuple
+from operator import mul
 from typing import TYPE_CHECKING, Sequence
 
 from .complement import torus_knot_theta
@@ -110,19 +111,13 @@ def stab_coefficients(s: StabFamily) -> tuple[int, int, int]:
 def surface_combination(coeffs: Sequence[int]) -> tuple[int, TripleBoundaryClass]:
     """chi_minus and boundary of the combination with multiplicities ``coeffs``.
 
-    One multiplicity per entry of ``BASE_SURFACES``; both totals are linear.
+    One multiplicity per entry of ``BASE_SURFACES``; each of the seven totals
+    is linear, the sum of a column of the catalogue weighted by ``coeffs``.
     """
-    terms = list(zip(coeffs, BASE_SURFACES))
-
-    def combine(side: str) -> PeripheralClass:
-        classes = [(c, getattr(f.boundary, side)) for c, f in terms]
-        return PeripheralClass(
-            sum(c * x.mu_coeff for c, x in classes),
-            sum(c * x.lambda_coeff for c, x in classes),
-        )
-
-    chi = sum(c * f.chi_minus for c, f in terms)
-    return chi, TripleBoundaryClass(combine("on_K0"), combine("on_L2"), combine("on_gamma"))
+    rows = [(f.chi_minus, *f.boundary.on_K0, *f.boundary.on_L2, *f.boundary.on_gamma)
+            for f in BASE_SURFACES]
+    chi, *ends = (sum(map(mul, coeffs, column)) for column in zip(*rows))
+    return chi, TripleBoundaryClass(*map(PeripheralClass, ends[::2], ends[1::2]))
 
 
 def stab_norms(s: StabFamily) -> StabNorms:
@@ -136,18 +131,17 @@ def stab_norms(s: StabFamily) -> StabNorms:
     chi, boundary = surface_combination(stab_coefficients(s))
     kp4 = k + 4
     chi_expected = p * kp4 - q * kp4 * kp4
-    boundary_expected = TripleBoundaryClass(
-        on_K0=PeripheralClass(-k * p + q * kp4 * kp4, p),
-        on_L2=PeripheralClass(-(p - q * k) * kp4, -q * kp4),
-        on_gamma=PeripheralClass(-(p - q * kp4), k * (p - q * kp4)),
-    )
+    # Plain pairs: a named tuple compares as the tuple it is.
+    boundary_expected = ((-k * p + q * kp4 * kp4, p), (-(p - q * k) * kp4, -q * kp4),
+                         (-(p - q * kp4), k * (p - q * kp4)))
     if chi != chi_expected:
         raise ConsistencyError(
             f"assembled chi {chi} != closed form {chi_expected} at (p,q,k)=({p},{q},{k})"
         )
     if boundary != boundary_expected:
+        displayed = TripleBoundaryClass(*(PeripheralClass(*c) for c in boundary_expected))
         raise ConsistencyError(
-            f"assembled boundary {boundary} != displayed {boundary_expected} "
+            f"assembled boundary {boundary} != displayed {displayed} "
             f"at (p,q,k)=({p},{q},{k})"
         )
     # Capping: k+4 boundary components on the axis, p - q(k+4) on gamma.

@@ -949,7 +949,7 @@ class TestCommandTable:
     def test_clean_sweep_reports_no_point(self, capsys, monkeypatch, target, grid, point,
                                           single):
         # A point's verdict is all its summary reads: without a mismatch no
-        # point runs the report half, and the one envelope is the sweep's.
+        # point runs its report, and the one envelope is the sweep's.
         command, reports, envelopes = cli.COMMANDS[target], [], []
         monkeypatch.setitem(cli.COMMANDS, target, command._replace(
             report=lambda verdict: reports.append(verdict) or command.report(verdict)))
@@ -977,7 +977,7 @@ class TestCommandTable:
         assert code == 3
         results = payload["results"]
         mismatches = results.get("mismatches", results.get("mismatches_above_threshold"))
-        # The report half keeps rationals as Fractions; compare the JSON both print.
+        # The report keeps rationals as Fractions; compare the JSON both print.
         assert canonical_json(mismatches) == canonical_json([{"params": flat(point),
                                                               **env["results"]}])
         certified, of = counts
@@ -1163,7 +1163,7 @@ class Unprintable:
 
 class TestOneReportShape:
     def test_report_half_runs_once_on_the_verdict(self, capsys, monkeypatch):
-        # Every command: the evaluator's verdict goes to its report half once,
+        # Every command: the evaluator's verdict goes to its report once,
         # and the one envelope is built from the command's name.
         assert sorted(argv[0] for argv in SINGLE_COMMANDS) == sorted(cli.COMMANDS)
         real = cli.envelope
@@ -1187,6 +1187,18 @@ class TestOneReportShape:
             [(verdict, _)] = verdicts
             assert len(reported) == 1 and reported[0] is verdict, name
             assert envelopes == [name]
+
+    def test_text_prints_results_in_row_order(self, capsys):
+        # A command's rows are the one place its keys are written, and the
+        # text form prints its results in their order.
+        for name, *flags in SINGLE_COMMANDS:
+            report = cli.COMMANDS[name].report
+            if not isinstance(report, cli.Report):
+                report = cli._THETA_TORUS  # theta's choice for a class past 0
+            code, out, err = run(capsys, name, *flags)
+            printed = out.split("results:\n")[1].split("\ncertifications:")[0].splitlines()
+            assert [line.split(" = ")[0].strip() for line in printed] == \
+                [key for key, _ in report.results], name
 
     @pytest.mark.parametrize("mode", [[], ["--json"]], ids=["text", "json"])
     def test_report_that_fails_to_render_prints_nothing(self, capsys, monkeypatch, mode):

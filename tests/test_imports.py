@@ -77,6 +77,9 @@ def test_cli_import_loads_no_pool_and_no_family():
     (["sweep", "stab", "--p", "10:12", "--q", "1:1", "--k", "1:1"],
      {"stabilization", "complement", "norm"}),
     (["boundary-kernel", "--p", "8", "--q", "1", "--w", "4"], {"complement", "exactarith", "norm"}),
+    (["order2", "--k", "4"], {"order2", "complement", "norm"}),
+    (["iterated", "--p", "32", "--q", "1", "--ms", "2,2,2"], {"cables", "complement", "norm"}),
+    (["stab", "--p", "10", "--q", "1", "--k", "1"], {"stabilization", "complement", "norm"}),
 ])
 def test_command_loads_only_its_family(argv, family):
     modules = loaded_after(f"from lensgenus.cli import main\nmain({argv!r})")
